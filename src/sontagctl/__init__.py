@@ -17,14 +17,12 @@ from .analysis import (
     sweep_initial_angles,
 )
 from .clf import (
-    LieDerivatives,
     QuadraticClf,
     TransformedClf,
     build_global_clf,
     build_lqr_clf,
     clf_condition_at,
-    clf_value_grad,
-    lie_derivatives,
+    lie_terms,
     transform_P,
 )
 from .control import (
@@ -34,12 +32,9 @@ from .control import (
     LqrController,
     SontagController,
     SynthesisResult,
-    fbl_control,
     fbl_gain_design,
     hjb_residual,
     lambda_factor,
-    lqr_control,
-    sontag_control,
     synthesize_design,
 )
 from .linalg import (
@@ -61,7 +56,7 @@ from .model import (
     lti_system,
     pendulum_system,
 )
-from .riccati import BadWeights, LqrDesign, NotStabilizable, solve_care, stabilizability_check
+from .riccati import BadWeights, LqrDesign, NotStabilizable, solve_care
 from .sim import (
     CostReport,
     SimConfig,

@@ -13,6 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .clf import lie_terms
 from .linalg import as_matrix, as_square, as_vector, symmetrize
 from .model import FeedbackLinearization, SystemModel, apply_input
 from .sim import SimConfig, rollout_costs
@@ -120,10 +121,9 @@ class SweepResult:
 
 
 def _vdot_under(sys: SystemModel, clf, controller, pts: np.ndarray) -> np.ndarray:
-    grad = np.asarray(clf.grad(pts), dtype=float)
+    lt = lie_terms(clf, sys, pts)
     U = np.asarray(controller.u(pts), dtype=float)
-    xdot = np.asarray(sys.f(pts), dtype=float) + apply_input(sys.G(pts), U)
-    return (grad * xdot).sum(axis=-1)
+    return (lt.grad * (lt.f + apply_input(lt.G, U))).sum(axis=-1)
 
 
 def roa_certify(sys: SystemModel, clf, *, lqr, sontag, grid: GridSpec,

@@ -4,8 +4,7 @@ Two families are provided: plain quadratic functions built from a
 Riccati solution, and quadratic-in-transformed-coordinates functions
 for feedback-linearizable models. Both expose batch-capable ``value``
 and ``grad``; states outside a transformed CLF's domain evaluate to
-NaN on the batch path, while the scalar operations below raise
-``DomainViolation``.
+NaN, and so do the Lie terms computed from them.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import as_square, as_vector, cholesky_pd, max_abs, solve_many, symmetrize
-from .model import DomainViolation, FeedbackLinearization, SystemModel, fd_jacobian
+from .model import FeedbackLinearization, SystemModel, fd_jacobian
 
 #: Base absolute tolerance for treating the input-direction derivative as zero.
 B_TOL_BASE = 1e-9
@@ -31,10 +30,6 @@ class QuadraticClf:
         cholesky_pd(P)
         self.P = symmetrize(P)
         self.p_norm = max_abs(self.P)
-
-    def in_domain(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1], dtype=bool)
 
     def value(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -53,10 +48,6 @@ class TransformedClf:
         self.P_tilde = symmetrize(P_tilde)
         self.fbl = fbl
         self.p_norm = max_abs(self.P_tilde)
-
-    def in_domain(self, x) -> np.ndarray:
-        Z = np.asarray(self.fbl.T(np.asarray(x, dtype=float)), dtype=float)
-        return self.fbl.domain.contains(Z)
 
     def value(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -78,27 +69,27 @@ class TransformedClf:
         return np.where(ok[..., None], g, np.nan)
 
 
-class LieDerivatives(NamedTuple):
-    """Directional derivatives of a CLF along the drift and the inputs."""
+class LieTerms(NamedTuple):
+    """CLF gradient, model terms and Lie derivatives at stacked states."""
 
-    a: float
-    b: np.ndarray
-
-
-def clf_value_grad(clf, x) -> tuple[float, np.ndarray]:
-    """Value and gradient of the CLF at a single state."""
-    x = as_vector(x, "x")
-    if not bool(np.all(clf.in_domain(x))):
-        raise DomainViolation("state outside the CLF domain")
-    return float(clf.value(x)), np.asarray(clf.grad(x), dtype=float)
+    grad: np.ndarray   # (..., n)
+    f: np.ndarray      # (..., n)
+    G: np.ndarray      # (..., n, m)
+    a: np.ndarray      # (...,)   grad V . f
+    b: np.ndarray      # (..., m) grad V . G
 
 
-def lie_derivatives(clf, sys: SystemModel, x) -> LieDerivatives:
-    """a = grad V . f(x) and b = grad V . G(x) at a single state."""
-    _, g = clf_value_grad(clf, x)
-    a = float(g @ np.asarray(sys.f(x), dtype=float))
-    b = g @ np.asarray(sys.G(x), dtype=float)
-    return LieDerivatives(a=a, b=np.asarray(b, dtype=float))
+def lie_terms(clf, sys: SystemModel, X) -> LieTerms:
+    """a = grad V . f(x) and b = grad V . G(x) at (n,) or (..., n)
+    states, with the gradient and model evaluations they came from.
+    Entries are NaN outside the CLF domain."""
+    X = np.asarray(X, dtype=float)
+    grad = np.asarray(clf.grad(X), dtype=float)
+    fX = np.asarray(sys.f(X), dtype=float)
+    GX = np.asarray(sys.G(X), dtype=float)
+    a = (grad * fX).sum(axis=-1)
+    b = (grad[..., :, None] * GX).sum(axis=-2)
+    return LieTerms(grad=grad, f=fX, G=GX, a=a, b=b)
 
 
 def transform_P(P, J_T0) -> np.ndarray:
@@ -112,11 +103,10 @@ def transform_P(P, J_T0) -> np.ndarray:
     return symmetrize(Pt)
 
 
-def b_tolerance(clf, x) -> float:
-    """Scale-aware threshold below which b(x) counts as zero."""
-    x = np.asarray(x, dtype=float)
-    xn = float(np.sqrt(np.sum(np.square(x))))
-    return B_TOL_BASE * (1.0 + clf.p_norm * xn)
+def b_tolerance(clf, x_norm):
+    """Scale-aware threshold below which b(x) counts as zero, for a
+    state norm (or an array of them)."""
+    return B_TOL_BASE + (B_TOL_BASE * clf.p_norm) * x_norm
 
 
 def clf_condition_at(clf, sys: SystemModel, x, tol_b: float | None = None,
@@ -124,15 +114,16 @@ def clf_condition_at(clf, sys: SystemModel, x, tol_b: float | None = None,
     """Pointwise CLF decrease condition at a nonzero state.
 
     True when some input direction is available (b nonzero beyond
-    tolerance) or the drift alone decays V (a sufficiently negative).
+    tolerance) or the drift alone decays V (a sufficiently negative);
+    False outside the CLF domain.
     """
     x = as_vector(x, "x")
-    ld = lie_derivatives(clf, sys, x)
+    lt = lie_terms(clf, sys, x)
     if tol_b is None:
-        tol_b = b_tolerance(clf, x)
-    if max_abs(ld.b) > tol_b:
+        tol_b = b_tolerance(clf, np.sqrt((x * x).sum()))
+    if max_abs(lt.b) > tol_b:
         return True
-    return ld.a < -tol_a * float(x @ x)
+    return bool(lt.a < -tol_a * float(x @ x))
 
 
 def build_lqr_clf(design) -> QuadraticClf:
@@ -153,14 +144,13 @@ def build_global_clf(design, fbl: FeedbackLinearization) -> TransformedClf:
 __all__ = [
     "A_TOL",
     "B_TOL_BASE",
-    "LieDerivatives",
+    "LieTerms",
     "QuadraticClf",
     "TransformedClf",
     "b_tolerance",
     "build_global_clf",
     "build_lqr_clf",
     "clf_condition_at",
-    "clf_value_grad",
-    "lie_derivatives",
+    "lie_terms",
     "transform_P",
 ]

@@ -14,21 +14,22 @@ sign of a. Where b(x) vanishes the control is zero, the factor is
 undefined, and a flag records whether the CLF decrease condition broke
 down there.
 
-All controllers evaluate on stacked states ((..., n) -> (..., m)); the
-feedback-linearizing controller marks states with singular gamma by
-NaN on the batch path and raises on the scalar one.
+All controllers evaluate on (n,) or stacked (..., n) states and return
+(m,) or (..., m) inputs; states outside a CLF or linearization domain,
+or with singular gamma, get NaN inputs.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .clf import B_TOL_BASE, build_global_clf, build_lqr_clf, lie_derivatives
+from .clf import b_tolerance, build_global_clf, build_lqr_clf, lie_terms
 from .linalg import as_matrix, as_square, as_vector, cholesky_pd, max_abs, solve_linear, solve_many, symmetrize
-from .model import DomainViolation, FeedbackLinearization, SystemModel, fd_jacobian, linearize
+from .model import DomainViolation, FeedbackLinearization, SystemModel, apply_input, fd_jacobian, linearize
 from .riccati import LqrDesign, solve_care
 
 #: Below this pivot magnitude the input transformation counts as singular.
@@ -100,6 +101,28 @@ def lambda_factor(a: float, q: float, beta: float) -> float:
     return lam
 
 
+class _Parts(NamedTuple):
+    """One Sontag-type evaluation at (n,) or stacked states, with the
+    terms it was built from. ``lam`` is meaningful only where ``nonzero``."""
+
+    U: np.ndarray
+    lam: np.ndarray
+    nonzero: np.ndarray
+    ok: np.ndarray
+    a: np.ndarray
+    beta: np.ndarray
+    q: np.ndarray
+    x_norm: np.ndarray
+    f: np.ndarray
+    G: np.ndarray
+
+
+def _clf_violations(p: _Parts) -> np.ndarray:
+    """Zero-branch states where the drift does not decay V: the CLF
+    decrease condition failed there."""
+    return p.ok & ~p.nonzero & (p.a >= 0.0) & (p.x_norm > 0.0)
+
+
 class SontagController:
     """Sontag-type feedback built from a CLF and quadratic weights."""
 
@@ -115,50 +138,42 @@ class SontagController:
         self.Q = symmetrize(Q)
         self.R = symmetrize(R)
         self.R_inv = symmetrize(solve_many(self.R, np.eye(sys.m)))
-        self._tol_scale = B_TOL_BASE * self.clf.p_norm
 
-    def _parts(self, X, with_dynamics: bool = False):
+    def _parts(self, X) -> _Parts:
         X = np.asarray(X, dtype=float)
-        grad = np.asarray(self.clf.grad(X), dtype=float)
-        fX = np.asarray(self.sys.f(X), dtype=float)
-        GX = np.asarray(self.sys.G(X), dtype=float)
-        a = (grad * fX).sum(axis=-1)
-        b = (grad[..., :, None] * GX).sum(axis=-2)
-        Rb = b @ self.R_inv
-        beta = (b * Rb).sum(axis=-1)
+        lt = lie_terms(self.clf, self.sys, X)
+        Rb = lt.b @ self.R_inv
+        beta = (lt.b * Rb).sum(axis=-1)
         q = ((X @ self.Q) * X).sum(axis=-1)
         x_norm = np.sqrt((X * X).sum(axis=-1))
-        tol = B_TOL_BASE + self._tol_scale * x_norm
-        nonzero = np.abs(b).max(axis=-1) > tol
-        ok = np.isfinite(grad).all(axis=-1)
-        lam = _lambda_array(a, q, np.where(nonzero, beta, 1.0))
+        nonzero = np.abs(lt.b).max(axis=-1) > b_tolerance(self.clf, x_norm)
+        ok = np.isfinite(lt.grad).all(axis=-1)
+        lam = _lambda_array(lt.a, q, np.where(nonzero, beta, 1.0))
         U = np.where(nonzero[..., None], -lam[..., None] * Rb, 0.0)
         U = np.where(ok[..., None], U, np.nan)
-        if with_dynamics:
-            return U, lam, nonzero, ok, a, x_norm, fX, GX
-        return U, lam, nonzero, ok, a, x_norm
+        return _Parts(U=U, lam=lam, nonzero=nonzero, ok=ok, a=lt.a, beta=beta, q=q,
+                      x_norm=x_norm, f=lt.f, G=lt.G)
 
     def u(self, X) -> np.ndarray:
         """Control input for stacked states; NaN outside the CLF domain."""
-        return self._parts(X)[0]
+        return self._parts(X).U
 
     def closed_loop_deriv(self, X) -> np.ndarray:
         """f(x) + G(x) u(x) in one pass, reusing the model evaluations
         already needed for the Lie derivatives."""
-        U, _, _, _, _, _, fX, GX = self._parts(X, with_dynamics=True)
-        return fX + (GX * U[..., None, :]).sum(axis=-1)
+        p = self._parts(X)
+        return p.f + apply_input(p.G, p.U)
 
     def evaluate(self, x) -> ControlEval:
         """Full evaluation at one state, with branch and factor."""
-        x = as_vector(x, "x")
-        U, lam, nonzero, ok, a, x_norm = self._parts(x)
-        if not bool(ok):
+        p = self._parts(as_vector(x, "x"))
+        if not bool(p.ok):
             raise DomainViolation("state outside the CLF domain")
-        U = np.asarray(U, dtype=float)
-        if bool(nonzero):
-            return ControlEval(u=U, lam=float(lam), branch=Branch.NONZERO)
-        violation = bool(a >= 0.0) and float(x_norm) > 0.0
-        return ControlEval(u=U, lam=None, branch=Branch.ZERO, clf_violation=violation)
+        U = np.asarray(p.U, dtype=float)
+        if bool(p.nonzero):
+            return ControlEval(u=U, lam=float(p.lam), branch=Branch.NONZERO)
+        return ControlEval(u=U, lam=None, branch=Branch.ZERO,
+                           clf_violation=bool(_clf_violations(p)))
 
 
 class LqrController:
@@ -179,7 +194,9 @@ class FblController:
         self.fbl = fbl
         self.K_fbl = as_matrix(K_fbl, "K_fbl")
 
-    def _eval(self, X):
+    def u(self, X) -> np.ndarray:
+        """Control input for stacked states; NaN where gamma is singular
+        or the state left the linearization domain."""
         X = np.asarray(X, dtype=float)
         Z = np.asarray(self.fbl.T(X), dtype=float)
         rhs = -(np.asarray(self.fbl.psi(Z), dtype=float) + Z @ self.K_fbl.T)
@@ -195,37 +212,7 @@ class FblController:
             ok = ok & (np.abs(det) > GAMMA_PIVOT_TOL)
             safe = np.where(ok[..., None, None], gam, np.eye(m))
             U = np.linalg.solve(safe, rhs[..., None])[..., 0]
-        return np.where(ok[..., None], U, np.nan), ok
-
-    def u(self, X) -> np.ndarray:
-        """Control input for stacked states; NaN where gamma is singular
-        or the state left the linearization domain."""
-        return self._eval(X)[0]
-
-
-def sontag_control(ctrl: SontagController, x) -> ControlEval:
-    """Evaluate the Sontag-type law at a single state."""
-    return ctrl.evaluate(x)
-
-
-def lqr_control(K, x) -> np.ndarray:
-    """Linear feedback u = -K x."""
-    K = as_matrix(K, "K")
-    x = as_vector(x, "x")
-    return -(K @ x)
-
-
-def fbl_control(ctrl: FblController, x) -> np.ndarray:
-    """Evaluate the feedback-linearizing law at a single state.
-
-    Raises DomainViolation when gamma is singular within pivot
-    tolerance or the state left the linearization domain.
-    """
-    x = as_vector(x, "x")
-    U, ok = ctrl._eval(x)
-    if not bool(ok):
-        raise DomainViolation("state outside the feedback-linearization domain")
-    return np.asarray(U, dtype=float)
+        return np.where(ok[..., None], U, np.nan)
 
 
 def fbl_gain_design(fbl: FeedbackLinearization, design: LqrDesign) -> np.ndarray:
@@ -256,12 +243,12 @@ def fbl_gain_design(fbl: FeedbackLinearization, design: LqrDesign) -> np.ndarray
 def hjb_residual(clf, sys: SystemModel, Q, R, x) -> float:
     """Residual of the Hamilton-Jacobi-Bellman equation at one state:
     x'Qx/2 + a(x) - b(x) R^{-1} b(x)'/2. Zero exactly where the CLF
-    agrees with the optimal value function."""
+    agrees with the optimal value function; NaN outside the CLF domain."""
     Q = as_square(Q, "Q")
     R = as_square(R, "R")
     x = as_vector(x, "x")
-    ld = lie_derivatives(clf, sys, x)
-    return float(0.5 * (x @ Q @ x) + ld.a - 0.5 * (ld.b @ solve_linear(R, ld.b)))
+    lt = lie_terms(clf, sys, x)
+    return float(0.5 * (x @ Q @ x) + lt.a - 0.5 * (lt.b @ solve_linear(R, lt.b)))
 
 
 DESIGN_SELECTORS = ("i", "ii", "iii", "iv")
@@ -330,11 +317,8 @@ __all__ = [
     "NonFinite",
     "SontagController",
     "SynthesisResult",
-    "fbl_control",
     "fbl_gain_design",
     "hjb_residual",
     "lambda_factor",
-    "lqr_control",
-    "sontag_control",
     "synthesize_design",
 ]

@@ -162,17 +162,3 @@ def solve_care(A, B, Q, R) -> LqrDesign:
         raise NotStabilizable("closed loop A - B K is not Hurwitz")
     return LqrDesign(A=A, B=B, Q=Q, R=R, P=P, K=K, are_residual=residual)
 
-
-def stabilizability_check(A, B) -> bool:
-    """Operational stabilizability test: does the Riccati solve succeed?
-
-    Runs ``solve_care`` with identity weights and reports whether a
-    fully certified design came back.
-    """
-    A = as_square(A, "A")
-    B = as_matrix(B, "B")
-    try:
-        solve_care(A, B, np.eye(A.shape[0]), np.eye(B.shape[1]))
-    except NotStabilizable:
-        return False
-    return True

@@ -6,23 +6,27 @@ zero-order hold freezes the input over each step instead. Costs use
 the step-start samples only, matching a zero-order-hold discretization
 of the running quadratic cost.
 
-All pathologies become per-step flags rather than exceptions: a state
-beyond the divergence guard or a control evaluation that comes back
-non-finite halts recording with the corresponding flag, and a halted
-trajectory carries an infinite cost so sweep rows stay comparable.
+One stepping loop serves both ``simulate`` (a batch of one, recorded
+step by step) and ``rollout_costs`` (many rows, costs only), so both
+share one halt policy. All pathologies become per-step flags rather
+than exceptions: a state beyond the divergence guard, a non-finite
+state, or a control evaluation that comes back non-finite halts the
+run with the corresponding flag, and a halted run carries an infinite
+cost so sweep rows stay comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .control import SontagController
-from .linalg import as_square, as_vector, max_abs
-from .model import DomainViolation, SystemModel, apply_input
+from .control import SontagController, _clf_violations, _Parts
+from .linalg import as_square, as_vector
+from .model import SystemModel, apply_input
 
-#: Recording halts once the state norm passes this bound.
+#: A run halts once the state norm passes this bound.
 DIVERGENCE_GUARD = 1e6
 #: A run counts as stabilized when the final state norm is below this.
 STABILIZATION_TOL = 1e-2
@@ -44,7 +48,6 @@ class SimConfig:
     h: float = 0.01
     n_steps: int = 1500
     x0: np.ndarray | None = None
-    record_clf: bool = True
     zoh: bool = False
 
     def __post_init__(self):
@@ -86,12 +89,14 @@ class CostReport:
     stabilized: bool
 
 
-def rk4_step(sys: SystemModel, controller, x, h: float, *, u0=None, zoh: bool = False):
+def rk4_step(sys: SystemModel, controller, x, h: float, *, u0=None, zoh: bool = False,
+             k1=None):
     """One classical Runge-Kutta step of xdot = f(x) + G(x) u(x).
 
     The controller is re-evaluated at each stage state unless ``zoh``
     holds the step-start input; ``u0`` optionally supplies a
-    precomputed step-start input. Accepts stacked states.
+    precomputed step-start input and ``k1`` the step-start derivative
+    f(x) + G(x) u0 that goes with it. Accepts stacked states.
     """
     x = np.asarray(x, dtype=float)
 
@@ -100,7 +105,8 @@ def rk4_step(sys: SystemModel, controller, x, h: float, *, u0=None, zoh: bool = 
 
     if zoh:
         u1 = controller.u(x) if u0 is None else np.asarray(u0, dtype=float)
-        k1 = deriv(x, u1)
+        if k1 is None:
+            k1 = deriv(x, u1)
         k2 = deriv(x + (0.5 * h) * k1, u1)
         k3 = deriv(x + (0.5 * h) * k2, u1)
         k4 = deriv(x + h * k3, u1)
@@ -112,11 +118,66 @@ def rk4_step(sys: SystemModel, controller, x, h: float, *, u0=None, zoh: bool = 
                 return fused(xs)
             return deriv(xs, controller.u(xs))
 
-        k1 = deriv(x, np.asarray(u0, dtype=float)) if u0 is not None else stage(x)
+        if k1 is None:
+            k1 = deriv(x, np.asarray(u0, dtype=float)) if u0 is not None else stage(x)
         k2 = stage(x + (0.5 * h) * k1)
         k3 = stage(x + (0.5 * h) * k2)
         k4 = stage(x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class _Step(NamedTuple):
+    """What one step of ``_rollout`` did, per row."""
+
+    X: np.ndarray            # step-start states
+    U: np.ndarray            # step-start inputs, zero where not finite
+    parts: _Parts | None     # the Sontag evaluation at X, if any
+    running: np.ndarray      # rows not halted before this step
+    u_ok: np.ndarray         # input finite; a row without one halts
+    X_new: np.ndarray        # RK4 successor (discarded where the row halts)
+    x_max: np.ndarray        # max |X_new|, NaN or inf where X_new is not finite
+
+
+def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool, on_step):
+    """The closed-loop stepping loop behind ``simulate`` and
+    ``rollout_costs``, on (n,) or stacked (..., n) states.
+
+    The controller is evaluated once per step start; a Sontag
+    controller's evaluation also supplies RK4's k1. ``on_step`` sees
+    every step as a ``_Step``. A row halts at the first step whose input
+    or successor is not finite or whose successor passes the divergence
+    guard; halted rows stay frozen, and the loop ends early once every
+    row has halted. Returns the (stabilized, halted) row masks.
+    """
+    is_sontag = isinstance(controller, SontagController)
+    X = np.asarray(X, dtype=float)
+    running = np.ones(X.shape[:-1], dtype=bool)
+    parts = k1 = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            if is_sontag:
+                parts = controller._parts(X)
+                U = parts.U
+            else:
+                U = np.asarray(controller.u(X), dtype=float)
+            u_ok = np.isfinite(U).all(axis=-1)
+            if not u_ok.all():
+                U = np.where(u_ok[..., None], U, 0.0)
+            if is_sontag:
+                k1 = parts.f + apply_input(parts.G, U)
+            X_new = rk4_step(sys, controller, X, h, u0=U, zoh=zoh, k1=k1)
+            x_max = np.abs(X_new).max(axis=-1)
+            on_step(_Step(X, U, parts, running, u_ok, X_new, x_max))
+            ok = running & u_ok & (x_max <= DIVERGENCE_GUARD)
+            if ok.all():
+                X = X_new
+                continue
+            running = ok
+            X = np.where(ok[..., None], X_new, X)
+            if not ok.any():
+                break
+    stabilized = running & (np.abs(X).max(axis=-1) < STABILIZATION_TOL)
+    return stabilized, ~running
 
 
 def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajectory:
@@ -125,70 +186,55 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
     Inputs are sampled at step starts (these are the samples the costs
     integrate); the CLF value is recorded at every state when a CLF is
     supplied, and the Sontag scaling factor at step starts when the
-    controller has one.
+    controller has one. A halting step leaves its flag on the state row
+    it started from, or, for a state beyond the divergence guard, on
+    that recorded state.
     """
     x0 = np.zeros(sys.n) if cfg.x0 is None else as_vector(cfg.x0, "x0")
     if x0.shape[0] != sys.n:
         raise ValueError("x0 dimension does not match the system")
-    record_v = clf is not None and cfg.record_clf
     is_sontag = isinstance(controller, SontagController)
 
     states = [x0]
     inputs: list[np.ndarray] = []
     lams: list[float] = []
-    values = [float(clf.value(x0))] if record_v else None
+    values = None if clf is None else [float(clf.value(x0))]
     flags: list[list[str]] = [[]]
-    diverged = False
-    x = x0
-    for _ in range(cfg.n_steps):
-        u_k = None
-        lam_k = np.nan
-        try:
-            if is_sontag:
-                ev = controller.evaluate(x)
-                u_k = ev.u
-                lam_k = np.nan if ev.lam is None else ev.lam
-                if ev.clf_violation:
-                    flags[-1].append(FLAG_CLF_VIOLATION)
-            else:
-                u_k = controller.u(x)
-        except DomainViolation:
-            u_k = None
-        if u_k is None or not np.all(np.isfinite(u_k)):
-            flags[-1].append(FLAG_DOMAIN)
-            diverged = True
-            break
-        inputs.append(np.asarray(u_k, dtype=float))
-        if is_sontag:
-            lams.append(lam_k)
-        x_next = rk4_step(sys, controller, x, cfg.h, u0=u_k, zoh=cfg.zoh)
-        if not np.all(np.isfinite(x_next)):
-            flags[-1].append(FLAG_DIVERGENCE)
-            diverged = True
-            break
-        states.append(x_next)
-        flags.append([])
-        if record_v:
-            values.append(float(clf.value(x_next)))
-        x = x_next
-        if max_abs(x_next) > DIVERGENCE_GUARD:
-            flags[-1].append(FLAG_DIVERGENCE)
-            diverged = True
-            break
 
-    k = len(states)
-    complete = (not diverged) and k == cfg.n_steps + 1
+    def record(s: _Step) -> None:
+        if is_sontag and _clf_violations(s.parts):
+            flags[-1].append(FLAG_CLF_VIOLATION)
+        if not s.u_ok:
+            flags[-1].append(FLAG_DOMAIN)
+            return
+        inputs.append(s.U)
+        if is_sontag:
+            lams.append(float(s.parts.lam) if s.parts.nonzero else np.nan)
+        if not np.isfinite(s.x_max):
+            flags[-1].append(FLAG_DIVERGENCE)
+            return
+        states.append(s.X_new)
+        flags.append([FLAG_DIVERGENCE] if s.x_max > DIVERGENCE_GUARD else [])
+        if values is not None:
+            values.append(float(clf.value(s.X_new)))
+
+    stabilized, halted = _rollout(sys, controller, x0, cfg.h, cfg.n_steps, cfg.zoh, record)
     return Trajectory(
-        times=cfg.h * np.arange(k),
+        times=cfg.h * np.arange(len(states)),
         states=np.array(states),
         inputs=np.array(inputs, dtype=float).reshape(len(inputs), sys.m),
-        clf_values=np.array(values) if record_v else None,
+        clf_values=None if values is None else np.array(values),
         lambdas=np.array(lams) if is_sontag else None,
         flags=[";".join(f) for f in flags],
-        diverged=diverged,
-        stabilized=bool(complete and max_abs(states[-1]) < STABILIZATION_TOL),
+        diverged=bool(halted),
+        stabilized=bool(stabilized),
         h=cfg.h,
     )
+
+
+def _running_cost(X, U, Q, R) -> np.ndarray:
+    """The quadratic running cost x'Qx + u'Ru per row."""
+    return ((X @ Q) * X).sum(axis=-1) + ((U @ R) * U).sum(axis=-1)
 
 
 def cost_index(traj: Trajectory, Q, R, h: float) -> float:
@@ -198,11 +244,7 @@ def cost_index(traj: Trajectory, Q, R, h: float) -> float:
     R = as_square(R, "R")
     if traj.diverged:
         return float("inf")
-    X = traj.states[:-1]
-    U = traj.inputs
-    qx = ((X @ Q) * X).sum(axis=-1)
-    ru = ((U @ R) * U).sum(axis=-1)
-    return float(0.5 * h * np.sum(qx + ru))
+    return float(0.5 * h * np.sum(_running_cost(traj.states[:-1], traj.inputs, Q, R)))
 
 
 def distorted_cost(traj: Trajectory, Q, R, h: float) -> tuple[float, int]:
@@ -225,12 +267,9 @@ def distorted_cost(traj: Trajectory, Q, R, h: float) -> tuple[float, int]:
     fallback = int(undefined.sum())
     if traj.diverged:
         return float("inf"), fallback
-    X = traj.states[:-1]
-    U = traj.inputs
-    qx = ((X @ Q) * X).sum(axis=-1)
-    ru = ((U @ R) * U).sum(axis=-1)
     w = np.where(undefined, 1.0, lam)
-    return float(0.5 * h * np.sum((qx + ru) / w)), fallback
+    cost = _running_cost(traj.states[:-1], traj.inputs, Q, R)
+    return float(0.5 * h * np.sum(cost / w)), fallback
 
 
 def make_cost_report(traj: Trajectory, Q, R) -> CostReport:
@@ -256,14 +295,8 @@ def lyap_decay_check(traj: Trajectory, clf, sys: SystemModel, Q, R) -> float:
         raise ValueError("trajectory was recorded without CLF values")
     if traj.states.shape[0] < 3:
         return 0.0
-    ctrl = SontagController(clf, sys, Q, R)
-    interior = traj.states[1:-1]
-    _, lam, nonzero, _, a, _ = ctrl._parts(interior)
-    grad = np.asarray(clf.grad(interior), dtype=float)
-    b = (grad[..., :, None] * np.asarray(sys.G(interior), dtype=float)).sum(axis=-2)
-    beta = (b @ ctrl.R_inv * b).sum(axis=-1)
-    q = ((interior @ ctrl.Q) * interior).sum(axis=-1)
-    rhs = np.where(nonzero, -np.sqrt(a * a + q * beta), a)
+    p = SontagController(clf, sys, Q, R)._parts(traj.states[1:-1])
+    rhs = np.where(p.nonzero, -np.sqrt(p.a * p.a + p.q * p.beta), p.a)
     V = traj.clf_values
     fd = (V[2:] - V[:-2]) / (2.0 * traj.h)
     mismatch = np.abs(fd - rhs) / (1.0 + np.abs(rhs))
@@ -281,30 +314,15 @@ def rollout_costs(sys: SystemModel, controller, X0, Q, R, h: float, n_steps: int
     """
     Q = as_square(Q, "Q")
     R = as_square(R, "R")
-    X = np.array(X0, dtype=float)
-    n_rows = X.shape[0]
-    costs = np.zeros(n_rows)
-    active = np.ones(n_rows, dtype=bool)
-    ever_bad = np.zeros(n_rows, dtype=bool)
-    for _ in range(n_steps):
-        U = np.asarray(controller.u(X), dtype=float)
-        bad_u = ~np.isfinite(U).all(axis=-1)
-        U_safe = np.where(bad_u[:, None], 0.0, U)
-        step_cost = ((X @ Q) * X).sum(axis=-1) + ((U_safe @ R) * U_safe).sum(axis=-1)
-        costs += np.where(active & ~bad_u, 0.5 * h * step_cost, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            X_new = rk4_step(sys, controller, X, h, u0=U_safe, zoh=zoh)
-        bad_x = ~np.isfinite(X_new).all(axis=-1) | (np.abs(X_new).max(axis=-1) > DIVERGENCE_GUARD)
-        bad = bad_u | bad_x
-        newly_bad = active & bad
-        ever_bad |= newly_bad
-        X = np.where((active & ~bad)[:, None], X_new, X)
-        active &= ~bad
-        if not active.any():
-            break
-    costs = np.where(ever_bad, np.inf, costs)
-    stabilized = active & (np.abs(X).max(axis=-1) < STABILIZATION_TOL)
-    return costs, stabilized, ever_bad
+    X0 = np.asarray(X0, dtype=float)
+    costs = np.zeros(X0.shape[:-1])
+
+    def add_cost(s: _Step) -> None:
+        nonlocal costs
+        costs += np.where(s.running & s.u_ok, 0.5 * h * _running_cost(s.X, s.U, Q, R), 0.0)
+
+    stabilized, diverged = _rollout(sys, controller, X0, h, n_steps, zoh, add_cost)
+    return np.where(diverged, np.inf, costs), stabilized, diverged
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -63,11 +63,11 @@ def test_criterion_1_lqr_recovery():
             sys_m, _ = lti_system(A, B)
             ctrl = SontagController(build_lqr_clf(design), sys_m, Q, R)
             X = rng.normal(size=(100, A.shape[0]))
-            U_sontag, lam, nonzero, _, _, _ = ctrl._parts(X)
+            parts = ctrl._parts(X)
             U_lqr = -(X @ design.K.T)
-            u_err = np.abs(U_sontag - U_lqr).max(axis=-1)
+            u_err = np.abs(parts.U - U_lqr).max(axis=-1)
             assert np.all(u_err <= 1e-9 * (1.0 + np.abs(U_lqr).max(axis=-1)))
-            assert np.all(np.abs(lam[nonzero] - 1.0) <= 1e-10)
+            assert np.all(np.abs(parts.lam[parts.nonzero] - 1.0) <= 1e-10)
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"took {elapsed:.1f}s"
 

@@ -7,10 +7,10 @@ from sontagctl.clf import (
     build_global_clf,
     build_lqr_clf,
     clf_condition_at,
-    clf_value_grad,
-    lie_derivatives,
+    lie_terms,
     transform_P,
 )
+from sontagctl.control import SontagController
 from sontagctl.linalg import NotPositiveDefinite, SingularMatrix
 from sontagctl.model import (
     DomainViolation,
@@ -32,14 +32,14 @@ def _const_input_system(n, G_mat, drift_scale=0.0):
 
 class TestQuadraticClf:
     def test_minimum_at_origin(self, dbl_int_clf):
-        v, g = clf_value_grad(dbl_int_clf, np.zeros(2))
+        v, g = dbl_int_clf.value(np.zeros(2)), dbl_int_clf.grad(np.zeros(2))
         assert v == 0.0
         np.testing.assert_array_equal(g, np.zeros(2))
 
     def test_known_quadratic_form(self):
         s3 = np.sqrt(3.0)
         clf = QuadraticClf([[s3, 1.0], [1.0, s3]])
-        v, g = clf_value_grad(clf, [1.0, 0.0])
+        v, g = clf.value([1.0, 0.0]), clf.grad([1.0, 0.0])
         assert v == pytest.approx(s3 / 2, rel=1e-15)
         np.testing.assert_allclose(g, [s3, 1.0], rtol=1e-15)
 
@@ -56,7 +56,7 @@ class TestQuadraticClf:
         rng = np.random.default_rng(4002)
         for _ in range(100):
             x = rng.normal(size=2)
-            _, g = clf_value_grad(dbl_int_clf, x)
+            g = dbl_int_clf.grad(x)
             fd = np.array([
                 (dbl_int_clf.value(x + h) - dbl_int_clf.value(x - h)) / (2e-6)
                 for h in (np.array([1e-6, 0.0]), np.array([0.0, 1e-6]))
@@ -75,10 +75,11 @@ class TestTransformedClf:
         np.testing.assert_allclose(trans.grad(X), quad.grad(X), rtol=1e-14)
 
     def test_domain_violation_raised(self, pendulum, dbl_int_design):
-        _, fbl = pendulum
+        sys_m, fbl = pendulum
         trans = TransformedClf(dbl_int_design.P, fbl)
+        ctrl = SontagController(trans, sys_m, dbl_int_design.Q, dbl_int_design.R)
         with pytest.raises(DomainViolation):
-            clf_value_grad(trans, [np.pi / 2, 0.0])
+            ctrl.evaluate([np.pi / 2, 0.0])
 
     def test_batch_value_nan_outside_domain(self, pendulum, dbl_int_design):
         _, fbl = pendulum
@@ -92,7 +93,7 @@ class TestTransformedClf:
         rng = np.random.default_rng(4004)
         for _ in range(100):
             x = np.array([rng.uniform(-1.4, 1.4), rng.uniform(-3, 3)])
-            _, g = clf_value_grad(trans, x)
+            g = trans.grad(x)
             fd = np.array([
                 float(trans.value(x + h) - trans.value(x - h)) / (2e-6)
                 for h in (np.array([1e-6, 0.0]), np.array([0.0, 1e-6]))
@@ -108,14 +109,14 @@ class TestLieDerivatives:
         rng = np.random.default_rng(4005)
         for _ in range(100):
             x = rng.normal(size=2)
-            ld = lie_derivatives(dbl_int_clf, sys_m, x)
+            ld = lie_terms(dbl_int_clf, sys_m, x)
             assert ld.a == pytest.approx(float(x @ P @ A @ x), abs=1e-12)
             np.testing.assert_allclose(ld.b, x @ P @ B, atol=1e-12)
 
     def test_zero_at_origin(self, pendulum, pendulum_designs):
         sys_m, _ = pendulum
         clf = pendulum_designs["i"].clf
-        ld = lie_derivatives(clf, sys_m, np.zeros(2))
+        ld = lie_terms(clf, sys_m, np.zeros(2))
         assert ld.a == 0.0
         np.testing.assert_array_equal(ld.b, np.zeros(1))
 
@@ -125,7 +126,7 @@ class TestLieDerivatives:
         sys_m, _ = pendulum
         clf = pendulum_designs["i"].clf
         x = np.array([0.1, 0.2])
-        ld = lie_derivatives(clf, sys_m, x)
+        ld = lie_terms(clf, sys_m, x)
         delta = 1e-6
         fx = np.asarray(sys_m.f(x))
         a_fd = float(clf.value(x + delta * fx) - clf.value(x - delta * fx)) / (2 * delta)

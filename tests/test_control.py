@@ -4,21 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sontagctl.clf import build_lqr_clf, clf_condition_at, lie_derivatives
+from sontagctl.clf import build_lqr_clf, clf_condition_at, lie_terms
 from sontagctl.control import (
     Branch,
     FblController,
     LqrController,
     SontagController,
-    fbl_control,
     fbl_gain_design,
     hjb_residual,
     lambda_factor,
-    lqr_control,
-    sontag_control,
     synthesize_design,
 )
-from sontagctl.model import DomainViolation, FeedbackLinearization, lti_system
+from sontagctl.model import FeedbackLinearization, lti_system
 from sontagctl.riccati import solve_care
 
 from conftest import random_lti, random_spd
@@ -95,7 +92,7 @@ class TestLambdaFactor:
 
 class TestSontagControl:
     def test_zero_state(self, pendulum, pendulum_designs):
-        ev = sontag_control(pendulum_designs["i"].controller, np.zeros(2))
+        ev = pendulum_designs["i"].controller.evaluate(np.zeros(2))
         np.testing.assert_array_equal(ev.u, np.zeros(1))
         assert ev.branch is Branch.ZERO
         assert ev.lam is None
@@ -121,7 +118,7 @@ class TestSontagControl:
         ctrl = SontagController(dbl_int_clf, sys_m, dbl_int_design.Q, dbl_int_design.R)
         rng = np.random.default_rng(5004)
         for _ in range(100):
-            ev = sontag_control(ctrl, rng.normal(size=2))
+            ev = ctrl.evaluate(rng.normal(size=2))
             assert ev.branch is Branch.NONZERO
             assert abs(ev.lam - 1.0) <= 1e-10
 
@@ -129,7 +126,7 @@ class TestSontagControl:
         ctrl = pendulum_designs["i"].controller
         K = pendulum_designs["i"].lqr.K
         x = np.array([1e-4, 0.0])
-        u_s = sontag_control(ctrl, x).u
+        u_s = ctrl.evaluate(x).u
         u_l = -(K @ x)
         assert np.abs(u_s - u_l).max() / np.abs(u_l).max() <= 1e-3
 
@@ -139,9 +136,9 @@ class TestSontagControl:
         rng = np.random.default_rng(5005)
         for _ in range(30):
             x = rng.normal(size=2)
-            base = sontag_control(ctrl, x)
+            base = ctrl.evaluate(x)
             for c in (0.5, 2.0, 10.0):
-                scaled = sontag_control(ctrl, c * x)
+                scaled = ctrl.evaluate(c * x)
                 np.testing.assert_allclose(scaled.u, c * base.u, rtol=1e-12)
                 assert scaled.lam == pytest.approx(base.lam, rel=1e-12)
 
@@ -154,10 +151,10 @@ class TestSontagControl:
         checked = 0
         while checked < 100:
             x = np.array([rng.uniform(-1.4, 1.4), rng.uniform(-4, 4)])
-            ev = sontag_control(ctrl, x)
+            ev = ctrl.evaluate(x)
             if ev.branch is not Branch.NONZERO:
                 continue
-            ld = lie_derivatives(clf, sys_m, x)
+            ld = lie_terms(clf, sys_m, x)
             beta = float(ld.b @ np.linalg.solve(ctrl.R, ld.b))
             q = float(x @ ctrl.Q @ x)
             lhs = ld.a + float(ld.b @ ev.u)
@@ -171,7 +168,7 @@ class TestSontagControl:
         rng = np.random.default_rng(5007)
         for _ in range(200):
             x = np.array([rng.uniform(-1.4, 1.4), rng.uniform(-4, 4)])
-            ev = sontag_control(res.controller, x)
+            ev = res.controller.evaluate(x)
             if ev.branch is Branch.NONZERO and clf_condition_at(res.clf, sys_m, x):
                 assert ev.lam > 0.0
 
@@ -182,7 +179,7 @@ class TestSontagControl:
         res = pendulum_designs["i"]
         P = res.lqr.P
         target = np.array([0.3, -P[0, 1] / P[1, 1] * 0.3])
-        assert lie_derivatives(res.clf, sys_m, target).a < 0
+        assert lie_terms(res.clf, sys_m, target).a < 0
         norms = []
         for delta in np.geomspace(1e-1, 1e-9, 9):
             u = res.controller.u(target + delta * np.array([1.0, 1.0]))
@@ -194,17 +191,17 @@ class TestSontagControl:
 
 class TestLqrControl:
     def test_zero(self):
-        np.testing.assert_array_equal(lqr_control([[1.0, 2.0]], [0.0, 0.0]), [0.0])
+        np.testing.assert_array_equal(LqrController([[1.0, 2.0]]).u([0.0, 0.0]), [0.0])
 
     def test_known_gain(self):
-        u = lqr_control([[1.0, np.sqrt(3.0)]], [1.0, 0.0])
+        u = LqrController([[1.0, np.sqrt(3.0)]]).u([1.0, 0.0])
         np.testing.assert_allclose(u, [-1.0], rtol=1e-15)
 
     def test_linearity(self):
         rng = np.random.default_rng(5008)
         K = rng.normal(size=(2, 3))
         x = rng.normal(size=3)
-        np.testing.assert_allclose(lqr_control(K, 2.0 * x), 2.0 * lqr_control(K, x),
+        np.testing.assert_allclose(LqrController(K).u(2.0 * x), 2.0 * LqrController(K).u(x),
                                    rtol=1e-15)
 
     def test_controller_batch(self):
@@ -250,7 +247,7 @@ class TestFblDesign:
 
 class TestFblControl:
     def test_zero_state(self, pendulum, pendulum_designs):
-        u = fbl_control(pendulum_designs["iii"].controller, np.zeros(2))
+        u = pendulum_designs["iii"].controller.u(np.zeros(2))
         np.testing.assert_array_equal(u, np.zeros(1))
 
     def test_exact_cancellation(self, pendulum, pendulum_designs):
@@ -261,7 +258,7 @@ class TestFblControl:
         rng = np.random.default_rng(5009)
         for _ in range(50):
             x = np.array([rng.uniform(-1.4, 1.4), rng.uniform(-4, 4)])
-            u = fbl_control(ctrl, x)
+            u = ctrl.u(x)
             z = np.asarray(fbl.T(x))
             lhs = np.asarray(fbl.psi(z)) + np.asarray(fbl.gamma(z))[..., 0] * u
             np.testing.assert_allclose(lhs, -(ctrl.K_fbl @ z), atol=1e-12)
@@ -269,15 +266,12 @@ class TestFblControl:
     def test_near_singular_gamma(self, pendulum, pendulum_designs):
         ctrl = pendulum_designs["iii"].controller
         x = np.array([np.pi / 2 - 1e-9, 0.0])
-        try:
-            u = fbl_control(ctrl, x)
-            assert np.abs(u).max() > 1e6
-        except DomainViolation:
-            pass
+        u = ctrl.u(x)
+        assert np.isnan(u).all() or np.abs(u).max() > 1e6
 
-    def test_outside_domain_raises(self, pendulum, pendulum_designs):
-        with pytest.raises(DomainViolation):
-            fbl_control(pendulum_designs["iii"].controller, np.array([2.0, 0.0]))
+    def test_single_state_nan_outside_domain(self, pendulum, pendulum_designs):
+        u = pendulum_designs["iii"].controller.u(np.array([2.0, 0.0]))
+        assert u.shape == (1,) and np.isnan(u).all()
 
     def test_batch_nan_outside_domain(self, pendulum, pendulum_designs):
         ctrl = pendulum_designs["iii"].controller
@@ -314,7 +308,7 @@ class TestHjbResidual:
         for _ in range(100):
             x = rng.normal(size=2)
             res = hjb_residual(dbl_int_clf, sys_m, dbl_int_design.Q, dbl_int_design.R, x)
-            ev = sontag_control(ctrl, x)
+            ev = ctrl.evaluate(x)
             if abs(res) <= 1e-9 * (1.0 + float(x @ x)) and ev.branch is Branch.NONZERO:
                 assert ev.lam == pytest.approx(1.0, abs=1e-9)
 

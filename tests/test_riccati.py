@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sontagctl.linalg import cholesky_pd, is_hurwitz, max_abs
-from sontagctl.riccati import BadWeights, NotStabilizable, solve_care, stabilizability_check
+from sontagctl.riccati import BadWeights, NotStabilizable, solve_care
 
 from conftest import random_lti, random_spd
 
@@ -75,18 +75,27 @@ class TestSolveCare:
             np.testing.assert_allclose(d2.K, d1.K, rtol=1e-9, atol=1e-12)
 
 
+def _solve_unit_weights(A, B):
+    """The Riccati solve with identity weights: it returns a certified
+    design exactly when (A, B) is stabilizable."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    return solve_care(A, B, np.eye(A.shape[0]), np.eye(B.shape[1]))
+
+
 class TestStabilizability:
     def test_controllable_chain(self):
-        assert stabilizability_check([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]])
+        _solve_unit_weights([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]])
 
     def test_unstable_uncontrollable(self):
         # second mode has eigenvalue 1 and no input authority
-        assert not stabilizability_check([[1.0, 0.0], [0.0, 1.0]], [[1.0], [0.0]])
+        with pytest.raises(NotStabilizable):
+            _solve_unit_weights([[1.0, 0.0], [0.0, 1.0]], [[1.0], [0.0]])
 
     def test_stable_uncontrollable_mode(self):
-        assert stabilizability_check([[-1.0, 0.0], [0.0, 1.0]], [[0.0], [1.0]])
+        _solve_unit_weights([[-1.0, 0.0], [0.0, 1.0]], [[0.0], [1.0]])
 
     def test_zero_input_matrix(self):
-        assert not stabilizability_check(np.eye(2), np.zeros((2, 1)))
+        with pytest.raises(NotStabilizable):
+            _solve_unit_weights(np.eye(2), np.zeros((2, 1)))
         # with stable dynamics no input authority is needed
-        assert stabilizability_check(-np.eye(2), np.zeros((2, 1)))
+        _solve_unit_weights(-np.eye(2), np.zeros((2, 1)))
