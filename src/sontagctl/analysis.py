@@ -13,10 +13,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .clf import lie_terms
 from .linalg import as_matrix, as_square, as_vector, symmetrize
-from .model import FeedbackLinearization, SystemModel, apply_input
-from .sim import SimConfig, rollout_costs
+from .model import FeedbackLinearization, SystemModel
+from .sim import SimConfig, _closed_loop_deriv, rollout_costs
 
 #: Grid membership requires the CLF derivative below this margin.
 VDOT_TOL = 1e-12
@@ -121,9 +120,8 @@ class SweepResult:
 
 
 def _vdot_under(sys: SystemModel, clf, controller, pts: np.ndarray) -> np.ndarray:
-    lt = lie_terms(clf, sys, pts)
-    U = np.asarray(controller.u(pts), dtype=float)
-    return (lt.grad * (lt.f + apply_input(lt.G, U))).sum(axis=-1)
+    xdot = _closed_loop_deriv(sys, controller, pts)
+    return (np.asarray(clf.grad(pts), dtype=float) * xdot).sum(axis=-1)
 
 
 def roa_certify(sys: SystemModel, clf, *, lqr, sontag, grid: GridSpec,

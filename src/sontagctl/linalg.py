@@ -2,9 +2,11 @@
 
 All routines operate on float64 numpy arrays at desk scale (dimensions
 of order ten) and certify their own results: linear solves check pivot
-magnitudes, positive definiteness is certified by an actual Cholesky
-factorization, and the Hurwitz test goes through a Lyapunov equation
-instead of an eigensolver.
+magnitudes, and positive definiteness is certified by an actual Cholesky
+factorization. One matrix-sign kernel, a Newton iteration built on LU
+inversions alone, replaces eigensolvers: the Hurwitz test certifies
+sign(A) = -I, and Lyapunov equations are read off the sign of a block
+matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ class NotPositiveDefinite(LinalgError):
 PIVOT_RTOL = 1e-12
 #: Allowed relative asymmetry of inputs that must be symmetric.
 SYMMETRY_RTOL = 1e-12
+#: Relative change of successive sign iterates at which the iteration
+#: has settled; also the distance from -I of a Hurwitz matrix's sign.
+SIGN_RTOL = 1e-9
+#: Iteration cap for the Newton iterations (matrix sign, Riccati).
+MAX_NEWTON_ITER = 200
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -66,12 +73,6 @@ def max_abs(a) -> float:
     """Largest entry magnitude; the infinity norm used throughout."""
     a = np.asarray(a, dtype=float)
     return float(np.max(np.abs(a))) if a.size else 0.0
-
-
-def row_sum_norm(M) -> float:
-    """Induced infinity norm (max absolute row sum); bounds the spectrum."""
-    M = np.asarray(M, dtype=float)
-    return float(np.max(np.sum(np.abs(M), axis=1)))
 
 
 def symmetrize(M) -> np.ndarray:
@@ -130,20 +131,39 @@ def cholesky_pd(M) -> np.ndarray:
         raise NotPositiveDefinite("matrix is not positive definite") from exc
 
 
-def is_positive_definite(M) -> bool:
-    try:
-        cholesky_pd(M)
-    except (NotPositiveDefinite, NotSymmetric):
-        return False
-    return True
+def matrix_sign(Z) -> np.ndarray:
+    """sign(Z) by the determinant-scaled Newton iteration.
+
+    Iterates Z <- (c Z + (c Z)^{-1}) / 2 with c = |det Z|^{-1/n}, read
+    off the LU pivots, until successive iterates agree to ``SIGN_RTOL``.
+    sign(Z) has the eigenvectors of Z with eigenvalues -1 for the stable
+    and +1 for the unstable ones. Raises SingularMatrix when an iterate
+    is singular or the iteration does not settle, which is what
+    eigenvalues on or near the imaginary axis cause.
+    """
+    Z = as_square(Z, "Z")
+    eye = np.eye(Z.shape[0])
+    for _ in range(MAX_NEWTON_ITER):
+        lu_piv = _lu_factor(Z)
+        c = np.exp(-np.mean(np.log(np.abs(np.diag(lu_piv[0])))))
+        Z_next = 0.5 * (c * Z + scipy.linalg.lu_solve(lu_piv, eye, check_finite=False) / c)
+        if max_abs(Z_next - Z) <= SIGN_RTOL * max_abs(Z_next):
+            return Z_next
+        Z = Z_next
+    raise SingularMatrix("sign iteration did not settle; eigenvalues near the imaginary axis")
+
+
+def _is_minus_identity(S: np.ndarray) -> bool:
+    """Whether a computed matrix sign is -I, i.e. its argument is Hurwitz."""
+    return max_abs(S + np.eye(S.shape[0])) <= SIGN_RTOL
 
 
 def solve_lyapunov(A, W) -> np.ndarray:
-    """Solve A' X + X A = -W for symmetric W.
+    """Solve A' X + X A = -W for Hurwitz A and symmetric W.
 
-    Uses the dense vectorized form (kron(A', I) + kron(I, A')) vec(X) =
-    -vec(W), which is singular exactly when two eigenvalues of A sum to
-    zero. The result is symmetrized before returning.
+    Reads X off sign([[A, 0], [-W, -A']]) = [[-I, 0], [-2X, I]]. Raises
+    SingularMatrix when A is not Hurwitz. The result is symmetrized
+    before returning.
     """
     A = as_square(A, "A")
     W = as_square(W, "W")
@@ -151,22 +171,18 @@ def solve_lyapunov(A, W) -> np.ndarray:
         raise ValueError("A and W must have identical shapes")
     _check_symmetric(W, "W")
     n = A.shape[0]
-    eye = np.eye(n)
-    system = np.kron(A.T, eye) + np.kron(eye, A.T)
-    x = scipy.linalg.lu_solve(_lu_factor(system), -W.reshape(-1), check_finite=False)
-    return symmetrize(x.reshape(n, n))
+    S = matrix_sign(np.block([[A, np.zeros((n, n))], [-W, -A.T]]))
+    if not _is_minus_identity(S[:n, :n]):
+        raise SingularMatrix("A is not Hurwitz")
+    return symmetrize(-0.5 * S[n:, :n])
 
 
 def is_hurwitz(A) -> bool:
-    """Whether all eigenvalues of A lie in the open left half plane.
-
-    Certified through the Lyapunov equation A' X + X A = -I: A is
-    Hurwitz exactly when the equation is solvable with X positive
-    definite, so solver singularity maps to False.
-    """
+    """Whether all eigenvalues of A lie in the open left half plane,
+    certified as sign(A) = -I; a sign iteration that cannot settle
+    maps to False."""
     A = as_square(A, "A")
     try:
-        X = solve_lyapunov(A, np.eye(A.shape[0]))
+        return _is_minus_identity(matrix_sign(A))
     except SingularMatrix:
         return False
-    return is_positive_definite(X)

@@ -1,14 +1,11 @@
 """Continuous algebraic Riccati solver and LQR gain synthesis.
 
-The stabilizing solution is computed by Newton iteration on the Riccati
-residual (Kleinman's method), where every step solves one Lyapunov
-equation for the current closed loop. The iteration needs a stabilizing
-initial gain; that gain is produced by a shift continuation which
-starts from the trivially stable matrix A - sigma*I, with sigma beyond
-a norm bound on the spectrum of A, and walks sigma down to zero while
-re-solving along the way. This keeps the whole solver free of
-eigenvalue computations: only linear solves and Cholesky factorizations
-are used, and every certificate (positive definiteness, Hurwitz
+The stabilizing solution comes from the matrix sign function of the
+Hamiltonian H = [[A, -B R^{-1} B'], [-Q, -A']]: its stable invariant
+subspace is the graph [I; P]. Newton steps in defect-correction form,
+each one Lyapunov solve for the current closed loop, then refine P to
+the round-off floor. Only LU and Cholesky factorizations are used, no
+eigensolvers, and every certificate (positive definiteness, Hurwitz
 closed loop, residual size) is checked explicitly before returning.
 """
 
@@ -19,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    MAX_NEWTON_ITER,
     LinalgError,
     SingularMatrix,
     as_matrix,
     as_square,
     cholesky_pd,
     is_hurwitz,
+    matrix_sign,
     max_abs,
-    row_sum_norm,
     solve_lyapunov,
     solve_many,
     symmetrize,
@@ -41,15 +39,9 @@ class BadWeights(Exception):
     """Q or R failed the positive-definiteness certificate."""
 
 
-#: Relative change of the solution at which Newton iteration stops.
-CONVERGENCE_RTOL = 1e-12
-#: A non-decreasing step below this relative size counts as the
+#: A non-decreasing Newton step below this relative size counts as the
 #: round-off plateau; the final residual certificate still has to pass.
 PLATEAU_RTOL = 1e-9
-#: Iteration cap for a single Newton solve.
-MAX_NEWTON_ITER = 200
-#: Cap on shift-continuation rounds.
-MAX_CONTINUATION_ROUNDS = 200
 #: Relative residual bound certified for every returned solution.
 RESIDUAL_RTOL = 1e-8
 
@@ -72,35 +64,17 @@ class LqrDesign:
     are_residual: float
 
 
-def _newton_iteration(A, B, Q, R, K0) -> np.ndarray:
-    """Kleinman iteration from a gain K0 that stabilizes A.
+def _sign_start(A, B, Q, R) -> np.ndarray:
+    """Initial P from the stable graph subspace of sign(H).
 
-    Stops when successive solutions agree to ``CONVERGENCE_RTOL``, or
-    when the step has shrunk below ``PLATEAU_RTOL`` and stops
-    contracting (the round-off floor for ill-conditioned instances);
-    the caller's residual certificate remains the arbiter either way.
+    sign(H) + I annihilates [I; P], so [[S12], [S22 + I]] P =
+    -[[S11 + I], [S21]], solved by normal equations.
     """
-    K = K0
-    P_prev = None
-    step_prev = np.inf
-    for _ in range(MAX_NEWTON_ITER):
-        closed = A - B @ K
-        W = symmetrize(Q + K.T @ R @ K)
-        try:
-            P = solve_lyapunov(closed, W)
-        except SingularMatrix as exc:
-            raise NotStabilizable("Lyapunov step singular during Newton iteration") from exc
-        K = solve_many(R, B.T @ P)
-        if P_prev is not None:
-            step = max_abs(P - P_prev)
-            scale = max_abs(P_prev)
-            if step <= CONVERGENCE_RTOL * scale:
-                return P
-            if step >= step_prev and step <= PLATEAU_RTOL * scale:
-                return P
-            step_prev = step
-        P_prev = P
-    raise NotStabilizable("Newton iteration did not converge")
+    n = A.shape[0]
+    H = np.block([[A, -B @ solve_many(R, B.T)], [-Q, -A.T]])
+    S = matrix_sign(H) + np.eye(2 * n)
+    M, N = S[:, n:], S[:, :n]
+    return symmetrize(solve_many(M.T @ M, -(M.T @ N)))
 
 
 def solve_care(A, B, Q, R) -> LqrDesign:
@@ -129,27 +103,22 @@ def solve_care(A, B, Q, R) -> LqrDesign:
     Q = symmetrize(Q)
     R = symmetrize(R)
 
-    eye = np.eye(n)
-    sigma = 0.0 if is_hurwitz(A) else 1.0 + row_sum_norm(A)
-    sigma_floor = max(sigma, 1.0) * 2.0**-60
-    K = np.zeros((m, n))
-    P = None
-    for _ in range(MAX_CONTINUATION_ROUNDS):
-        P = _newton_iteration(A - sigma * eye, B, Q, R, K)
-        K = solve_many(R, B.T @ P)
-        if sigma == 0.0:
-            break
-        # Largest shift reduction for which the current gain still stabilizes.
-        step = sigma
-        while step > sigma_floor and not is_hurwitz(A - (sigma - step) * eye - B @ K):
-            step *= 0.5
-        if step <= sigma_floor:
-            raise NotStabilizable("shift continuation stalled; (A, B) appears not stabilizable")
-        sigma = 0.0 if step == sigma else sigma - step
-    else:
-        raise NotStabilizable("shift continuation exhausted its round budget")
+    try:
+        P = _sign_start(A, B, Q, R)
+        step_prev = np.inf
+        for _ in range(MAX_NEWTON_ITER):
+            K = solve_many(R, B.T @ P)
+            D = solve_lyapunov(A - B @ K, symmetrize(A.T @ P + P @ A - P @ B @ K + Q))
+            P = P + D
+            step = max_abs(D)
+            if step >= step_prev and step <= PLATEAU_RTOL * max_abs(P):
+                break
+            step_prev = step
+        else:
+            raise NotStabilizable("Newton defect correction did not settle")
+    except SingularMatrix as exc:
+        raise NotStabilizable("no stabilizing solution; (A, B) appears not stabilizable") from exc
 
-    P = symmetrize(P)
     try:
         cholesky_pd(P)
     except LinalgError as exc:

@@ -89,6 +89,15 @@ class CostReport:
     stabilized: bool
 
 
+def _closed_loop_deriv(sys: SystemModel, controller, X) -> np.ndarray:
+    """f(x) + G(x) u(x); a Sontag controller supplies it from the model
+    evaluation its law already makes."""
+    fused = getattr(controller, "closed_loop_deriv", None)
+    if fused is not None:
+        return fused(X)
+    return np.asarray(sys.f(X), dtype=float) + apply_input(sys.G(X), controller.u(X))
+
+
 def rk4_step(sys: SystemModel, controller, x, h: float, *, u0=None, zoh: bool = False,
              k1=None):
     """One classical Runge-Kutta step of xdot = f(x) + G(x) u(x).
@@ -111,12 +120,8 @@ def rk4_step(sys: SystemModel, controller, x, h: float, *, u0=None, zoh: bool = 
         k3 = deriv(x + (0.5 * h) * k2, u1)
         k4 = deriv(x + h * k3, u1)
     else:
-        fused = getattr(controller, "closed_loop_deriv", None)
-
         def stage(xs):
-            if fused is not None:
-                return fused(xs)
-            return deriv(xs, controller.u(xs))
+            return _closed_loop_deriv(sys, controller, xs)
 
         if k1 is None:
             k1 = deriv(x, np.asarray(u0, dtype=float)) if u0 is not None else stage(x)

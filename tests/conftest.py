@@ -3,7 +3,7 @@ import pytest
 
 from sontagctl.clf import build_lqr_clf
 from sontagctl.control import synthesize_design
-from sontagctl.model import lti_system, pendulum_system
+from sontagctl.model import SystemModel, lti_system, pendulum_system
 from sontagctl.riccati import solve_care
 
 
@@ -18,6 +18,19 @@ def random_lti(rng, n_max=5, m_max=2):
     n = int(rng.integers(2, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
     return rng.normal(size=(n, n)), rng.normal(size=(n, m))
+
+
+def counting_drift(sys_m):
+    """The same model with its drift wrapped in a call counter."""
+    calls = [0]
+
+    def f(X):
+        calls[0] += 1
+        return sys_m.f(X)
+
+    counted = SystemModel(n=sys_m.n, m=sys_m.m, f=f, G=sys_m.G, f_jac=sys_m.f_jac)
+    calls[0] = 0
+    return counted, calls
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ from sontagctl.analysis import (
 from sontagctl.control import LqrController, SontagController
 from sontagctl.sim import SimConfig, cost_index, simulate
 
+from conftest import counting_drift
+
 
 @pytest.fixture(scope="module")
 def pendulum_grid():
@@ -101,6 +103,18 @@ class TestLargestSublevel:
                                               res_s.controller, pendulum_grid)
         assert 0.0 < c_lqr < np.inf
         assert c_sontag >= c_lqr
+
+    def test_one_drift_call_for_sontag_law(self, pendulum, pendulum_designs):
+        # the Sontag law's own model evaluation supplies f + G u, so the
+        # decay test evaluates the batched drift once
+        sys_m, _ = pendulum
+        res = pendulum_designs["i"]
+        counted, calls = counting_drift(sys_m)
+        ctrl = SontagController(res.clf, counted, res.lqr.Q, res.lqr.R)
+        grid = GridSpec(lower=[-1.4, -4.0], upper=[1.4, 4.0], points_per_axis=(11, 11))
+        c = largest_certified_sublevel(counted, res.clf, ctrl, grid)
+        assert calls[0] == 1
+        assert c == largest_certified_sublevel(sys_m, res.clf, res.controller, grid)
 
     def test_uncontrolled_pendulum_gives_zero(self, pendulum, pendulum_designs, pendulum_grid):
         # with zero gain the CLF grows along the unstable direction

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sontagctl.linalg import (
     NotPositiveDefinite,
@@ -7,7 +8,7 @@ from sontagctl.linalg import (
     SingularMatrix,
     cholesky_pd,
     is_hurwitz,
-    is_positive_definite,
+    matrix_sign,
     max_abs,
     solve_linear,
     solve_lyapunov,
@@ -79,6 +80,34 @@ class TestCholesky:
             assert max_abs(L @ L.T - M) <= 1e-10 * max_abs(M)
 
 
+def _shifted_hurwitz(rng, n):
+    M = rng.normal(size=(n, n))
+    return M - (np.abs(M).sum(axis=1).max() + 0.5) * np.eye(n)  # Hurwitz by shift
+
+
+class TestMatrixSign:
+    def test_scipy_oracle(self):
+        rng = np.random.default_rng(1006)
+        checked = 0
+        while checked < 25:
+            n = int(rng.integers(1, 9))
+            Z = rng.normal(size=(n, n))
+            if np.abs(np.real(np.linalg.eigvals(Z))).min() < 0.05:
+                continue
+            S = matrix_sign(Z)
+            ref = scipy.linalg.signm(Z)
+            assert max_abs(S - ref) <= 1e-8 * max_abs(ref)
+            checked += 1
+
+    def test_diagonal(self):
+        np.testing.assert_allclose(matrix_sign(np.diag([-3.0, 0.5, 2.0])),
+                                   np.diag([-1.0, 1.0, 1.0]), atol=1e-14)
+
+    def test_imaginary_axis_singular(self):
+        with pytest.raises(SingularMatrix):
+            matrix_sign([[0.0, 1.0], [-1.0, 0.0]])
+
+
 class TestSolveLyapunov:
     def test_negative_identity(self):
         X = solve_lyapunov(-np.eye(2), np.eye(2))
@@ -97,12 +126,26 @@ class TestSolveLyapunov:
         with pytest.raises(NotSymmetric):
             solve_lyapunov(-np.eye(2), [[1.0, 0.5], [0.0, 1.0]])
 
+    def test_non_hurwitz_singular(self):
+        # solvable (eigenvalue sums 2, 3, 4 are nonzero) but A is unstable
+        with pytest.raises(SingularMatrix):
+            solve_lyapunov(np.diag([1.0, 2.0]), np.eye(2))
+
+    def test_scipy_oracle(self):
+        rng = np.random.default_rng(1007)
+        for _ in range(25):
+            n = int(rng.integers(1, 9))
+            A = _shifted_hurwitz(rng, n)
+            W = symmetrize(rng.normal(size=(n, n)))
+            X = solve_lyapunov(A, W)
+            ref = scipy.linalg.solve_continuous_lyapunov(A.T, -W)
+            assert max_abs(X - ref) <= 1e-10 * max_abs(ref)
+
     def test_residual_and_symmetry(self):
         rng = np.random.default_rng(1003)
         for _ in range(25):
             n = int(rng.integers(1, 8))
-            M = rng.normal(size=(n, n))
-            A = M - (np.abs(M).sum(axis=1).max() + 0.5) * np.eye(n)  # Hurwitz by shift
+            A = _shifted_hurwitz(rng, n)
             W = symmetrize(rng.normal(size=(n, n)))
             X = solve_lyapunov(A, W)
             assert max_abs(X - X.T) <= 1e-10 * max(max_abs(X), 1e-300)
@@ -146,9 +189,3 @@ class TestIsHurwitz:
             similar = T @ A @ np.linalg.inv(T)
             assert is_hurwitz(A) == is_hurwitz(similar)
             checked += 1
-
-
-def test_is_positive_definite_wrapper():
-    assert is_positive_definite(np.eye(2))
-    assert not is_positive_definite(-np.eye(2))
-    assert not is_positive_definite([[1.0, 0.5], [0.0, 1.0]])

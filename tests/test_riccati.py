@@ -1,7 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
+from sontagctl import riccati
 from sontagctl.linalg import cholesky_pd, is_hurwitz, max_abs
+from sontagctl.model import linearize
 from sontagctl.riccati import BadWeights, NotStabilizable, solve_care
 
 from conftest import random_lti, random_spd
@@ -73,6 +77,65 @@ class TestSolveCare:
             d2 = solve_care(A, B, c * Q, c * R)
             np.testing.assert_allclose(d2.P, c * d1.P, rtol=1e-9)
             np.testing.assert_allclose(d2.K, d1.K, rtol=1e-9, atol=1e-12)
+
+
+def _mp_care(A, B, Q, R, P0, dps=50, steps=8):
+    """Kleinman's Newton iteration in mpmath from a stabilizing P0; each
+    Lyapunov step is solved through its Kronecker form."""
+    with mpmath.workdps(dps):
+        A, B, Q, R = (mpmath.matrix(M.tolist()) for M in (A, B, Q, R))
+        n = A.rows
+        P = mpmath.matrix(P0.tolist())
+        for _ in range(steps):
+            K = R**-1 * B.T * P
+            Ac, W = A - B * K, Q + K.T * R * K
+            L = mpmath.matrix(n * n, n * n)
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        L[i * n + j, k * n + j] += Ac[k, i]  # (Ac' P)_ij
+                        L[i * n + j, i * n + k] += Ac[k, j]  # (P Ac)_ij
+            x = mpmath.lu_solve(L, mpmath.matrix([-W[i, j] for i in range(n) for j in range(n)]))
+            P = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    P[i, j] = x[i * n + j]
+        return np.array(P.tolist(), dtype=float)
+
+
+class TestOracles:
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+    def test_scipy_care(self, n):
+        rng = np.random.default_rng(2003 + n)
+        for _ in range(3):
+            m = max(1, n // 4)
+            A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+            Q, R = random_spd(rng, n), random_spd(rng, m)
+            d = solve_care(A, B, Q, R)
+            ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
+            assert max_abs(d.P - ref) <= 1e-8 * max_abs(ref)
+
+    def test_pendulum_mpmath(self, pendulum, pendulum_weights):
+        A, B = linearize(pendulum[0])
+        Q, R = pendulum_weights
+        d = solve_care(A, B, Q, R)
+        ref = _mp_care(A, B, Q, R, d.P)
+        assert max_abs(d.P - ref) <= 1e-14 * max_abs(ref)
+
+    def test_rejection_is_bounded(self, monkeypatch):
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(riccati, "solve_lyapunov", counted(riccati.solve_lyapunov))
+        monkeypatch.setattr(riccati, "matrix_sign", counted(riccati.matrix_sign))
+        with pytest.raises(NotStabilizable):
+            solve_care(np.eye(2), [[1.0], [0.0]], np.eye(2), [[1.0]])
+        assert 1 <= calls[0] <= 10
 
 
 def _solve_unit_weights(A, B):

@@ -19,6 +19,8 @@ from sontagctl.sim import (
     write_trajectory_csv,
 )
 
+from conftest import counting_drift
+
 
 def _frozen_system():
     return SystemModel(n=1, m=1,
@@ -297,26 +299,13 @@ class TestBatchRollout:
         assert J[1] == np.inf and not stab[1] and div[1]
 
 
-def _counting_drift(sys_m):
-    """The same model with its drift wrapped in a call counter."""
-    calls = [0]
-
-    def f(X):
-        calls[0] += 1
-        return sys_m.f(X)
-
-    counted = SystemModel(n=sys_m.n, m=sys_m.m, f=f, G=sys_m.G, f_jac=sys_m.f_jac)
-    calls[0] = 0
-    return counted, calls
-
-
 class TestModelCalls:
     def test_four_drift_calls_per_sontag_step(self, pendulum, pendulum_designs):
         # the step-start Sontag evaluation supplies RK4's k1, so each
         # step evaluates f once per RK4 stage, in both entry points
         sys_m, _ = pendulum
         res = pendulum_designs["i"]
-        counted, calls = _counting_drift(sys_m)
+        counted, calls = counting_drift(sys_m)
         ctrl = SontagController(res.clf, counted, res.lqr.Q, res.lqr.R)
         n = 50
         cfg = SimConfig(n_steps=n, x0=np.array([0.3, 0.0]))
