@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import as_matrix, as_square, as_vector, symmetrize
+from .linalg import _row_dot, _row_max_abs, as_matrix, as_square, as_vector, symmetrize
 from .model import FeedbackLinearization, SystemModel
 from .sim import SimConfig, _closed_loop_deriv, rollout_costs
 
@@ -121,7 +121,7 @@ class SweepResult:
 
 def _vdot_under(sys: SystemModel, clf, controller, pts: np.ndarray) -> np.ndarray:
     xdot = _closed_loop_deriv(sys, controller, pts)
-    return (np.asarray(clf.grad(pts), dtype=float) * xdot).sum(axis=-1)
+    return _row_dot(np.asarray(clf.grad(pts), dtype=float), xdot)
 
 
 def roa_certify(sys: SystemModel, clf, *, lqr, sontag, grid: GridSpec,
@@ -132,7 +132,7 @@ def roa_certify(sys: SystemModel, clf, *, lqr, sontag, grid: GridSpec,
     if C < 0:
         raise ValueError("sublevel constant must be nonnegative")
     pts = grid.points()
-    nonzero = np.abs(pts).max(axis=-1) > 0.0
+    nonzero = _row_max_abs(pts) > 0.0
     V = np.asarray(clf.value(pts), dtype=float)
     in_level = nonzero & (V <= C)
     mem_lqr = in_level & (_vdot_under(sys, clf, lqr, pts) < -VDOT_TOL)
@@ -169,7 +169,7 @@ def largest_certified_sublevel(sys: SystemModel, clf, controller,
     the origin already fails, or when the certified sublevel contains
     no grid points at all."""
     pts = grid.points()
-    nonzero = np.abs(pts).max(axis=-1) > 0.0
+    nonzero = _row_max_abs(pts) > 0.0
     V = np.asarray(clf.value(pts), dtype=float)
     decays = _vdot_under(sys, clf, controller, pts) < -VDOT_TOL
 
@@ -206,12 +206,12 @@ def global_clf_sample_check(fbl: FeedbackLinearization, P_tilde, grid: GridSpec,
     A = as_square(fbl.A_tilde, "A_tilde")
     B = as_matrix(fbl.B_tilde, "B_tilde")
     Z = grid.points()
-    nonzero = np.abs(Z).max(axis=-1) > 0.0
+    nonzero = _row_max_abs(Z) > 0.0
     M = symmetrize(A.T @ P + P @ A)
-    alpha = 0.5 * ((Z @ M) * Z).sum(axis=-1)
+    alpha = 0.5 * _row_dot(Z @ M, Z)
     beta = Z @ (P @ B)
-    z_norm = np.sqrt((Z * Z).sum(axis=-1))
-    has_input = np.abs(beta).max(axis=-1) > tol_b * z_norm
+    z_norm = np.sqrt(_row_dot(Z, Z))
+    has_input = _row_max_abs(beta) > tol_b * z_norm
     violating = nonzero & ~(alpha < 0.0) & ~has_input
     return GlobalClfReport(n_checked=int(nonzero.sum()),
                            violations=Z[violating],

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_square, as_vector, cholesky_pd, max_abs, solve_many, symmetrize
+from .linalg import _row_dot, as_square, as_vector, cholesky_pd, max_abs, solve_many, symmetrize
 from .model import FeedbackLinearization, SystemModel, fd_jacobian
 
 #: Base absolute tolerance for treating the input-direction derivative as zero.
@@ -33,7 +33,7 @@ class QuadraticClf:
 
     def value(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return 0.5 * ((X @ self.P) * X).sum(axis=-1)
+        return 0.5 * _row_dot(X @ self.P, X)
 
     def grad(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.P
@@ -53,7 +53,7 @@ class TransformedClf:
         X = np.asarray(X, dtype=float)
         Z = np.asarray(self.fbl.T(X), dtype=float)
         ok = self.fbl.domain.contains(Z)
-        v = 0.5 * ((Z @ self.P_tilde) * Z).sum(axis=-1)
+        v = 0.5 * _row_dot(Z @ self.P_tilde, Z)
         return np.where(ok, v, np.nan)
 
     def grad(self, X) -> np.ndarray:
@@ -65,7 +65,7 @@ class TransformedClf:
             J = np.asarray(self.fbl.T_jac(X), dtype=float)
         else:
             J = fd_jacobian(self.fbl.T, X)
-        g = (J * Pz[..., :, None]).sum(axis=-2)
+        g = _row_dot(J.swapaxes(-1, -2), Pz[..., None, :])
         return np.where(ok[..., None], g, np.nan)
 
 
@@ -87,8 +87,8 @@ def lie_terms(clf, sys: SystemModel, X) -> LieTerms:
     grad = np.asarray(clf.grad(X), dtype=float)
     fX = np.asarray(sys.f(X), dtype=float)
     GX = np.asarray(sys.G(X), dtype=float)
-    a = (grad * fX).sum(axis=-1)
-    b = (grad[..., :, None] * GX).sum(axis=-2)
+    a = _row_dot(grad, fX)
+    b = _row_dot(grad[..., None, :], GX.swapaxes(-1, -2))
     return LieTerms(grad=grad, f=fX, G=GX, a=a, b=b)
 
 
@@ -120,7 +120,7 @@ def clf_condition_at(clf, sys: SystemModel, x, tol_b: float | None = None,
     x = as_vector(x, "x")
     lt = lie_terms(clf, sys, x)
     if tol_b is None:
-        tol_b = b_tolerance(clf, np.sqrt((x * x).sum()))
+        tol_b = b_tolerance(clf, np.sqrt(_row_dot(x, x)))
     if max_abs(lt.b) > tol_b:
         return True
     return bool(lt.a < -tol_a * float(x @ x))

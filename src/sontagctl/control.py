@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .clf import b_tolerance, build_global_clf, build_lqr_clf, lie_terms
-from .linalg import as_matrix, as_square, as_vector, cholesky_pd, max_abs, solve_linear, solve_many, symmetrize
+from .linalg import (_row_all_finite, _row_dot, _row_max_abs, as_matrix, as_square, as_vector,
+                     cholesky_pd, max_abs, solve_linear, solve_many, symmetrize)
 from .model import DomainViolation, FeedbackLinearization, SystemModel, apply_input, fd_jacobian, linearize
 from .riccati import LqrDesign, solve_care
 
@@ -143,11 +144,11 @@ class SontagController:
         X = np.asarray(X, dtype=float)
         lt = lie_terms(self.clf, self.sys, X)
         Rb = lt.b @ self.R_inv
-        beta = (lt.b * Rb).sum(axis=-1)
-        q = ((X @ self.Q) * X).sum(axis=-1)
-        x_norm = np.sqrt((X * X).sum(axis=-1))
-        nonzero = np.abs(lt.b).max(axis=-1) > b_tolerance(self.clf, x_norm)
-        ok = np.isfinite(lt.grad).all(axis=-1)
+        beta = _row_dot(lt.b, Rb)
+        q = _row_dot(X @ self.Q, X)
+        x_norm = np.sqrt(_row_dot(X, X))
+        nonzero = _row_max_abs(lt.b) > b_tolerance(self.clf, x_norm)
+        ok = _row_all_finite(lt.grad)
         lam = _lambda_array(lt.a, q, np.where(nonzero, beta, 1.0))
         U = np.where(nonzero[..., None], -lam[..., None] * Rb, 0.0)
         U = np.where(ok[..., None], U, np.nan)

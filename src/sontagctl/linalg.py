@@ -75,6 +75,39 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _row_dot(A: np.ndarray, B: np.ndarray):
+    """sum_k A[..., k] * B[..., k] over the last axis, for broadcastable
+    float arrays. Adds the products column by column in index order from
+    +0.0, which is numpy's order for sums of fewer than 8 terms, so the
+    result is bitwise ``(A * B).sum(axis=-1)`` there (numpy sums 8 or
+    more terms pairwise). Column arithmetic avoids numpy's per-row
+    reduction loop over a short axis; indexing the columns on the
+    leading axis of the transposed product makes them numpy scalars,
+    not 0-d arrays, when there is a single row."""
+    columns = (A * B).T
+    s = columns[0] + 0.0
+    for k in range(1, columns.shape[0]):
+        s += columns[k]
+    return s.T
+
+
+def _row_max_abs(A: np.ndarray):
+    """``np.abs(A).max(axis=-1)`` by column arithmetic; NaN propagates."""
+    absA = np.abs(A)
+    m = absA[..., 0]
+    for k in range(1, A.shape[-1]):
+        m = np.maximum(m, absA[..., k])
+    return m
+
+
+def _row_all_finite(A: np.ndarray):
+    """``np.isfinite(A).all(axis=-1)`` by column arithmetic."""
+    ok = np.isfinite(A[..., 0])
+    for k in range(1, A.shape[-1]):
+        ok &= np.isfinite(A[..., k])
+    return ok
+
+
 def symmetrize(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     return 0.5 * (M + M.T)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import SingularMatrix, _lu_factor, as_matrix, as_square, max_abs
+from .linalg import SingularMatrix, _lu_factor, _row_dot, as_matrix, as_square, max_abs
 
 EQUILIBRIUM_TOL = 1e-12
 #: Default relative step for central finite differences.
@@ -155,7 +155,7 @@ def apply_input(Gx, u) -> np.ndarray:
     """Contract an (..., n, m) input matrix with (..., m) inputs."""
     Gx = np.asarray(Gx, dtype=float)
     u = np.asarray(u, dtype=float)
-    return (Gx * u[..., None, :]).sum(axis=-1)
+    return _row_dot(Gx, u[..., None, :])
 
 
 def eval_dynamics(sys: SystemModel, x, u) -> np.ndarray:

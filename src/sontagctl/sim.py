@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import SontagController, _clf_violations, _Parts
-from .linalg import as_square, as_vector
+from .linalg import _row_all_finite, _row_dot, _row_max_abs, as_square, as_vector
 from .model import SystemModel, apply_input
 
 #: A run halts once the state norm passes this bound.
@@ -165,13 +165,13 @@ def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool,
                 U = parts.U
             else:
                 U = np.asarray(controller.u(X), dtype=float)
-            u_ok = np.isfinite(U).all(axis=-1)
+            u_ok = _row_all_finite(U)
             if not u_ok.all():
                 U = np.where(u_ok[..., None], U, 0.0)
             if is_sontag:
                 k1 = parts.f + apply_input(parts.G, U)
             X_new = rk4_step(sys, controller, X, h, u0=U, zoh=zoh, k1=k1)
-            x_max = np.abs(X_new).max(axis=-1)
+            x_max = _row_max_abs(X_new)
             on_step(_Step(X, U, parts, running, u_ok, X_new, x_max))
             ok = running & u_ok & (x_max <= DIVERGENCE_GUARD)
             if ok.all():
@@ -181,7 +181,7 @@ def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool,
             X = np.where(ok[..., None], X_new, X)
             if not ok.any():
                 break
-    stabilized = running & (np.abs(X).max(axis=-1) < STABILIZATION_TOL)
+    stabilized = running & (_row_max_abs(X) < STABILIZATION_TOL)
     return stabilized, ~running
 
 
@@ -239,7 +239,7 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
 
 def _running_cost(X, U, Q, R) -> np.ndarray:
     """The quadratic running cost x'Qx + u'Ru per row."""
-    return ((X @ Q) * X).sum(axis=-1) + ((U @ R) * U).sum(axis=-1)
+    return _row_dot(X @ Q, X) + _row_dot(U @ R, U)
 
 
 def cost_index(traj: Trajectory, Q, R, h: float) -> float:

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sontagctl
 from sontagctl.clf import build_lqr_clf
 from sontagctl.control import synthesize_design
 from sontagctl.model import SystemModel, lti_system, pendulum_system
@@ -18,6 +22,15 @@ def random_lti(rng, n_max=5, m_max=2):
     n = int(rng.integers(2, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
     return rng.normal(size=(n, n)), rng.normal(size=(n, m))
+
+
+def cli_env() -> dict:
+    """Environment for a ``python -m sontagctl`` subprocess: PYTHONPATH
+    leads with the directory this session imports sontagctl from, so the
+    CLI runs from a checkout without an install."""
+    src = str(Path(sontagctl.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + rest if rest else src}
 
 
 def counting_drift(sys_m):

@@ -28,7 +28,7 @@ from sontagctl.model import lti_system, pendulum_system
 from sontagctl.riccati import solve_care
 from sontagctl.sim import SimConfig, cost_index, distorted_cost, lyap_decay_check, simulate
 
-from conftest import random_lti, random_spd
+from conftest import cli_env, random_lti, random_spd
 
 
 @contextmanager
@@ -222,7 +222,7 @@ def test_criterion_9_sweep_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "sontagctl", "sweep",
                  "--config", str(cfg), "--out", str(out)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=cli_env())
             assert proc.returncode == 0, proc.stderr
             outs.append(out / "sweep.csv")
         assert filecmp.cmp(outs[0], outs[1], shallow=False)

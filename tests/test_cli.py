@@ -5,11 +5,14 @@ import sys
 import pytest
 import yaml
 
+from conftest import cli_env
+
 SONTAGCTL = [sys.executable, "-m", "sontagctl"]
 
 
 def run_cli(*args, cwd=None):
-    return subprocess.run(SONTAGCTL + list(args), capture_output=True, text=True, cwd=cwd)
+    return subprocess.run(SONTAGCTL + list(args), capture_output=True, text=True, cwd=cwd,
+                          env=cli_env())
 
 
 @pytest.fixture

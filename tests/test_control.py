@@ -15,7 +15,7 @@ from sontagctl.control import (
     lambda_factor,
     synthesize_design,
 )
-from sontagctl.model import FeedbackLinearization, lti_system
+from sontagctl.model import FeedbackLinearization, apply_input, lti_system
 from sontagctl.riccati import solve_care
 
 from conftest import random_lti, random_spd
@@ -311,6 +311,39 @@ class TestHjbResidual:
             ev = ctrl.evaluate(x)
             if abs(res) <= 1e-9 * (1.0 + float(x @ x)) and ev.branch is Branch.NONZERO:
                 assert ev.lam == pytest.approx(1.0, abs=1e-9)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestBatchOfOne:
+    """A stacked evaluation equals the row-by-row one bit for bit, the
+    property that lets the batched sweep and the batch-of-one simulate
+    share kernels without changing either's output."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        return np.random.default_rng(5013).uniform(-1.4, 1.4, size=(2000, 2))
+
+    @pytest.mark.parametrize("selector", ["i", "ii"])
+    def test_sontag_parts(self, pendulum_designs, states, selector):
+        ctrl = pendulum_designs[selector].controller
+        stacked = ctrl._parts(states)
+        rows = [ctrl._parts(x) for x in states]
+        for name in ("U", "lam", "a", "beta", "q", "x_norm"):
+            assert _bits(getattr(stacked, name)) == _bits([getattr(r, name) for r in rows]), name
+
+    def test_apply_input(self, pendulum, states):
+        sys_m, _ = pendulum
+        G = sys_m.G(states)
+        U = np.random.default_rng(5014).normal(size=(states.shape[0], 1))
+        assert _bits(apply_input(G, U)) == _bits([apply_input(g, u) for g, u in zip(G, U)])
+
+    @pytest.mark.parametrize("selector", ["i", "ii"])
+    def test_clf_value(self, pendulum_designs, states, selector):
+        clf = pendulum_designs[selector].clf
+        assert _bits(clf.value(states)) == _bits([clf.value(x) for x in states])
 
 
 class TestSynthesizeDesign:

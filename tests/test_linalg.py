@@ -6,6 +6,9 @@ from sontagctl.linalg import (
     NotPositiveDefinite,
     NotSymmetric,
     SingularMatrix,
+    _row_all_finite,
+    _row_dot,
+    _row_max_abs,
     cholesky_pd,
     is_hurwitz,
     matrix_sign,
@@ -189,3 +192,73 @@ class TestIsHurwitz:
             similar = T @ A @ np.linalg.inv(T)
             assert is_hurwitz(A) == is_hurwitz(similar)
             checked += 1
+
+
+def _same_bits(x, y) -> bool:
+    """Equal shape, dtype and bits, with NaNs compared by position: IEEE
+    754 leaves the sign of a NaN sum of two NaNs open, and numpy's scalar
+    and array loops already differ on it."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.shape != y.shape or x.dtype != y.dtype:
+        return False
+    if x.dtype.kind != "f":
+        return x.tobytes() == y.tobytes()
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
+
+
+class TestRowKernels:
+    """The row kernels against the numpy reductions they replace."""
+
+    SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.0)
+
+    def _draw(self, rng, shape):
+        """Finite entries over six decades mixed with NaN, +-inf and
+        +-0.0; on stacked shapes the first row is all -0.0."""
+        A = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        pick = rng.random(shape) < 0.3
+        A[pick] = rng.choice(self.SPECIALS, size=int(pick.sum()))
+        if len(shape) > 1:
+            A[(0,) * (len(shape) - 1)] = -0.0
+        return A
+
+    def _cases(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 8):
+            for shape in ((n,), (40, n), (3, 5, n)):
+                for _ in range(5):
+                    yield self._draw(rng, shape), self._draw(rng, shape)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dot_bitwise_below_eight_terms(self):
+        for A, B in self._cases(1101):
+            assert _same_bits(_row_dot(A, B), (A * B).sum(axis=-1))
+            # all products -0.0: numpy's sum is +0.0, and so is the kernel's
+            assert _same_bits(_row_dot(A, np.abs(B) + 1.0), (A * (np.abs(B) + 1.0)).sum(axis=-1))
+
+    def test_dot_negative_zero_products(self):
+        for n in range(1, 8):
+            for A, B in ((np.full(n, -0.0), np.ones(n)), (np.zeros((4, n)), -np.ones((4, n)))):
+                assert _same_bits(_row_dot(A, B), (A * B).sum(axis=-1))
+                assert not np.signbit(_row_dot(A, B)).any()
+
+    def test_dot_broadcasts(self):
+        rng = np.random.default_rng(1102)
+        A = rng.normal(size=(6, 1, 3))
+        for B in (rng.normal(size=(6, 4, 3)), rng.normal(size=(4, 3)), rng.normal(size=3)):
+            assert _same_bits(_row_dot(A, B), (A * B).sum(axis=-1))
+
+    def test_dot_close_from_eight_terms(self):
+        # numpy sums 8 or more terms pairwise, the kernel in index order
+        rng = np.random.default_rng(1103)
+        for n in (8, 9, 12, 16):
+            A, B = rng.uniform(0.5, 2.0, size=(200, n)), rng.uniform(0.5, 2.0, size=(200, n))
+            np.testing.assert_allclose(_row_dot(A, B), (A * B).sum(axis=-1), rtol=1e-15, atol=0)
+
+    def test_max_abs_bitwise(self):
+        for A, _ in self._cases(1104):
+            assert _same_bits(_row_max_abs(A), np.abs(A).max(axis=-1))
+
+    def test_all_finite_bitwise(self):
+        for A, _ in self._cases(1105):
+            assert _same_bits(_row_all_finite(A), np.isfinite(A).all(axis=-1))
