@@ -26,15 +26,12 @@ from .clf import (
     transform_P,
 )
 from .control import (
-    Branch,
-    ControlEval,
     FblController,
     LqrController,
     SontagController,
     SynthesisResult,
     fbl_gain_design,
     hjb_residual,
-    lambda_factor,
     synthesize_design,
 )
 from .linalg import (
@@ -43,15 +40,12 @@ from .linalg import (
     SingularMatrix,
     cholesky_pd,
     is_hurwitz,
-    solve_linear,
     solve_lyapunov,
 )
 from .model import (
-    DomainViolation,
     FeedbackLinearization,
     PendulumParams,
     SystemModel,
-    eval_dynamics,
     linearize,
     lti_system,
     pendulum_system,

@@ -193,14 +193,13 @@ def largest_certified_sublevel(sys: SystemModel, clf, controller,
     return lo
 
 
-def global_clf_sample_check(fbl: FeedbackLinearization, P_tilde, grid: GridSpec,
-                            tol_b: float = BETA_TOL) -> GlobalClfReport:
+def global_clf_sample_check(fbl: FeedbackLinearization, P_tilde, grid: GridSpec) -> GlobalClfReport:
     """Sample the transformed-coordinates CLF condition on a grid.
 
     At each nonzero point z the check requires either a strictly
     negative drift quadratic form z'(A'P + PA)z / 2 or an input
-    direction z'P B bounded away from zero relative to |z|. Reports
-    the violating points (expected: none for a valid construction).
+    direction z'P B above BETA_TOL |z|. Reports the violating points
+    (expected: none for a valid construction).
     """
     P = symmetrize(as_square(P_tilde, "P_tilde"))
     A = as_square(fbl.A_tilde, "A_tilde")
@@ -211,7 +210,7 @@ def global_clf_sample_check(fbl: FeedbackLinearization, P_tilde, grid: GridSpec,
     alpha = 0.5 * _row_dot(Z @ M, Z)
     beta = Z @ (P @ B)
     z_norm = np.sqrt(_row_dot(Z, Z))
-    has_input = _row_max_abs(beta) > tol_b * z_norm
+    has_input = _row_max_abs(beta) > BETA_TOL * z_norm
     violating = nonzero & ~(alpha < 0.0) & ~has_input
     return GlobalClfReport(n_checked=int(nonzero.sum()),
                            violations=Z[violating],

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _row_dot, as_square, as_vector, cholesky_pd, max_abs, solve_many, symmetrize
+from .linalg import _row_dot, _row_max_abs, as_square, cholesky_pd, max_abs, solve_many, symmetrize
 from .model import FeedbackLinearization, SystemModel, fd_jacobian
 
 #: Base absolute tolerance for treating the input-direction derivative as zero.
@@ -109,21 +109,19 @@ def b_tolerance(clf, x_norm):
     return B_TOL_BASE + (B_TOL_BASE * clf.p_norm) * x_norm
 
 
-def clf_condition_at(clf, sys: SystemModel, x, tol_b: float | None = None,
-                     tol_a: float = A_TOL) -> bool:
-    """Pointwise CLF decrease condition at a nonzero state.
+def clf_condition_at(clf, sys: SystemModel, X) -> np.ndarray:
+    """Pointwise CLF decrease condition at (n,) or stacked (..., n)
+    nonzero states, as a row mask.
 
-    True when some input direction is available (b nonzero beyond
-    tolerance) or the drift alone decays V (a sufficiently negative);
-    False outside the CLF domain.
+    True where some input direction is available (b beyond
+    ``b_tolerance``) or the drift alone decays V (a below
+    -A_TOL |x|^2); False outside the CLF domain.
     """
-    x = as_vector(x, "x")
-    lt = lie_terms(clf, sys, x)
-    if tol_b is None:
-        tol_b = b_tolerance(clf, np.sqrt(_row_dot(x, x)))
-    if max_abs(lt.b) > tol_b:
-        return True
-    return bool(lt.a < -tol_a * float(x @ x))
+    X = np.asarray(X, dtype=float)
+    lt = lie_terms(clf, sys, X)
+    x_sq = _row_dot(X, X)
+    has_input = _row_max_abs(lt.b) > b_tolerance(clf, np.sqrt(x_sq))
+    return has_input | (lt.a < -A_TOL * x_sq)
 
 
 def build_lqr_clf(design) -> QuadraticClf:

@@ -21,55 +21,31 @@ or with singular gamma, get NaN inputs.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .clf import b_tolerance, build_global_clf, build_lqr_clf, lie_terms
-from .linalg import (_row_all_finite, _row_dot, _row_max_abs, as_matrix, as_square, as_vector,
-                     cholesky_pd, max_abs, solve_linear, solve_many, symmetrize)
-from .model import DomainViolation, FeedbackLinearization, SystemModel, apply_input, fd_jacobian, linearize
+from .linalg import (_row_all_finite, _row_dot, _row_max_abs, as_matrix, as_square, cholesky_pd,
+                     max_abs, solve_many, symmetrize)
+from .model import FeedbackLinearization, SystemModel, apply_input, fd_jacobian, linearize
 from .riccati import LqrDesign, solve_care
 
 #: Below this pivot magnitude the input transformation counts as singular.
 GAMMA_PIVOT_TOL = 1e-12
 
 
-class NonFinite(Exception):
-    """A control evaluation overflowed."""
-
-
-class Branch(enum.Enum):
-    """Which case of the Sontag-type law produced an evaluation."""
-
-    NONZERO = "b_nonzero"
-    ZERO = "b_zero"
-
-
-@dataclass(frozen=True)
-class ControlEval:
-    """One Sontag-type evaluation: input, scaling factor, branch taken.
-
-    ``lam`` is None on the zero branch, where the factor is undefined.
-    ``clf_violation`` marks a zero branch with nonnegative drift
-    derivative at a nonzero state, i.e. a point where the CLF decrease
-    condition failed.
-    """
-
-    u: np.ndarray
-    lam: float | None
-    branch: Branch
-    clf_violation: bool = False
-
-
 def _lambda_array(a, q, beta):
-    """Vectorized scaling factor; callers guard beta > 0 on used lanes.
+    """Scaling factor of the Sontag-type law, elementwise; callers guard
+    beta > 0 on used lanes.
 
-    Selecting numerator and denominator by the sign of a picks the
-    cancellation-free branch and keeps every denominator positive, so
-    no masked division is needed.
+    With q >= 0 the result is nonnegative, strictly positive when q > 0,
+    and equals 1 exactly when a = (beta - q) / 2, the relation the
+    Riccati equation enforces along LQR value functions. Selecting
+    numerator and denominator by the sign of a picks the cancellation-free
+    branch and keeps every denominator positive, so no masked division
+    is needed.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -79,27 +55,6 @@ def _lambda_array(a, q, beta):
     num = np.where(neg, q, a + s)
     denom = np.where(neg, s - a, beta)
     return num / denom
-
-
-def lambda_factor(a: float, q: float, beta: float) -> float:
-    """Scaling factor of the Sontag-type law for scalar arguments.
-
-    Requires beta > 0 and q >= 0. The result is nonnegative, strictly
-    positive when q > 0, and equals 1 exactly when a = (beta - q) / 2,
-    the relation the Riccati equation enforces along LQR value
-    functions.
-    """
-    if not (np.isfinite(a) and np.isfinite(q) and np.isfinite(beta)):
-        raise ValueError("lambda_factor arguments must be finite")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if q < 0.0:
-        raise ValueError("q must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = float(_lambda_array(a, q, beta))
-    if not np.isfinite(lam):
-        raise NonFinite("lambda factor overflowed")
-    return lam
 
 
 class _Parts(NamedTuple):
@@ -164,17 +119,6 @@ class SontagController:
         already needed for the Lie derivatives."""
         p = self._parts(X)
         return p.f + apply_input(p.G, p.U)
-
-    def evaluate(self, x) -> ControlEval:
-        """Full evaluation at one state, with branch and factor."""
-        p = self._parts(as_vector(x, "x"))
-        if not bool(p.ok):
-            raise DomainViolation("state outside the CLF domain")
-        U = np.asarray(p.U, dtype=float)
-        if bool(p.nonzero):
-            return ControlEval(u=U, lam=float(p.lam), branch=Branch.NONZERO)
-        return ControlEval(u=U, lam=None, branch=Branch.ZERO,
-                           clf_violation=bool(_clf_violations(p)))
 
 
 class LqrController:
@@ -241,15 +185,13 @@ def fbl_gain_design(fbl: FeedbackLinearization, design: LqrDesign) -> np.ndarray
     return K_fbl
 
 
-def hjb_residual(clf, sys: SystemModel, Q, R, x) -> float:
-    """Residual of the Hamilton-Jacobi-Bellman equation at one state:
-    x'Qx/2 + a(x) - b(x) R^{-1} b(x)'/2. Zero exactly where the CLF
-    agrees with the optimal value function; NaN outside the CLF domain."""
-    Q = as_square(Q, "Q")
-    R = as_square(R, "R")
-    x = as_vector(x, "x")
-    lt = lie_terms(clf, sys, x)
-    return float(0.5 * (x @ Q @ x) + lt.a - 0.5 * (lt.b @ solve_linear(R, lt.b)))
+def hjb_residual(clf, sys: SystemModel, Q, R, X) -> np.ndarray:
+    """Residual of the Hamilton-Jacobi-Bellman equation at (n,) or
+    stacked (..., n) states: x'Qx/2 + a(x) - b(x) R^{-1} b(x)'/2. Zero
+    exactly where the CLF agrees with the optimal value function; NaN
+    outside the CLF domain."""
+    p = SontagController(clf, sys, Q, R)._parts(X)
+    return 0.5 * p.q + p.a - 0.5 * p.beta
 
 
 DESIGN_SELECTORS = ("i", "ii", "iii", "iv")
@@ -308,18 +250,14 @@ def synthesize_design(selector: str, sys: SystemModel,
 
 
 __all__ = [
-    "Branch",
-    "ControlEval",
     "DESIGN_LABELS",
     "DESIGN_SELECTORS",
     "FblController",
     "GAMMA_PIVOT_TOL",
     "LqrController",
-    "NonFinite",
     "SontagController",
     "SynthesisResult",
     "fbl_gain_design",
     "hjb_residual",
-    "lambda_factor",
     "synthesize_design",
 ]

@@ -131,15 +131,6 @@ def _lu_factor(A: np.ndarray):
     return lu, piv
 
 
-def solve_linear(A, b) -> np.ndarray:
-    """Solve A x = b for square A by partially pivoted LU."""
-    A = as_square(A, "A")
-    b = as_vector(b, "b")
-    if b.shape[0] != A.shape[0]:
-        raise ValueError("right-hand side does not conform with A")
-    return scipy.linalg.lu_solve(_lu_factor(A), b, check_finite=False)
-
-
 def solve_many(A, B) -> np.ndarray:
     """Solve A X = B with a matrix right-hand side."""
     A = as_square(A, "A")

@@ -22,10 +22,6 @@ EQUILIBRIUM_TOL = 1e-12
 FD_STEP_SCALE = 1e-6
 
 
-class DomainViolation(Exception):
-    """A state left the region where the operation is defined."""
-
-
 class NonFiniteJacobian(Exception):
     """Linearization produced overflow or NaN entries."""
 
@@ -156,17 +152,6 @@ def apply_input(Gx, u) -> np.ndarray:
     Gx = np.asarray(Gx, dtype=float)
     u = np.asarray(u, dtype=float)
     return _row_dot(Gx, u[..., None, :])
-
-
-def eval_dynamics(sys: SystemModel, x, u) -> np.ndarray:
-    """Evaluate xdot = f(x) + G(x) u."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape[-1] != sys.n or u.shape[-1] != sys.m:
-        raise ValueError("state or input dimension mismatch")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-        raise ValueError("state and input must be finite")
-    return np.asarray(sys.f(x), float) + apply_input(sys.G(x), u)
 
 
 def linearize(sys: SystemModel) -> tuple[np.ndarray, np.ndarray]:
@@ -320,13 +305,11 @@ def lti_system(A, B, name: str = "lti"):
 
 __all__ = [
     "Domain",
-    "DomainViolation",
     "FeedbackLinearization",
     "NonFiniteJacobian",
     "PendulumParams",
     "SystemModel",
     "apply_input",
-    "eval_dynamics",
     "fd_jacobian",
     "linearize",
     "lti_system",

@@ -89,13 +89,18 @@ class CostReport:
     stabilized: bool
 
 
+def _dynamics(sys: SystemModel, X, U) -> np.ndarray:
+    """xdot = f(x) + G(x) u at given states and inputs."""
+    return np.asarray(sys.f(X), dtype=float) + apply_input(sys.G(X), U)
+
+
 def _closed_loop_deriv(sys: SystemModel, controller, X) -> np.ndarray:
     """f(x) + G(x) u(x); a Sontag controller supplies it from the model
     evaluation its law already makes."""
     fused = getattr(controller, "closed_loop_deriv", None)
     if fused is not None:
         return fused(X)
-    return np.asarray(sys.f(X), dtype=float) + apply_input(sys.G(X), controller.u(X))
+    return _dynamics(sys, X, controller.u(X))
 
 
 def rk4_step(sys: SystemModel, controller, x, h: float, *, u0=None, zoh: bool = False,
@@ -108,26 +113,21 @@ def rk4_step(sys: SystemModel, controller, x, h: float, *, u0=None, zoh: bool = 
     f(x) + G(x) u0 that goes with it. Accepts stacked states.
     """
     x = np.asarray(x, dtype=float)
-
-    def deriv(xs, us):
-        return np.asarray(sys.f(xs), dtype=float) + apply_input(sys.G(xs), us)
-
     if zoh:
-        u1 = controller.u(x) if u0 is None else np.asarray(u0, dtype=float)
-        if k1 is None:
-            k1 = deriv(x, u1)
-        k2 = deriv(x + (0.5 * h) * k1, u1)
-        k3 = deriv(x + (0.5 * h) * k2, u1)
-        k4 = deriv(x + h * k3, u1)
+        if u0 is None:
+            u0 = controller.u(x)
+
+        def stage(xs):
+            return _dynamics(sys, xs, u0)
     else:
         def stage(xs):
             return _closed_loop_deriv(sys, controller, xs)
 
-        if k1 is None:
-            k1 = deriv(x, np.asarray(u0, dtype=float)) if u0 is not None else stage(x)
-        k2 = stage(x + (0.5 * h) * k1)
-        k3 = stage(x + (0.5 * h) * k2)
-        k4 = stage(x + h * k3)
+    if k1 is None:
+        k1 = stage(x) if u0 is None else _dynamics(sys, x, u0)
+    k2 = stage(x + (0.5 * h) * k1)
+    k3 = stage(x + (0.5 * h) * k2)
+    k4 = stage(x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -203,7 +203,6 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
     states = [x0]
     inputs: list[np.ndarray] = []
     lams: list[float] = []
-    values = None if clf is None else [float(clf.value(x0))]
     flags: list[list[str]] = [[]]
 
     def record(s: _Step) -> None:
@@ -220,15 +219,14 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
             return
         states.append(s.X_new)
         flags.append([FLAG_DIVERGENCE] if s.x_max > DIVERGENCE_GUARD else [])
-        if values is not None:
-            values.append(float(clf.value(s.X_new)))
 
     stabilized, halted = _rollout(sys, controller, x0, cfg.h, cfg.n_steps, cfg.zoh, record)
+    X = np.array(states)
     return Trajectory(
         times=cfg.h * np.arange(len(states)),
-        states=np.array(states),
+        states=X,
         inputs=np.array(inputs, dtype=float).reshape(len(inputs), sys.m),
-        clf_values=None if values is None else np.array(values),
+        clf_values=None if clf is None else np.asarray(clf.value(X), dtype=float),
         lambdas=np.array(lams) if is_sontag else None,
         flags=[";".join(f) for f in flags],
         diverged=bool(halted),
@@ -242,17 +240,18 @@ def _running_cost(X, U, Q, R) -> np.ndarray:
     return _row_dot(X @ Q, X) + _row_dot(U @ R, U)
 
 
-def cost_index(traj: Trajectory, Q, R, h: float) -> float:
+def cost_index(traj: Trajectory, Q, R) -> float:
     """Discrete quadratic performance index (h/2) sum x'Qx + u'Ru over
-    the step-start samples. Diverged runs cost +inf."""
+    the step-start samples, with the trajectory's step h. Diverged runs
+    cost +inf."""
     Q = as_square(Q, "Q")
     R = as_square(R, "R")
     if traj.diverged:
         return float("inf")
-    return float(0.5 * h * np.sum(_running_cost(traj.states[:-1], traj.inputs, Q, R)))
+    return float(0.5 * traj.h * np.sum(_running_cost(traj.states[:-1], traj.inputs, Q, R)))
 
 
-def distorted_cost(traj: Trajectory, Q, R, h: float) -> tuple[float, int]:
+def distorted_cost(traj: Trajectory, Q, R) -> tuple[float, int]:
     """Inverse-optimal cost: the quadratic running cost weighted by the
     reciprocal scaling factor, with 1 substituted where the factor is
     undefined. Returns the cost and the substitution count.
@@ -274,13 +273,13 @@ def distorted_cost(traj: Trajectory, Q, R, h: float) -> tuple[float, int]:
         return float("inf"), fallback
     w = np.where(undefined, 1.0, lam)
     cost = _running_cost(traj.states[:-1], traj.inputs, Q, R)
-    return float(0.5 * h * np.sum(cost / w)), fallback
+    return float(0.5 * traj.h * np.sum(cost / w)), fallback
 
 
 def make_cost_report(traj: Trajectory, Q, R) -> CostReport:
-    j_dist, fallback = distorted_cost(traj, Q, R, traj.h)
+    j_dist, fallback = distorted_cost(traj, Q, R)
     return CostReport(
-        j_quadratic=cost_index(traj, Q, R, traj.h),
+        j_quadratic=cost_index(traj, Q, R),
         j_distorted=j_dist,
         lambda_fallback_count=fallback,
         stabilized=traj.stabilized,
@@ -338,7 +337,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     final state row.
     """
     n = traj.states.shape[1]
-    m = traj.inputs.shape[1] if traj.inputs.size else 1
+    m = traj.inputs.shape[1]
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"u{j + 1}" for j in range(m)] + ["V", "lambda", "flags"])
     n_inputs = traj.inputs.shape[0]

@@ -111,16 +111,15 @@ def test_criterion_4_hjb_identity():
             design = solve_care(A, B, Q, R)
             sys_m, _ = lti_system(A, B)
             clf = build_lqr_clf(design)
-            for _ in range(100):
-                x = rng.normal(size=A.shape[0])
-                res = hjb_residual(clf, sys_m, Q, R, x)
-                assert abs(res) <= 1e-9 * (1.0 + float(x @ x))
+            X = rng.normal(size=(100, A.shape[0]))
+            res = hjb_residual(clf, sys_m, Q, R, X)
+            assert np.all(np.abs(res) <= 1e-9 * (1.0 + np.sum(X * X, axis=-1)))
             ctrl = SontagController(clf, sys_m, Q, R)
             cfg = SimConfig(h=0.01, n_steps=1500, x0=rng.normal(size=A.shape[0]))
             traj = simulate(sys_m, ctrl, cfg, clf=clf)
             assert not traj.diverged
-            jq = cost_index(traj, Q, R, cfg.h)
-            jd, _ = distorted_cost(traj, Q, R, cfg.h)
+            jq = cost_index(traj, Q, R)
+            jd, _ = distorted_cost(traj, Q, R)
             assert jd == pytest.approx(jq, rel=1e-9)
 
 

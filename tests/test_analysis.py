@@ -207,7 +207,7 @@ class TestSweep:
                                 x0=np.array([np.radians(theta), 0.0]))
             traj = simulate(sys_m, designs["sontag"], run_cfg)
             assert result.j_sontag[row] == pytest.approx(
-                cost_index(traj, Q, R, 0.01), rel=1e-9)
+                cost_index(traj, Q, R), rel=1e-9)
 
     def test_csv_encoding(self, tmp_path, small_sweep):
         path = tmp_path / "sweep.csv"

@@ -12,11 +12,7 @@ from sontagctl.clf import (
 )
 from sontagctl.control import SontagController
 from sontagctl.linalg import NotPositiveDefinite, SingularMatrix
-from sontagctl.model import (
-    DomainViolation,
-    FeedbackLinearization,
-    SystemModel,
-)
+from sontagctl.model import FeedbackLinearization, SystemModel
 from sontagctl.riccati import solve_care
 
 
@@ -74,12 +70,12 @@ class TestTransformedClf:
         np.testing.assert_allclose(trans.value(X), quad.value(X), rtol=1e-14)
         np.testing.assert_allclose(trans.grad(X), quad.grad(X), rtol=1e-14)
 
-    def test_domain_violation_raised(self, pendulum, dbl_int_design):
+    def test_control_nan_outside_domain(self, pendulum, dbl_int_design):
         sys_m, fbl = pendulum
         trans = TransformedClf(dbl_int_design.P, fbl)
         ctrl = SontagController(trans, sys_m, dbl_int_design.Q, dbl_int_design.R)
-        with pytest.raises(DomainViolation):
-            ctrl.evaluate([np.pi / 2, 0.0])
+        u = ctrl.u([np.pi / 2, 0.0])
+        assert u.shape == (1,) and np.isnan(u).all()
 
     def test_batch_value_nan_outside_domain(self, pendulum, dbl_int_design):
         _, fbl = pendulum
@@ -177,6 +173,18 @@ class TestClfCondition:
         for _ in range(100):
             x = rng.normal(size=2)
             assert clf_condition_at(dbl_int_clf, sys_m, x)
+
+    def test_row_mask(self, pendulum, dbl_int_design):
+        # stacked states give one verdict per row, False outside the
+        # CLF domain
+        sys_m, fbl = pendulum
+        trans = TransformedClf(dbl_int_design.P, fbl)
+        rng = np.random.default_rng(4007)
+        X = np.stack([rng.uniform(-1.4, 1.4, 50), rng.uniform(-4, 4, 50)], axis=-1)
+        X[0] = [2.0, 0.0]
+        mask = clf_condition_at(trans, sys_m, X)
+        assert mask.shape == (50,) and not mask[0]
+        np.testing.assert_array_equal(mask, [clf_condition_at(trans, sys_m, x) for x in X])
 
 
 def _quadratic_transform_fbl():

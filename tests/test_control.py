@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from sontagctl.clf import build_lqr_clf, clf_condition_at, lie_terms
 from sontagctl.control import (
-    Branch,
     FblController,
     LqrController,
     SontagController,
+    _clf_violations,
+    _lambda_array,
     fbl_gain_design,
     hjb_residual,
-    lambda_factor,
     synthesize_design,
 )
 from sontagctl.model import FeedbackLinearization, apply_input, lti_system
@@ -34,32 +34,19 @@ class TestLambdaFactor:
         # arithmetic is exact in binary floating point
         for q, beta in ((1.0, 4.0), (4.0, 1.0), (0.25, 16.0), (16.0, 0.25)):
             a = (beta - q) / 2.0
-            assert lambda_factor(a, q, beta) == 1.0
+            assert _lambda_array(a, q, beta) == 1.0
 
     def test_riccati_relation_random(self):
         rng = np.random.default_rng(5001)
         for _ in range(200):
             q = float(rng.uniform(1e-6, 1e3))
             beta = float(rng.uniform(1e-6, 1e3))
-            assert lambda_factor((beta - q) / 2.0, q, beta) == pytest.approx(1.0, rel=1e-12)
+            lam = float(_lambda_array((beta - q) / 2.0, q, beta))
+            assert lam == pytest.approx(1.0, rel=1e-12)
 
     def test_simple_values(self):
-        assert lambda_factor(0.0, 1.0, 1.0) == 1.0
-        assert lambda_factor(-3.0, 0.0, 1.0) == 0.0
-        assert lambda_factor(3.0, 0.0, 1.0) == 6.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lambda_factor(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            lambda_factor(0.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            lambda_factor(np.nan, 1.0, 1.0)
-
-    def test_overflow(self):
-        from sontagctl.control import NonFinite
-        with pytest.raises(NonFinite):
-            lambda_factor(1e308, 1e300, 1e-300)
+        np.testing.assert_array_equal(
+            _lambda_array([0.0, -3.0, 3.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0]), [1.0, 0.0, 6.0])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -71,12 +58,13 @@ class TestLambdaFactor:
         # the branch selection must survive the cancellation regime
         # (a < 0 with q*beta far below a^2), where the naive form loses
         # every significant digit
-        lam = lambda_factor(a, q, beta)
+        lam = float(_lambda_array(a, q, beta))
         ref = lambda_reference(a, q, beta)
         assert lam == pytest.approx(ref, rel=1e-12, abs=5e-324)
 
     def test_both_forms_agree_when_stable(self):
-        # away from the cancellation regime the two algebraic forms match
+        # away from the cancellation regime the two algebraic forms
+        # match, and the branch-selected factor matches both
         rng = np.random.default_rng(5002)
         for _ in range(300):
             a = float(rng.uniform(-1e3, 1e3))
@@ -88,15 +76,15 @@ class TestLambdaFactor:
             direct = (a + s) / beta
             rationalized = q / (s - a)
             assert direct == pytest.approx(rationalized, rel=1e-12)
+            assert float(_lambda_array(a, q, beta)) == pytest.approx(direct, rel=1e-12)
 
 
 class TestSontagControl:
     def test_zero_state(self, pendulum, pendulum_designs):
-        ev = pendulum_designs["i"].controller.evaluate(np.zeros(2))
-        np.testing.assert_array_equal(ev.u, np.zeros(1))
-        assert ev.branch is Branch.ZERO
-        assert ev.lam is None
-        assert not ev.clf_violation
+        p = pendulum_designs["i"].controller._parts(np.zeros(2))
+        np.testing.assert_array_equal(p.U, np.zeros(1))
+        assert not p.nonzero
+        assert not _clf_violations(p)
 
     def test_lqr_recovery_random_systems(self):
         rng = np.random.default_rng(5003)
@@ -118,15 +106,15 @@ class TestSontagControl:
         ctrl = SontagController(dbl_int_clf, sys_m, dbl_int_design.Q, dbl_int_design.R)
         rng = np.random.default_rng(5004)
         for _ in range(100):
-            ev = ctrl.evaluate(rng.normal(size=2))
-            assert ev.branch is Branch.NONZERO
-            assert abs(ev.lam - 1.0) <= 1e-10
+            p = ctrl._parts(rng.normal(size=2))
+            assert p.nonzero
+            assert abs(p.lam - 1.0) <= 1e-10
 
     def test_local_lqr_recovery_on_pendulum(self, pendulum, pendulum_designs):
         ctrl = pendulum_designs["i"].controller
         K = pendulum_designs["i"].lqr.K
         x = np.array([1e-4, 0.0])
-        u_s = ctrl.evaluate(x).u
+        u_s = ctrl.u(x)
         u_l = -(K @ x)
         assert np.abs(u_s - u_l).max() / np.abs(u_l).max() <= 1e-3
 
@@ -136,10 +124,10 @@ class TestSontagControl:
         rng = np.random.default_rng(5005)
         for _ in range(30):
             x = rng.normal(size=2)
-            base = ctrl.evaluate(x)
+            base = ctrl._parts(x)
             for c in (0.5, 2.0, 10.0):
-                scaled = ctrl.evaluate(c * x)
-                np.testing.assert_allclose(scaled.u, c * base.u, rtol=1e-12)
+                scaled = ctrl._parts(c * x)
+                np.testing.assert_allclose(scaled.U, c * base.U, rtol=1e-12)
                 assert scaled.lam == pytest.approx(base.lam, rel=1e-12)
 
     def test_decay_identity(self, pendulum, pendulum_designs):
@@ -151,13 +139,13 @@ class TestSontagControl:
         checked = 0
         while checked < 100:
             x = np.array([rng.uniform(-1.4, 1.4), rng.uniform(-4, 4)])
-            ev = ctrl.evaluate(x)
-            if ev.branch is not Branch.NONZERO:
+            p = ctrl._parts(x)
+            if not p.nonzero:
                 continue
             ld = lie_terms(clf, sys_m, x)
             beta = float(ld.b @ np.linalg.solve(ctrl.R, ld.b))
             q = float(x @ ctrl.Q @ x)
-            lhs = ld.a + float(ld.b @ ev.u)
+            lhs = ld.a + float(ld.b @ p.U)
             rhs = -np.sqrt(ld.a**2 + q * beta)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
             checked += 1
@@ -168,9 +156,9 @@ class TestSontagControl:
         rng = np.random.default_rng(5007)
         for _ in range(200):
             x = np.array([rng.uniform(-1.4, 1.4), rng.uniform(-4, 4)])
-            ev = res.controller.evaluate(x)
-            if ev.branch is Branch.NONZERO and clf_condition_at(res.clf, sys_m, x):
-                assert ev.lam > 0.0
+            p = res.controller._parts(x)
+            if p.nonzero and clf_condition_at(res.clf, sys_m, x):
+                assert p.lam > 0.0
 
     def test_bounded_near_vanishing_b(self, pendulum, pendulum_designs):
         # approaching a zero of b inside the certified region, the
@@ -308,9 +296,20 @@ class TestHjbResidual:
         for _ in range(100):
             x = rng.normal(size=2)
             res = hjb_residual(dbl_int_clf, sys_m, dbl_int_design.Q, dbl_int_design.R, x)
-            ev = ctrl.evaluate(x)
-            if abs(res) <= 1e-9 * (1.0 + float(x @ x)) and ev.branch is Branch.NONZERO:
-                assert ev.lam == pytest.approx(1.0, abs=1e-9)
+            p = ctrl._parts(x)
+            if abs(res) <= 1e-9 * (1.0 + float(x @ x)) and p.nonzero:
+                assert p.lam == pytest.approx(1.0, abs=1e-9)
+
+    def test_batch_matches_rows(self, pendulum, pendulum_designs):
+        sys_m, _ = pendulum
+        res = pendulum_designs["ii"]
+        rng = np.random.default_rng(5015)
+        X = np.stack([rng.uniform(-1.4, 1.4, 200), rng.uniform(-4, 4, 200)], axis=-1)
+        X[0] = [2.0, 0.0]   # outside the transformed CLF's domain
+        batch = hjb_residual(res.clf, sys_m, res.lqr.Q, res.lqr.R, X)
+        rows = [hjb_residual(res.clf, sys_m, res.lqr.Q, res.lqr.R, x) for x in X]
+        assert batch.shape == (200,) and np.isnan(batch[0])
+        np.testing.assert_allclose(batch, rows, rtol=1e-12)
 
 
 def _bits(x) -> bytes:

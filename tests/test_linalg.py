@@ -13,8 +13,8 @@ from sontagctl.linalg import (
     is_hurwitz,
     matrix_sign,
     max_abs,
-    solve_linear,
     solve_lyapunov,
+    solve_many,
     symmetrize,
 )
 
@@ -22,26 +22,29 @@ from conftest import random_spd
 
 
 class TestSolveLinear:
+    """Linear solves A x = b through solve_many with a one-column
+    right-hand side."""
+
     def test_identity(self):
-        x = solve_linear(np.eye(2), [3.0, -1.0])
-        np.testing.assert_array_equal(x, [3.0, -1.0])
+        x = solve_many(np.eye(2), [[3.0], [-1.0]])
+        np.testing.assert_array_equal(x, [[3.0], [-1.0]])
 
     def test_diagonal(self):
         # direct substitution: [[2,0],[0,4]] @ (1, 2) = (2, 8)
-        x = solve_linear([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0])
-        np.testing.assert_allclose(x, [1.0, 2.0], rtol=1e-14)
+        x = solve_many([[2.0, 0.0], [0.0, 4.0]], [[2.0], [8.0]])
+        np.testing.assert_allclose(x, [[1.0], [2.0]], rtol=1e-14)
 
     def test_rank_one_raises(self):
         with pytest.raises(SingularMatrix):
-            solve_linear([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0])
+            solve_many([[1.0, 1.0], [1.0, 1.0]], [[1.0], [0.0]])
 
     def test_nonconformable(self):
         with pytest.raises(ValueError):
-            solve_linear(np.eye(2), [1.0, 2.0, 3.0])
+            solve_many(np.eye(2), [[1.0], [2.0], [3.0]])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            solve_linear([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0])
+            solve_many([[np.nan, 0.0], [0.0, 1.0]], [[1.0], [1.0]])
 
     def test_random_residual(self):
         rng = np.random.default_rng(1001)
@@ -51,8 +54,8 @@ class TestSolveLinear:
             A = rng.normal(size=(n, n))
             if np.linalg.cond(A) >= 1e6:
                 continue
-            b = rng.normal(size=n)
-            x = solve_linear(A, b)
+            b = rng.normal(size=(n, 1))
+            x = solve_many(A, b)
             res = max_abs(A @ x - b)
             assert res <= 1e-9 * (1.0 + max_abs(b))
             checked += 1

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sontagctl.control import LqrController, SontagController
-from sontagctl.model import SystemModel
+from sontagctl.control import LqrController, SontagController, synthesize_design
+from sontagctl.model import SystemModel, lti_system
 from sontagctl.sim import (
     FLAG_DIVERGENCE,
     FLAG_DOMAIN,
@@ -80,7 +80,7 @@ class TestSimulate:
         traj = simulate(sys_m, res.controller, cfg, clf=res.clf)
         np.testing.assert_array_equal(traj.states, np.zeros((201, 2)))
         assert traj.stabilized
-        assert cost_index(traj, res.lqr.Q, res.lqr.R, cfg.h) == 0.0
+        assert cost_index(traj, res.lqr.Q, res.lqr.R) == 0.0
 
     def test_shapes_and_times(self, pendulum, pendulum_designs):
         sys_m, _ = pendulum
@@ -118,7 +118,7 @@ class TestSimulate:
         assert traj.diverged and not traj.stabilized
         assert FLAG_DIVERGENCE in traj.flags[-1]
         assert traj.states.shape[0] < 51
-        assert cost_index(traj, np.eye(1), np.eye(1), 0.1) == np.inf
+        assert cost_index(traj, np.eye(1), np.eye(1)) == np.inf
 
     def test_domain_violation_halts(self, pendulum, pendulum_designs):
         sys_m, _ = pendulum
@@ -137,8 +137,8 @@ class TestSimulate:
         assert traj.stabilized
         cfg2 = SimConfig(x0=np.array([np.radians(25.0), 0.0]), zoh=False)
         traj2 = simulate(sys_m, res.controller, cfg2, clf=res.clf)
-        j1 = cost_index(traj, res.lqr.Q, res.lqr.R, cfg.h)
-        j2 = cost_index(traj2, res.lqr.Q, res.lqr.R, cfg.h)
+        j1 = cost_index(traj, res.lqr.Q, res.lqr.R)
+        j2 = cost_index(traj2, res.lqr.Q, res.lqr.R)
         assert j1 != j2 and abs(j1 - j2) / j2 < 0.05
 
     def test_clf_decreases_along_sontag_run(self, pendulum, pendulum_designs):
@@ -160,12 +160,12 @@ def _constant_trajectory(n_steps=1500, h=0.01):
 class TestCosts:
     def test_constant_state(self):
         traj = _constant_trajectory()
-        assert cost_index(traj, np.eye(2), np.eye(1), 0.01) == pytest.approx(7.5, rel=1e-12)
+        assert cost_index(traj, np.eye(2), np.eye(1)) == pytest.approx(7.5, rel=1e-12)
 
     def test_q_scaling_linearity(self):
         traj = _constant_trajectory(n_steps=100)
-        j1 = cost_index(traj, np.eye(2), np.eye(1), 0.01)
-        j2 = cost_index(traj, 2.0 * np.eye(2), np.eye(1), 0.01)
+        j1 = cost_index(traj, np.eye(2), np.eye(1))
+        j2 = cost_index(traj, 2.0 * np.eye(2), np.eye(1))
         assert j2 == pytest.approx(2.0 * j1, rel=1e-13)
 
     def test_reindexing_invariance(self):
@@ -174,8 +174,8 @@ class TestCosts:
         shifted = Trajectory(times=traj.times + 5.0, states=traj.states,
                              inputs=traj.inputs, clf_values=None, lambdas=None,
                              flags=traj.flags, h=traj.h)
-        assert cost_index(traj, np.eye(2), np.eye(1), 0.01) == \
-            cost_index(shifted, np.eye(2), np.eye(1), 0.01)
+        assert cost_index(traj, np.eye(2), np.eye(1)) == \
+            cost_index(shifted, np.eye(2), np.eye(1))
 
     def test_sontag_cost_equals_lqr_cost_on_lti(self, double_integrator,
                                                 dbl_int_design, dbl_int_clf):
@@ -184,10 +184,8 @@ class TestCosts:
         sontag = SontagController(dbl_int_clf, sys_m, dbl_int_design.Q, dbl_int_design.R)
         lqr = LqrController(dbl_int_design.K)
         cfg = SimConfig(x0=np.array([1.2, -0.7]))
-        j_sontag = cost_index(simulate(sys_m, sontag, cfg), dbl_int_design.Q,
-                              dbl_int_design.R, cfg.h)
-        j_lqr = cost_index(simulate(sys_m, lqr, cfg), dbl_int_design.Q,
-                           dbl_int_design.R, cfg.h)
+        j_sontag = cost_index(simulate(sys_m, sontag, cfg), dbl_int_design.Q, dbl_int_design.R)
+        j_lqr = cost_index(simulate(sys_m, lqr, cfg), dbl_int_design.Q, dbl_int_design.R)
         assert j_sontag == pytest.approx(j_lqr, rel=1e-9)
 
     def test_distorted_equals_quadratic_on_lti(self, double_integrator,
@@ -196,8 +194,8 @@ class TestCosts:
         ctrl = SontagController(dbl_int_clf, sys_m, dbl_int_design.Q, dbl_int_design.R)
         cfg = SimConfig(x0=np.array([1.0, 0.5]))
         traj = simulate(sys_m, ctrl, cfg, clf=dbl_int_clf)
-        jq = cost_index(traj, dbl_int_design.Q, dbl_int_design.R, cfg.h)
-        jd, fallback = distorted_cost(traj, dbl_int_design.Q, dbl_int_design.R, cfg.h)
+        jq = cost_index(traj, dbl_int_design.Q, dbl_int_design.R)
+        jd, fallback = distorted_cost(traj, dbl_int_design.Q, dbl_int_design.R)
         assert jd == pytest.approx(jq, rel=1e-9)
 
     def test_all_zero_run_counts_fallbacks(self, pendulum, pendulum_designs):
@@ -205,7 +203,7 @@ class TestCosts:
         res = pendulum_designs["i"]
         cfg = SimConfig(n_steps=50, x0=np.zeros(2))
         traj = simulate(sys_m, res.controller, cfg, clf=res.clf)
-        jd, fallback = distorted_cost(traj, res.lqr.Q, res.lqr.R, cfg.h)
+        jd, fallback = distorted_cost(traj, res.lqr.Q, res.lqr.R)
         assert jd == 0.0
         assert fallback == 50
 
@@ -217,7 +215,7 @@ class TestCosts:
         res = pendulum_designs["i"]
         cfg = SimConfig(x0=np.array([np.radians(25.0), 0.0]))
         traj = simulate(sys_m, res.controller, cfg, clf=res.clf)
-        jd, fallback = distorted_cost(traj, res.lqr.Q, res.lqr.R, cfg.h)
+        jd, fallback = distorted_cost(traj, res.lqr.Q, res.lqr.R)
         assert np.isfinite(jd)
         undefined = ~np.isfinite(traj.lambdas)
         norms = np.abs(traj.states[:-1]).max(axis=1)
@@ -231,7 +229,7 @@ class TestCosts:
                          clf_values=None, lambdas=np.full(10, -1.0),
                          flags=traj.flags, h=traj.h)
         with pytest.raises(NonPositiveLambda):
-            distorted_cost(bad, np.eye(2), np.eye(1), 0.01)
+            distorted_cost(bad, np.eye(2), np.eye(1))
 
     def test_cost_report(self, pendulum, pendulum_designs):
         sys_m, _ = pendulum
@@ -285,7 +283,7 @@ class TestBatchRollout:
             for row, th in enumerate(thetas):
                 cfg = SimConfig(x0=np.array([th, 0.0]))
                 traj = simulate(sys_m, ctrl, cfg)
-                assert J[row] == pytest.approx(cost_index(traj, Q, R, 0.01), rel=1e-9)
+                assert J[row] == pytest.approx(cost_index(traj, Q, R), rel=1e-9)
                 assert bool(stab[row]) == traj.stabilized
 
     def test_diverged_rows_frozen(self):
@@ -346,3 +344,17 @@ class TestTrajectoryCsv:
         write_trajectory_csv(traj, path)
         for line in path.read_text().splitlines()[1:]:
             assert line.split(",")[5] == ""
+
+    def test_header_when_halted_before_first_input(self, tmp_path):
+        # -Kx overflows at the first step, so the run records no input;
+        # the header still names both inputs
+        sys_m, fbl = lti_system([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
+        res = synthesize_design("iv", sys_m, fbl, np.eye(2), np.eye(2))
+        cfg = SimConfig(n_steps=5, x0=np.array([1.7e308, 1.7e308]))
+        traj = simulate(sys_m, res.controller, cfg)
+        assert traj.inputs.shape == (0, 2) and FLAG_DOMAIN in traj.flags[0]
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,x1,x2,u1,u2,V,lambda,flags"
+        assert len(lines[1].split(",")) == 8
