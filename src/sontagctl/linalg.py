@@ -1,20 +1,17 @@
 """Dense linear algebra kernels for small control-design problems.
 
 All routines operate on float64 numpy arrays at desk scale (dimensions
-of order ten) and certify their own results: linear solves check pivot
-magnitudes, and positive definiteness is certified by an actual Cholesky
-factorization. One matrix-sign kernel, a Newton iteration built on LU
-inversions alone, replaces eigensolvers: the Hurwitz test certifies
-sign(A) = -I, and Lyapunov equations are read off the sign of a block
-matrix.
+of order ten) and certify their own results: every LU solve checks the
+1-norm condition number of its matrix, and positive definiteness is
+certified by an actual Cholesky factorization. One matrix-sign kernel,
+a Newton iteration built on LU inversions alone, replaces eigensolvers:
+the Hurwitz test certifies sign(A) = -I, and Lyapunov equations are read
+off the sign of a block matrix.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 
 class LinalgError(Exception):
@@ -22,7 +19,7 @@ class LinalgError(Exception):
 
 
 class SingularMatrix(LinalgError):
-    """Pivoting detected numerical rank deficiency."""
+    """The condition certificate detected numerical rank deficiency."""
 
 
 class NotSymmetric(LinalgError):
@@ -33,7 +30,8 @@ class NotPositiveDefinite(LinalgError):
     """Cholesky factorization hit a nonpositive pivot."""
 
 
-#: Pivots below this fraction of the largest pivot count as zero.
+#: A matrix whose 1-norm condition number exceeds 1/PIVOT_RTOL counts
+#: as singular.
 PIVOT_RTOL = 1e-12
 #: Allowed relative asymmetry of inputs that must be symmetric.
 SYMMETRY_RTOL = 1e-12
@@ -119,16 +117,28 @@ def _check_symmetric(M: np.ndarray, name: str) -> None:
         raise NotSymmetric(f"{name} deviates from symmetry by {dev:.3e}")
 
 
-def _lu_factor(A: np.ndarray):
-    """LU with partial pivoting; raises SingularMatrix on tiny pivots."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    largest = float(pivots.max())
-    if largest == 0.0 or float(pivots.min()) < PIVOT_RTOL * largest:
-        raise SingularMatrix("pivot below rank-deficiency threshold")
-    return lu, piv
+def _certified_solve(A: np.ndarray, B: np.ndarray):
+    """(A^{-1} B, A^{-1}) from one LU factorization of A.
+
+    One LAPACK gesv on [B | I] yields both. The inverse is the condition
+    certificate: SingularMatrix unless ||A||_1 ||A^{-1}||_1 is at most
+    1/PIVOT_RTOL, which also catches an exactly zero pivot and an
+    inverse that overflowed.
+    """
+    k = B.shape[1]
+    try:
+        sol = np.linalg.solve(A, np.hstack([B, np.eye(A.shape[0])]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("exactly singular matrix") from exc
+    inv = sol[:, k:]
+    if not np.linalg.norm(A, 1) * np.linalg.norm(inv, 1) <= 1.0 / PIVOT_RTOL:
+        raise SingularMatrix("condition number beyond rank-deficiency threshold")
+    return sol[:, :k], inv
+
+
+def _certified_inverse(A: np.ndarray) -> np.ndarray:
+    """A^{-1} under the condition certificate of ``_certified_solve``."""
+    return _certified_solve(A, np.empty((A.shape[0], 0)))[1]
 
 
 def solve_many(A, B) -> np.ndarray:
@@ -137,7 +147,7 @@ def solve_many(A, B) -> np.ndarray:
     B = as_matrix(B, "B")
     if B.shape[0] != A.shape[0]:
         raise ValueError("right-hand side does not conform with A")
-    return scipy.linalg.lu_solve(_lu_factor(A), B, check_finite=False)
+    return _certified_solve(A, B)[0]
 
 
 def cholesky_pd(M) -> np.ndarray:
@@ -158,19 +168,20 @@ def cholesky_pd(M) -> np.ndarray:
 def matrix_sign(Z) -> np.ndarray:
     """sign(Z) by the determinant-scaled Newton iteration.
 
-    Iterates Z <- (c Z + (c Z)^{-1}) / 2 with c = |det Z|^{-1/n}, read
-    off the LU pivots, until successive iterates agree to ``SIGN_RTOL``.
-    sign(Z) has the eigenvectors of Z with eigenvalues -1 for the stable
-    and +1 for the unstable ones. Raises SingularMatrix when an iterate
-    is singular or the iteration does not settle, which is what
-    eigenvalues on or near the imaginary axis cause.
+    Iterates Z <- (c Z + (c Z)^{-1}) / 2 with c = |det Z|^{-1/n}, taken
+    from ``np.linalg.slogdet``, until successive iterates agree to
+    ``SIGN_RTOL``. sign(Z) has the eigenvectors of Z with eigenvalues -1
+    for the stable and +1 for the unstable ones. Raises SingularMatrix
+    when an iterate fails the condition certificate or the iteration
+    does not settle, which is what eigenvalues on or near the imaginary
+    axis cause.
     """
     Z = as_square(Z, "Z")
-    eye = np.eye(Z.shape[0])
+    n = Z.shape[0]
     for _ in range(MAX_NEWTON_ITER):
-        lu_piv = _lu_factor(Z)
-        c = np.exp(-np.mean(np.log(np.abs(np.diag(lu_piv[0])))))
-        Z_next = 0.5 * (c * Z + scipy.linalg.lu_solve(lu_piv, eye, check_finite=False) / c)
+        Z_inv = _certified_inverse(Z)
+        c = np.exp(-np.linalg.slogdet(Z)[1] / n)
+        Z_next = 0.5 * (c * Z + Z_inv / c)
         if max_abs(Z_next - Z) <= SIGN_RTOL * max_abs(Z_next):
             return Z_next
         Z = Z_next

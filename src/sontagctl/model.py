@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import SingularMatrix, _lu_factor, _row_dot, as_matrix, as_square, max_abs
+from .linalg import SingularMatrix, _certified_inverse, _row_dot, as_matrix, as_square, max_abs
 
 EQUILIBRIUM_TOL = 1e-12
 #: Default relative step for central finite differences.
@@ -90,7 +90,7 @@ class FeedbackLinearization:
         if J.shape[0] != n:
             raise ValueError("J_T0 must be n-by-n")
         try:
-            _lu_factor(J)
+            _certified_inverse(J)
         except SingularMatrix as exc:
             raise ValueError("J_T0 must be invertible") from exc
         zero = np.zeros(n)
@@ -105,7 +105,7 @@ class FeedbackLinearization:
         if gamma0.shape != (m, m):
             raise ValueError("gamma must map (n,) to (m, m)")
         try:
-            _lu_factor(gamma0)
+            _certified_inverse(gamma0)
         except SingularMatrix as exc:
             raise ValueError("gamma must be nonsingular at the origin") from exc
 

@@ -39,9 +39,14 @@ class BadWeights(Exception):
     """Q or R failed the positive-definiteness certificate."""
 
 
-#: A non-decreasing Newton step below this relative size counts as the
-#: round-off plateau; the final residual certificate still has to pass.
+#: Newton steps below this relative size are at the round-off plateau,
+#: where Newton's quadratic convergence leaves only rounding noise. The
+#: refinement stops at the first plateau step that fails to halve the
+#: step before it, and at the latest at the ``MAX_PLATEAU_STEPS``-th
+#: plateau step, since halving noise is a coin toss; the final residual
+#: certificate still has to pass.
 PLATEAU_RTOL = 1e-9
+MAX_PLATEAU_STEPS = 3
 #: Relative residual bound certified for every returned solution.
 RESIDUAL_RTOL = 1e-8
 
@@ -106,13 +111,16 @@ def solve_care(A, B, Q, R) -> LqrDesign:
     try:
         P = _sign_start(A, B, Q, R)
         step_prev = np.inf
+        plateau_steps = 0
         for _ in range(MAX_NEWTON_ITER):
             K = solve_many(R, B.T @ P)
             D = solve_lyapunov(A - B @ K, symmetrize(A.T @ P + P @ A - P @ B @ K + Q))
             P = P + D
             step = max_abs(D)
-            if step >= step_prev and step <= PLATEAU_RTOL * max_abs(P):
-                break
+            if step <= PLATEAU_RTOL * max_abs(P):
+                plateau_steps += 1
+                if step >= 0.5 * step_prev or plateau_steps == MAX_PLATEAU_STEPS:
+                    break
             step_prev = step
         else:
             raise NotStabilizable("Newton defect correction did not settle")

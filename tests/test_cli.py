@@ -27,6 +27,25 @@ def small_config(tmp_path):
     return path
 
 
+IMPORT_FOOTPRINT = """
+import sys
+import sontagctl
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, f"import sontagctl: {loaded}"
+import sontagctl.cli
+assert sontagctl.cli.main(["synthesize"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, f"synthesize: {loaded}"
+"""
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    # scipy is the tests' oracle, not a dependency of the package
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT], capture_output=True,
+                          text=True, cwd=tmp_path, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestSynthesize:
     def test_pendulum_defaults(self):
         proc = run_cli("synthesize")

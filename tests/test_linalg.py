@@ -17,6 +17,7 @@ from sontagctl.linalg import (
     solve_many,
     symmetrize,
 )
+from sontagctl.model import FeedbackLinearization
 
 from conftest import random_spd
 
@@ -59,6 +60,56 @@ class TestSolveLinear:
             res = max_abs(A @ x - b)
             assert res <= 1e-9 * (1.0 + max_abs(b))
             checked += 1
+
+
+class TestConditionCertificate:
+    """solve_many and matrix_sign share one certificate: a matrix whose
+    1-norm condition number exceeds 1/PIVOT_RTOL = 1e12 is singular."""
+
+    # unit pivots, so no pivot test sees it, but kappa_1 = (1e6 + 1)(1e12 + 1e6 + 1)
+    UNIT_PIVOTS = [[1.0, -1e6, 0.0], [0.0, 1.0, -1e6], [0.0, 0.0, 1.0]]
+    SINGULAR = (np.diag([1.0, 1e-13]), UNIT_PIVOTS)
+
+    def test_kappa_of_the_cases(self):
+        assert np.linalg.cond(self.UNIT_PIVOTS, 1) > 1e12
+        assert np.linalg.cond(np.diag([1.0, 1e-11]), 1) < 1e12
+
+    @pytest.mark.parametrize("case", range(len(SINGULAR)))
+    def test_solve_many_raises(self, case):
+        A = np.asarray(self.SINGULAR[case])
+        with pytest.raises(SingularMatrix):
+            solve_many(A, np.ones((A.shape[0], 1)))
+
+    @pytest.mark.parametrize("case", range(len(SINGULAR)))
+    def test_matrix_sign_raises(self, case):
+        with pytest.raises(SingularMatrix):
+            matrix_sign(self.SINGULAR[case])
+
+    def test_kappa_1e11_accepted(self):
+        A = np.diag([1.0, 1e-11])
+        np.testing.assert_allclose(solve_many(A, [[1.0], [1e-11]]), [[1.0], [1.0]], rtol=1e-14)
+        np.testing.assert_allclose(matrix_sign(A), np.eye(2), atol=1e-14)
+
+    @staticmethod
+    def _fbl(J_T0, gamma0):
+        return FeedbackLinearization(
+            T=lambda X: np.asarray(X, dtype=float),
+            T_jac=lambda X: np.broadcast_to(np.eye(2), np.asarray(X).shape + (2,)),
+            psi=lambda Z: np.zeros(np.asarray(Z).shape[:-1] + (1,)),
+            gamma=lambda Z: np.broadcast_to(gamma0, np.asarray(Z).shape[:-1] + (1, 1)),
+            A_tilde=np.array([[0.0, 1.0], [0.0, 0.0]]),
+            B_tilde=np.array([[0.0], [1.0]]),
+            J_T0=J_T0,
+        )
+
+    def test_feedback_linearization_checks(self):
+        self._fbl(np.diag([1.0, 1e-11]), [[1e-11]])
+        for J_T0 in (np.diag([1.0, 1e-13]), [[1.0, 1.0], [1.0, 1.0]]):
+            with pytest.raises(ValueError, match="J_T0 must be invertible"):
+                self._fbl(J_T0, [[1.0]])
+        for gamma0 in ([[0.0]], [[np.nan]]):
+            with pytest.raises(ValueError, match="gamma must be nonsingular"):
+                self._fbl(np.eye(2), gamma0)
 
 
 class TestCholesky:

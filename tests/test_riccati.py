@@ -138,6 +138,33 @@ class TestOracles:
         assert 1 <= calls[0] <= 10
 
 
+class TestPlateauRule:
+    """The sign start is at the round-off plateau already, so one Newton
+    step refines it and the noise steps after it stop the refinement:
+    at most 3 Lyapunov solves per certified solve."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 24, 32])
+    def test_lyapunov_solves_per_care(self, n, monkeypatch):
+        calls = [0]
+        lyap = riccati.solve_lyapunov
+
+        def counted(*args):
+            calls[0] += 1
+            return lyap(*args)
+
+        monkeypatch.setattr(riccati, "solve_lyapunov", counted)
+        rng = np.random.default_rng(2100 + n)
+        m = max(1, n // 4)
+        for _ in range(4):
+            A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+            Q, R = random_spd(rng, n), random_spd(rng, m)
+            calls[0] = 0
+            d = solve_care(A, B, Q, R)
+            assert calls[0] <= 3
+            ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
+            assert max_abs(d.P - ref) <= 1e-8 * max_abs(ref)
+
+
 def _solve_unit_weights(A, B):
     """The Riccati solve with identity weights: it returns a certified
     design exactly when (A, B) is stabilizable."""
