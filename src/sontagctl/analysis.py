@@ -260,46 +260,39 @@ def sweep_initial_angles(sys: SystemModel, designs: Mapping[str, object], Q, R,
     )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Sweep rows as CSV; +inf costs print as 'inf' and unavailable
     ratios as empty fields."""
     header = ("theta0_deg,J_sontag,J_lqr,J_fbl,ratio_lqr,ratio_fbl,"
               "stab_sontag,stab_lqr,stab_fbl")
+    rows = np.column_stack([result.theta0_deg, result.j_sontag, result.j_lqr, result.j_fbl,
+                            result.ratio_lqr, result.ratio_fbl, result.stab_sontag,
+                            result.stab_lqr, result.stab_fbl]).tolist()
+    lqr_ok = (~np.isnan(result.ratio_lqr)).tolist()
+    fbl_ok = (~np.isnan(result.ratio_fbl)).tolist()
+    # One format per ratio availability; "%.0s" takes its value and
+    # prints nothing, leaving the field empty.
+    num, empty = "%.17g,", "%.0s,"
+    fmt = {(ok_l, ok_f): (num * 4 + (num if ok_l else empty) + (num if ok_f else empty)
+                          + "%d,%d,%d\n")
+           for ok_l in (True, False) for ok_f in (True, False)}
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for i in range(result.theta0_deg.size):
-            ratio_l = result.ratio_lqr[i]
-            ratio_f = result.ratio_fbl[i]
-            row = [
-                _fmt(result.theta0_deg[i]),
-                _fmt(result.j_sontag[i]),
-                _fmt(result.j_lqr[i]),
-                _fmt(result.j_fbl[i]),
-                _fmt(ratio_l) if np.isfinite(ratio_l) or np.isinf(ratio_l) else "",
-                _fmt(ratio_f) if np.isfinite(ratio_f) or np.isinf(ratio_f) else "",
-                str(int(result.stab_sontag[i])),
-                str(int(result.stab_lqr[i])),
-                str(int(result.stab_fbl[i])),
-            ]
-            fh.write(",".join(row) + "\n")
+        for row, ok_l, ok_f in zip(rows, lqr_ok, fbl_ok):
+            fh.write(fmt[ok_l, ok_f] % tuple(row))
 
 
 def write_roa_csv(cert: RoaCertificate, path) -> None:
     """Grid membership as CSV: coordinates, CLF value, member flags."""
     n = cert.points.shape[1]
     header = [f"x{i + 1}" for i in range(n)] + ["V", "member_lqr", "member_sontag"]
+    rows = np.column_stack([cert.points, cert.values, cert.members_lqr,
+                            cert.members_sontag]).tolist()
+    fmt = "%.17g," * (n + 1) + "%d,%d\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(cert.points.shape[0]):
-            row = [_fmt(v) for v in cert.points[i]]
-            row.append(_fmt(cert.values[i]))
-            row.append(str(int(cert.members_lqr[i])))
-            row.append(str(int(cert.members_sontag[i])))
-            fh.write(",".join(row) + "\n")
+        for row in rows:
+            fh.write(fmt % tuple(row))
 
 
 __all__ = [

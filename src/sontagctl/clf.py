@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import _row_dot, _row_max_abs, as_square, cholesky_pd, max_abs, solve_many, symmetrize
-from .model import FeedbackLinearization, SystemModel, fd_jacobian
+from .model import FeedbackLinearization, SystemModel, fd_jacobian, identity_coordinates
 
 #: Base absolute tolerance for treating the input-direction derivative as zero.
 B_TOL_BASE = 1e-9
@@ -51,21 +51,27 @@ class TransformedClf:
 
     def value(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        Z = np.asarray(self.fbl.T(X), dtype=float)
+        Z = X if self.fbl.T is identity_coordinates else np.asarray(self.fbl.T(X), dtype=float)
         ok = self.fbl.domain.contains(Z)
         v = 0.5 * _row_dot(Z @ self.P_tilde, Z)
         return np.where(ok, v, np.nan)
 
     def grad(self, X) -> np.ndarray:
+        """T_jac(x)' P_tilde T(x), NaN outside the domain. Under declared
+        identity coordinates this is P_tilde x; adding +0.0 turns -0.0
+        into +0.0 as the contraction with an identity Jacobian does."""
         X = np.asarray(X, dtype=float)
-        Z = np.asarray(self.fbl.T(X), dtype=float)
-        ok = self.fbl.domain.contains(Z)
-        Pz = Z @ self.P_tilde
-        if self.fbl.T_jac is not None:
-            J = np.asarray(self.fbl.T_jac(X), dtype=float)
+        if self.fbl.T is identity_coordinates:
+            ok = self.fbl.domain.contains(X)
+            g = X @ self.P_tilde + 0.0
         else:
-            J = fd_jacobian(self.fbl.T, X)
-        g = _row_dot(J.swapaxes(-1, -2), Pz[..., None, :])
+            Z = np.asarray(self.fbl.T(X), dtype=float)
+            ok = self.fbl.domain.contains(Z)
+            if self.fbl.T_jac is not None:
+                J = np.asarray(self.fbl.T_jac(X), dtype=float)
+            else:
+                J = fd_jacobian(self.fbl.T, X)
+            g = _row_dot(J.swapaxes(-1, -2), (Z @ self.P_tilde)[..., None, :])
         return np.where(ok[..., None], g, np.nan)
 
 

@@ -180,7 +180,8 @@ def fbl_gain_design(fbl: FeedbackLinearization, design: LqrDesign) -> np.ndarray
     ctrl = FblController(fbl, K_fbl)
     jac = fd_jacobian(ctrl.u, zero)
     target = -design.K
-    if max_abs(jac - target) > 1e-6 * (1.0 + max_abs(target)):
+    # Written so that a NaN Jacobian (gamma singular at run time) fails.
+    if not max_abs(jac - target) <= 1e-6 * (1.0 + max_abs(target)):
         raise ValueError("feedback-linearizing gain failed its local-optimality check")
     return K_fbl
 

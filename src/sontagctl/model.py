@@ -67,7 +67,8 @@ class SystemModel:
 class FeedbackLinearization:
     """Coordinates z = T(x) in which the dynamics read
     zdot = A_tilde z + B_tilde (psi(z) + gamma(z) u) with gamma
-    nonsingular on ``domain``."""
+    nonsingular on ``domain``. ``T = identity_coordinates`` declares
+    z = x; ``T_jac`` (finite differences when None) is then never used."""
 
     T: Callable[[np.ndarray], np.ndarray]
     psi: Callable[[np.ndarray], np.ndarray]
@@ -173,14 +174,22 @@ def linearize(sys: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def identity_coordinates(X) -> np.ndarray:
+    """z = T(x) = x. A model whose feedback-linearizing coordinates are
+    its own states passes this function itself as ``T``; a transformed
+    CLF recognises it and skips the coordinate change and its Jacobian."""
+    return np.asarray(X, dtype=float)
+
+
 def pendulum_system(params: PendulumParams | None = None):
     """Inverted pendulum (angle from upright, angular rate; cart
     acceleration input) together with its feedback-linearization
     structure.
 
     Returns ``(SystemModel, FeedbackLinearization)``. The transformed
-    coordinates are the original ones (T = identity); gamma is singular
-    at an angle of +-pi/2, which bounds the linearization domain.
+    coordinates are the original ones (T = ``identity_coordinates``);
+    gamma is singular at an angle of +-pi/2, which bounds the
+    linearization domain.
     """
     p = params if params is not None else PendulumParams()
     denom = p.inertia + p.mass * p.length**2
@@ -207,13 +216,6 @@ def pendulum_system(params: PendulumParams | None = None):
         J[..., 1, 0] = drift_gain * np.cos(X[..., 0])
         return J
 
-    def T(X):
-        return np.asarray(X, dtype=float)
-
-    def T_jac(X):
-        X = np.asarray(X, dtype=float)
-        return np.broadcast_to(np.eye(2), X.shape[:-1] + (2, 2))
-
     def psi(Z):
         Z = np.asarray(Z, dtype=float)
         return drift_gain * np.sin(Z[..., :1])
@@ -232,13 +234,12 @@ def pendulum_system(params: PendulumParams | None = None):
 
     system = SystemModel(n=2, m=1, f=f, G=G, f_jac=f_jac, name="pendulum")
     fbl = FeedbackLinearization(
-        T=T,
+        T=identity_coordinates,
         psi=psi,
         gamma=gamma,
         A_tilde=np.array([[0.0, 1.0], [0.0, 0.0]]),
         B_tilde=np.array([[0.0], [1.0]]),
         J_T0=np.eye(2),
-        T_jac=T_jac,
         psi_jac=psi_jac,
         domain=Domain(
             description="pendulum angle within (-pi/2, pi/2)",
@@ -269,13 +270,6 @@ def lti_system(A, B, name: str = "lti"):
         X = np.asarray(X, dtype=float)
         return np.broadcast_to(A, X.shape[:-1] + (n, n))
 
-    def T(X):
-        return np.asarray(X, dtype=float)
-
-    def T_jac(X):
-        X = np.asarray(X, dtype=float)
-        return np.broadcast_to(np.eye(n), X.shape[:-1] + (n, n))
-
     def psi(Z):
         Z = np.asarray(Z, dtype=float)
         return np.zeros(Z.shape[:-1] + (m,))
@@ -290,13 +284,12 @@ def lti_system(A, B, name: str = "lti"):
 
     system = SystemModel(n=n, m=m, f=f, G=G, f_jac=f_jac, name=name)
     fbl = FeedbackLinearization(
-        T=T,
+        T=identity_coordinates,
         psi=psi,
         gamma=gamma,
         A_tilde=A,
         B_tilde=B,
         J_T0=np.eye(n),
-        T_jac=T_jac,
         psi_jac=psi_jac,
         name=name,
     )
@@ -311,6 +304,7 @@ __all__ = [
     "SystemModel",
     "apply_input",
     "fd_jacobian",
+    "identity_coordinates",
     "linearize",
     "lti_system",
     "pendulum_system",

@@ -336,30 +336,33 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     the factor is undefined, and input/lambda fields are empty on the
     final state row.
     """
-    n = traj.states.shape[1]
-    m = traj.inputs.shape[1]
+    n_rows, n = traj.states.shape
+    n_inputs, m = traj.inputs.shape
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"u{j + 1}" for j in range(m)] + ["V", "lambda", "flags"])
-    n_inputs = traj.inputs.shape[0]
+    U = np.full((n_rows, m), np.nan)
+    U[:n_inputs] = traj.inputs[:n_rows]
+    lam = np.full(n_rows, np.nan)
+    if traj.lambdas is not None:
+        lam[:len(traj.lambdas)] = traj.lambdas[:n_rows]
+    columns = [traj.times, traj.states, U]
+    if traj.clf_values is not None:
+        columns.append(traj.clf_values)
+    rows = np.column_stack(columns + [lam]).tolist()
+    has_lam = np.isfinite(lam).tolist()
+    flags = traj.flags[:n_rows] + [""] * (n_rows - len(traj.flags))
+
+    # One format per (inputs, lambda) presence; "%.0s" takes its value
+    # and prints nothing, leaving the field empty.
+    num, empty = "%.17g,", "%.0s,"
+    v_field = num if traj.clf_values is not None else ","
+    fmt = {(with_u, with_lam): (num * (1 + n) + (num if with_u else empty) * m + v_field
+                                + (num if with_lam else empty) + "%s\n")
+           for with_u in (True, False) for with_lam in (True, False)}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(traj.states.shape[0]):
-            row = [f"{traj.times[k]:.17g}"]
-            row += [f"{v:.17g}" for v in traj.states[k]]
-            if k < n_inputs:
-                row += [f"{v:.17g}" for v in traj.inputs[k]]
-            else:
-                row += [""] * m
-            if traj.clf_values is not None:
-                row.append(f"{traj.clf_values[k]:.17g}")
-            else:
-                row.append("")
-            lam_txt = ""
-            if traj.lambdas is not None and k < len(traj.lambdas) and np.isfinite(traj.lambdas[k]):
-                lam_txt = f"{traj.lambdas[k]:.17g}"
-            row.append(lam_txt)
-            row.append(traj.flags[k] if k < len(traj.flags) else "")
-            fh.write(",".join(row) + "\n")
+        for k, row in enumerate(rows):
+            fh.write(fmt[k < n_inputs, has_lam[k]] % (*row, flags[k]))
 
 
 __all__ = [

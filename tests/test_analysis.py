@@ -3,10 +3,13 @@ import pytest
 
 from sontagctl.analysis import (
     GridSpec,
+    RoaCertificate,
+    SweepResult,
     global_clf_sample_check,
     largest_certified_sublevel,
     roa_certify,
     sweep_initial_angles,
+    write_roa_csv,
     write_sweep_csv,
 )
 from sontagctl.control import LqrController, SontagController
@@ -246,3 +249,66 @@ class TestSweep:
         np.testing.assert_array_equal(r1.j_sontag, r2.j_sontag)
         np.testing.assert_array_equal(r1.j_lqr, r2.j_lqr)
         np.testing.assert_array_equal(r1.j_fbl, r2.j_fbl)
+
+
+def _cell(v) -> str:
+    return f"{v:.17g}"
+
+
+EXTREMES = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308,
+                     0.1, -1.0 / 3.0])
+
+
+class TestCsvOracle:
+    """The sweep and ROA writers against per-cell formatting on
+    hand-built results."""
+
+    def test_sweep(self, tmp_path):
+        rng = np.random.default_rng(4030)
+        k = 3 * EXTREMES.size
+
+        def column(shift):
+            col = rng.normal(size=k)
+            col[shift:shift + EXTREMES.size] = EXTREMES
+            return col
+
+        stab = [rng.random(k) < 0.5 for _ in range(3)]
+        result = SweepResult(theta0_deg=column(0), j_sontag=column(2), j_lqr=column(5),
+                             j_fbl=column(8), ratio_lqr=column(11), ratio_fbl=column(13),
+                             stab_sontag=stab[0], stab_lqr=stab[1], stab_fbl=stab[2])
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(result, path)
+        lines = ["theta0_deg,J_sontag,J_lqr,J_fbl,ratio_lqr,ratio_fbl,"
+                 "stab_sontag,stab_lqr,stab_fbl"]
+        for i in range(k):
+            row = [_cell(col[i]) for col in (result.theta0_deg, result.j_sontag,
+                                             result.j_lqr, result.j_fbl)]
+            row += ["" if np.isnan(r[i]) else _cell(r[i])
+                    for r in (result.ratio_lqr, result.ratio_fbl)]
+            row += [str(int(s[i])) for s in stab]
+            lines.append(",".join(row))
+        text = path.read_text()
+        assert text == "\n".join(lines) + "\n"
+        assert ",inf," in text and ",-inf," in text and ",," in text
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_roa(self, tmp_path, n):
+        rng = np.random.default_rng(4031 + n)
+        k = 2 * EXTREMES.size
+        points = rng.normal(size=(k, n))
+        points.flat[:EXTREMES.size] = EXTREMES
+        values = rng.normal(size=k)
+        values[-EXTREMES.size:] = EXTREMES
+        grid = GridSpec(lower=[0.0] * n, upper=[1.0] * n, points_per_axis=(2,) * n)
+        cert = RoaCertificate(C=1.0, grid=grid, points=points, values=values,
+                              members_lqr=rng.random(k) < 0.5,
+                              members_sontag=rng.random(k) < 0.5, subset_holds=False)
+        path = tmp_path / "roa.csv"
+        write_roa_csv(cert, path)
+        lines = [",".join([f"x{i + 1}" for i in range(n)] + ["V", "member_lqr",
+                                                              "member_sontag"])]
+        for i in range(k):
+            row = [_cell(v) for v in points[i]] + [_cell(values[i])]
+            row += [str(int(cert.members_lqr[i])), str(int(cert.members_sontag[i]))]
+            lines.append(",".join(row))
+        assert path.read_text() == "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,47 @@ class TestTransformedClf:
                 for h in (np.array([1e-6, 0.0]), np.array([0.0, 1e-6]))
             ])
             np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
+
+
+def _assert_bitwise_equal(a, b):
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestDeclaredIdentity:
+    """The declared identity coordinates of the pendulum against the same
+    structure given a plain identity T and an identity T_jac."""
+
+    @pytest.fixture(scope="class")
+    def clfs(self, pendulum_designs):
+        declared = pendulum_designs["ii"].clf
+        fbl = dataclasses.replace(
+            declared.fbl,
+            T=lambda X: np.asarray(X, float),
+            T_jac=lambda X: np.broadcast_to(np.eye(2), np.asarray(X).shape[:-1] + (2, 2)))
+        return declared, TransformedClf(declared.P_tilde, fbl)
+
+    @staticmethod
+    def _states():
+        rng = np.random.default_rng(4010)
+        X = np.stack([rng.uniform(-2.5, 2.5, 1200), rng.uniform(-4, 4, 1200)], axis=-1)
+        special = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, 0.7],
+                   [0.4, -0.0], [np.pi / 2, 0.0], [-np.pi / 2, -0.0], [2.0, 1.0],
+                   [np.nextafter(np.pi / 2, 0.0), -1.0]]
+        return np.concatenate([np.array(special), X])
+
+    def test_value_and_grad_bitwise(self, clfs):
+        declared, generic = clfs
+        X = self._states()
+        outside = np.abs(X[:, 0]) >= np.pi / 2
+        assert outside.sum() > 100
+        for method in ("value", "grad"):
+            got = getattr(declared, method)(X)
+            _assert_bitwise_equal(got, getattr(generic, method)(X))
+            assert np.isnan(got[outside]).all() and not np.isnan(got[~outside]).any()
+        for x in X[:10]:
+            _assert_bitwise_equal(declared.grad(x), generic.grad(x))
+            _assert_bitwise_equal(declared.value(x), generic.value(x))
 
 
 class TestLieDerivatives:

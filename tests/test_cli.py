@@ -125,6 +125,19 @@ class TestSimulate:
         rows = (out / "trajectory.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
+    @pytest.mark.parametrize("deg", ["25", "67"])
+    def test_identity_coordinates_designs_agree(self, tmp_path, deg):
+        # the pendulum's transformed coordinates are its states, so the
+        # transformed CLF of design ii is design i's CLF
+        outs = []
+        for design in ("i", "ii"):
+            out = tmp_path / design
+            proc = run_cli("simulate", "--design", design, "--theta0-deg", deg,
+                           "--out", str(out))
+            assert proc.returncode == 0
+            outs.append(out / "trajectory.csv")
+        assert filecmp.cmp(*outs, shallow=False)
+
     def test_zoh_flag(self, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("simulate", "--design", "i", "--theta0-deg", "25",

@@ -15,7 +15,7 @@ from sontagctl.control import (
     hjb_residual,
     synthesize_design,
 )
-from sontagctl.model import FeedbackLinearization, apply_input, lti_system
+from sontagctl.model import FeedbackLinearization, SystemModel, apply_input, lti_system
 from sontagctl.riccati import solve_care
 
 from conftest import random_lti, random_spd
@@ -225,6 +225,28 @@ class TestFblDesign:
         )
         K_fbl = fbl_gain_design(fbl, dbl_int_design)
         np.testing.assert_allclose(K_fbl, dbl_int_design.K / 2.0, rtol=1e-12)
+
+    def test_nan_control_fails_the_check(self):
+        # gamma = 1e-13 passes the model's scale-free certificate but is
+        # singular to the controller, whose law is NaN at every state
+        A = np.array([[0.0, 1.0], [2.0, 0.0]])
+        sys_m = SystemModel(
+            n=2, m=1, f=lambda X: np.asarray(X, dtype=float) @ A.T,
+            G=lambda X: np.broadcast_to([[0.0], [1e-13]], np.shape(X)[:-1] + (2, 1)))
+        fbl = FeedbackLinearization(
+            T=lambda X: np.asarray(X, dtype=float),
+            psi=lambda Z: 2.0 * np.asarray(Z, dtype=float)[..., :1],
+            gamma=lambda Z: np.full(np.shape(Z)[:-1] + (1, 1), 1e-13),
+            A_tilde=np.array([[0.0, 1.0], [0.0, 0.0]]),
+            B_tilde=np.array([[0.0], [1.0]]),
+            J_T0=np.eye(2),
+        )
+        design = solve_care(A, [[0.0], [1e-13]], np.eye(2), [[1e-26]])
+        assert np.isfinite(design.K).all()
+        with pytest.raises(ValueError, match="local-optimality"):
+            fbl_gain_design(fbl, design)
+        with pytest.raises(ValueError, match="local-optimality"):
+            synthesize_design("iii", sys_m, fbl, np.eye(2), [[1e-26]])
 
     def test_linearization_matches_lqr_gain(self, pendulum, pendulum_designs):
         from sontagctl.model import fd_jacobian

@@ -317,6 +317,25 @@ class TestModelCalls:
         assert calls[0] == 4 * n
 
 
+    def test_design_ii_needs_no_finite_differences(self, pendulum, pendulum_designs,
+                                                   monkeypatch):
+        # the pendulum declares identity coordinates, so no T Jacobian
+        # is ever formed
+        import sontagctl.clf
+        import sontagctl.model
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fd_jacobian called")
+
+        monkeypatch.setattr(sontagctl.clf, "fd_jacobian", refuse)
+        monkeypatch.setattr(sontagctl.model, "fd_jacobian", refuse)
+        sys_m, _ = pendulum
+        res = pendulum_designs["ii"]
+        cfg = SimConfig(n_steps=200, x0=np.array([np.radians(67.0), 0.0]))
+        traj = simulate(sys_m, res.controller, cfg, clf=res.clf)
+        assert traj.inputs.shape == (200, 1) and np.isfinite(traj.clf_values).all()
+
+
 class TestTrajectoryCsv:
     def test_format(self, tmp_path, pendulum, pendulum_designs):
         sys_m, _ = pendulum
@@ -358,3 +377,75 @@ class TestTrajectoryCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x1,x2,u1,u2,V,lambda,flags"
         assert len(lines[1].split(",")) == 8
+
+
+def _cell(v) -> str:
+    return f"{v:.17g}"
+
+
+def _reference_trajectory_csv(traj) -> str:
+    """The trajectory CSV formatted cell by cell."""
+    n, m = traj.states.shape[1], traj.inputs.shape[1]
+    lines = [",".join(["t"] + [f"x{i + 1}" for i in range(n)]
+                      + [f"u{j + 1}" for j in range(m)] + ["V", "lambda", "flags"])]
+    for k in range(traj.states.shape[0]):
+        row = [_cell(traj.times[k])] + [_cell(v) for v in traj.states[k]]
+        if k < traj.inputs.shape[0]:
+            row += [_cell(v) for v in traj.inputs[k]]
+        else:
+            row += [""] * m
+        row.append("" if traj.clf_values is None else _cell(traj.clf_values[k]))
+        lam = traj.lambdas
+        row.append(_cell(lam[k]) if lam is not None and k < len(lam) and np.isfinite(lam[k])
+                   else "")
+        row.append(traj.flags[k] if k < len(traj.flags) else "")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+EXTREMES = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308,
+                     0.1, -1.0 / 3.0])
+
+
+class TestTrajectoryCsvOracle:
+    """The writer against per-cell formatting on hand-built runs."""
+
+    @staticmethod
+    def _traj(n_states, n_inputs, m, clf_values=True, lambdas="nan"):
+        rng = np.random.default_rng(4020 + n_states + 10 * m)
+        states = rng.normal(size=(n_states, 2))
+        states.flat[:EXTREMES.size] = EXTREMES
+        inputs = rng.normal(size=(n_inputs, m))
+        k = min(inputs.size, EXTREMES.size)
+        inputs.flat[:k] = EXTREMES[::-1][:k]
+        lam = None
+        if lambdas == "nan":
+            lam = rng.uniform(0.5, 2.0, n_inputs)
+            lam[::3] = np.nan
+            lam[1::4] = np.inf
+        elif lambdas == "all":
+            lam = rng.uniform(0.5, 2.0, n_inputs)
+            lam[:3] = [5e-324, 1.7976931348623157e308, -0.0]
+        return Trajectory(
+            times=0.01 * np.arange(n_states),
+            states=states,
+            inputs=inputs,
+            clf_values=EXTREMES[np.arange(n_states) % EXTREMES.size] if clf_values else None,
+            lambdas=lam,
+            flags=[FLAG_DIVERGENCE if k == n_states - 1 else "" for k in range(n_states)],
+        )
+
+    @pytest.mark.parametrize("n_states,n_inputs,m,clf_values,lambdas", [
+        (12, 11, 1, True, "nan"),      # completed run
+        (12, 5, 1, True, "all"),       # halted: fewer inputs than states
+        (9, 9, 2, True, "nan"),        # halted on a non-finite successor
+        (10, 4, 2, False, None),       # no CLF, no lambda
+        (7, 6, 2, False, "all"),
+        (1, 0, 2, True, None),         # halted before the first input
+    ])
+    def test_matches_per_cell_formatting(self, tmp_path, n_states, n_inputs, m,
+                                         clf_values, lambdas):
+        traj = self._traj(n_states, n_inputs, m, clf_values, lambdas)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_text() == _reference_trajectory_csv(traj)
