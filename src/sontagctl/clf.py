@@ -51,7 +51,7 @@ class TransformedClf:
 
     def value(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        Z = X if self.fbl.T is identity_coordinates else np.asarray(self.fbl.T(X), dtype=float)
+        Z = np.asarray(self.fbl.T(X), dtype=float)
         ok = self.fbl.domain.contains(Z)
         v = 0.5 * _row_dot(Z @ self.P_tilde, Z)
         return np.where(ok, v, np.nan)

@@ -33,6 +33,17 @@ def cli_env() -> dict:
     return {**os.environ, "PYTHONPATH": src + os.pathsep + rest if rest else src}
 
 
+#: Float values at the edges of %.17g formatting: infinities, NaN, signed
+#: zero, the smallest subnormal and the largest finite double.
+EXTREMES = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308,
+                     0.1, -1.0 / 3.0])
+
+
+def format_cell(v) -> str:
+    """One CSV cell formatted on its own, the reference for the writers."""
+    return f"{v:.17g}"
+
+
 def counting_drift(sys_m):
     """The same model with its drift wrapped in a call counter."""
     calls = [0]

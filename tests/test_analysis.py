@@ -15,7 +15,7 @@ from sontagctl.analysis import (
 from sontagctl.control import LqrController, SontagController
 from sontagctl.sim import SimConfig, cost_index, simulate
 
-from conftest import counting_drift
+from conftest import EXTREMES, counting_drift, format_cell
 
 
 @pytest.fixture(scope="module")
@@ -251,14 +251,6 @@ class TestSweep:
         np.testing.assert_array_equal(r1.j_fbl, r2.j_fbl)
 
 
-def _cell(v) -> str:
-    return f"{v:.17g}"
-
-
-EXTREMES = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308,
-                     0.1, -1.0 / 3.0])
-
-
 class TestCsvOracle:
     """The sweep and ROA writers against per-cell formatting on
     hand-built results."""
@@ -281,9 +273,9 @@ class TestCsvOracle:
         lines = ["theta0_deg,J_sontag,J_lqr,J_fbl,ratio_lqr,ratio_fbl,"
                  "stab_sontag,stab_lqr,stab_fbl"]
         for i in range(k):
-            row = [_cell(col[i]) for col in (result.theta0_deg, result.j_sontag,
+            row = [format_cell(col[i]) for col in (result.theta0_deg, result.j_sontag,
                                              result.j_lqr, result.j_fbl)]
-            row += ["" if np.isnan(r[i]) else _cell(r[i])
+            row += ["" if np.isnan(r[i]) else format_cell(r[i])
                     for r in (result.ratio_lqr, result.ratio_fbl)]
             row += [str(int(s[i])) for s in stab]
             lines.append(",".join(row))
@@ -308,7 +300,7 @@ class TestCsvOracle:
         lines = [",".join([f"x{i + 1}" for i in range(n)] + ["V", "member_lqr",
                                                               "member_sontag"])]
         for i in range(k):
-            row = [_cell(v) for v in points[i]] + [_cell(values[i])]
+            row = [format_cell(v) for v in points[i]] + [format_cell(values[i])]
             row += [str(int(cert.members_lqr[i])), str(int(cert.members_sontag[i]))]
             lines.append(",".join(row))
         assert path.read_text() == "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ from sontagctl.sim import (
     write_trajectory_csv,
 )
 
-from conftest import counting_drift
+from conftest import EXTREMES, counting_drift, format_cell
 
 
 def _frozen_system():
@@ -379,32 +379,24 @@ class TestTrajectoryCsv:
         assert len(lines[1].split(",")) == 8
 
 
-def _cell(v) -> str:
-    return f"{v:.17g}"
-
-
 def _reference_trajectory_csv(traj) -> str:
     """The trajectory CSV formatted cell by cell."""
     n, m = traj.states.shape[1], traj.inputs.shape[1]
     lines = [",".join(["t"] + [f"x{i + 1}" for i in range(n)]
                       + [f"u{j + 1}" for j in range(m)] + ["V", "lambda", "flags"])]
     for k in range(traj.states.shape[0]):
-        row = [_cell(traj.times[k])] + [_cell(v) for v in traj.states[k]]
+        row = [format_cell(traj.times[k])] + [format_cell(v) for v in traj.states[k]]
         if k < traj.inputs.shape[0]:
-            row += [_cell(v) for v in traj.inputs[k]]
+            row += [format_cell(v) for v in traj.inputs[k]]
         else:
             row += [""] * m
-        row.append("" if traj.clf_values is None else _cell(traj.clf_values[k]))
+        row.append("" if traj.clf_values is None else format_cell(traj.clf_values[k]))
         lam = traj.lambdas
-        row.append(_cell(lam[k]) if lam is not None and k < len(lam) and np.isfinite(lam[k])
+        row.append(format_cell(lam[k]) if lam is not None and k < len(lam) and np.isfinite(lam[k])
                    else "")
         row.append(traj.flags[k] if k < len(traj.flags) else "")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-EXTREMES = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308,
-                     0.1, -1.0 / 3.0])
 
 
 class TestTrajectoryCsvOracle:
