@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .linalg import as_matrix, as_square
+from .linalg import as_matrix, as_square, as_vector
 from .model import PendulumParams, lti_system, pendulum_system
 from .sim import SimConfig
 
@@ -74,8 +74,15 @@ class RunConfig:
         self.R = as_square(self.R, "R")
         if self.Q.shape[0] != system.n or self.R.shape[0] != system.m:
             raise ConfigError("weight dimensions do not match the system")
-        if np.asarray(self.x0).shape != (system.n,):
+        self.x0 = _as_vector(self.x0, "sim.x0")
+        if self.x0.shape != (system.n,):
             raise ConfigError("sim.x0 dimension does not match the system")
+        self.roa_lower = _as_vector(self.roa_lower, "roa.lower")
+        self.roa_upper = _as_vector(self.roa_upper, "roa.upper")
+        if self.roa_lower.shape != (system.n,) or self.roa_upper.shape != (system.n,):
+            raise ConfigError("roa.lower and roa.upper dimensions do not match the system")
+        if not np.all(self.roa_lower < self.roa_upper):
+            raise ConfigError("roa.lower must be strictly below roa.upper")
         return self
 
     def sim_config(self) -> SimConfig:
@@ -144,6 +151,13 @@ def _as_matrix(value, path: str) -> np.ndarray:
         raise ConfigError(str(exc)) from exc
 
 
+def _as_vector(value, path: str) -> np.ndarray:
+    try:
+        return as_vector(value, path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_config(data: dict | None, source: str = "<config>") -> RunConfig:
     """Build a RunConfig from a parsed YAML mapping."""
     cfg = RunConfig()
@@ -186,13 +200,10 @@ def parse_config(data: dict | None, source: str = "<config>") -> RunConfig:
     _check_keys(sim, {"h", "n_steps", "x0", "zoh"}, "sim")
     cfg.h = _as_float(sim.get("h", cfg.h), "sim.h")
     cfg.n_steps = _as_int(sim.get("n_steps", cfg.n_steps), "sim.n_steps")
-    if cfg.h <= 0 or cfg.n_steps < 1:
-        raise ConfigError("sim.h must be positive and sim.n_steps at least 1")
+    if not 0 < cfg.h < np.inf or cfg.n_steps < 1:
+        raise ConfigError("sim.h must be positive and finite and sim.n_steps at least 1")
     if "x0" in sim:
-        x0 = np.asarray(sim["x0"], dtype=float)
-        if x0.ndim != 1:
-            raise ConfigError("sim.x0 must be a flat list of numbers")
-        cfg.x0 = x0
+        cfg.x0 = sim["x0"]
     zoh = sim.get("zoh", False)
     if not isinstance(zoh, bool):
         raise ConfigError("sim.zoh must be a boolean")
@@ -207,24 +218,26 @@ def parse_config(data: dict | None, source: str = "<config>") -> RunConfig:
                                         "sweep.theta_max_deg")
     if cfg.sweep_n_angles < 1:
         raise ConfigError("sweep.n_angles must be at least 1")
-    if not cfg.sweep_theta_min_deg <= cfg.sweep_theta_max_deg:
-        raise ConfigError("sweep angle range is empty")
+    if not -np.inf < cfg.sweep_theta_min_deg <= cfg.sweep_theta_max_deg < np.inf:
+        raise ConfigError("sweep angle range must be finite and nonempty")
 
     roa = _require_mapping(data.get("roa"), "roa")
     _check_keys(roa, {"lower", "upper", "points_per_axis", "sublevel"}, "roa")
     if "lower" in roa:
-        cfg.roa_lower = np.asarray(roa["lower"], dtype=float)
+        cfg.roa_lower = roa["lower"]
     if "upper" in roa:
-        cfg.roa_upper = np.asarray(roa["upper"], dtype=float)
+        cfg.roa_upper = roa["upper"]
     if "points_per_axis" in roa:
         cfg.roa_points_per_axis = tuple(_as_int(k, "roa.points_per_axis")
                                         for k in roa["points_per_axis"])
+        if min(cfg.roa_points_per_axis, default=0) < 2:
+            raise ConfigError("roa.points_per_axis needs at least two points per axis")
     sublevel = roa.get("sublevel", "auto")
     if sublevel == "auto":
         cfg.roa_sublevel = None
     else:
         cfg.roa_sublevel = _as_float(sublevel, "roa.sublevel")
-        if cfg.roa_sublevel < 0:
+        if not cfg.roa_sublevel >= 0:
             raise ConfigError("roa.sublevel must be nonnegative or 'auto'")
 
     design = data.get("design", cfg.design)

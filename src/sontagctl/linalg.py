@@ -6,7 +6,8 @@ of order ten) and certify their own results: every LU solve checks the
 certified by an actual Cholesky factorization. One matrix-sign kernel,
 a Newton iteration built on LU inversions alone, replaces eigensolvers:
 the Hurwitz test certifies sign(A) = -I, and Lyapunov equations are read
-off the sign of a block matrix.
+off the sign of the block matrix [[A, 0], [-W, -A']], iterated on its
+n-by-n blocks (Roberts' form) so that only A is ever inverted.
 """
 
 from __future__ import annotations
@@ -117,37 +118,34 @@ def _check_symmetric(M: np.ndarray, name: str) -> None:
         raise NotSymmetric(f"{name} deviates from symmetry by {dev:.3e}")
 
 
-def _certified_solve(A: np.ndarray, B: np.ndarray):
-    """(A^{-1} B, A^{-1}) from one LU factorization of A.
-
-    One LAPACK gesv on [B | I] yields both. The inverse is the condition
-    certificate: SingularMatrix unless ||A||_1 ||A^{-1}||_1 is at most
-    1/PIVOT_RTOL, which also catches an exactly zero pivot and an
-    inverse that overflowed.
+def _certified(A: np.ndarray, lapack, *rhs) -> np.ndarray:
+    """``lapack(A, *rhs)``, whose last n columns are A^{-1}, under the
+    condition certificate: SingularMatrix unless ||A||_1 ||A^{-1}||_1 is
+    at most 1/PIVOT_RTOL, which also catches an exactly zero pivot and
+    an inverse that overflowed.
     """
-    k = B.shape[1]
     try:
-        sol = np.linalg.solve(A, np.hstack([B, np.eye(A.shape[0])]))
+        out = lapack(A, *rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("exactly singular matrix") from exc
-    inv = sol[:, k:]
-    if not np.linalg.norm(A, 1) * np.linalg.norm(inv, 1) <= 1.0 / PIVOT_RTOL:
+    if not np.linalg.norm(A, 1) * np.linalg.norm(out[:, -A.shape[0]:], 1) <= 1.0 / PIVOT_RTOL:
         raise SingularMatrix("condition number beyond rank-deficiency threshold")
-    return sol[:, :k], inv
+    return out
 
 
 def _certified_inverse(A: np.ndarray) -> np.ndarray:
-    """A^{-1} under the condition certificate of ``_certified_solve``."""
-    return _certified_solve(A, np.empty((A.shape[0], 0)))[1]
+    """A^{-1} from one ``np.linalg.inv``, certified."""
+    return _certified(A, np.linalg.inv)
 
 
 def solve_many(A, B) -> np.ndarray:
-    """Solve A X = B with a matrix right-hand side."""
+    """Solve A X = B with a matrix right-hand side: one LAPACK gesv on
+    [B | I] yields X and the inverse that certifies it."""
     A = as_square(A, "A")
     B = as_matrix(B, "B")
     if B.shape[0] != A.shape[0]:
         raise ValueError("right-hand side does not conform with A")
-    return _certified_solve(A, B)[0]
+    return _certified(A, np.linalg.solve, np.hstack([B, np.eye(A.shape[0])]))[:, :B.shape[1]]
 
 
 def cholesky_pd(M) -> np.ndarray:
@@ -165,27 +163,41 @@ def cholesky_pd(M) -> np.ndarray:
         raise NotPositiveDefinite("matrix is not positive definite") from exc
 
 
-def matrix_sign(Z) -> np.ndarray:
-    """sign(Z) by the determinant-scaled Newton iteration.
+def _newton_sign(Z: np.ndarray, C: np.ndarray | None = None):
+    """(sign(Z), C_inf) by the determinant-scaled Newton iteration.
 
-    Iterates Z <- (c Z + (c Z)^{-1}) / 2 with c = |det Z|^{-1/n}, taken
-    from ``np.linalg.slogdet``, until successive iterates agree to
-    ``SIGN_RTOL``. sign(Z) has the eigenvectors of Z with eigenvalues -1
-    for the stable and +1 for the unstable ones. Raises SingularMatrix
-    when an iterate fails the condition certificate or the iteration
-    does not settle, which is what eigenvalues on or near the imaginary
-    axis cause.
+    Z <- (c Z + Z^{-1}/c) / 2 with c = |det Z|^{-1/n} from
+    ``np.linalg.slogdet``. A given C is the coupled block of
+    [[Z, 0], [C, -Z']], carried in Roberts' form as
+    C <- (c C + Z^{-T} C Z^{-1}/c) / 2, so the sign of that block matrix,
+    [[sign(Z), 0], [C_inf, -sign(Z)']], costs n-by-n inverses of Z alone.
+    Each block stops on its own relative change, so C_inf is homogeneous
+    in C. Raises SingularMatrix as ``matrix_sign`` does.
     """
-    Z = as_square(Z, "Z")
     n = Z.shape[0]
     for _ in range(MAX_NEWTON_ITER):
         Z_inv = _certified_inverse(Z)
         c = np.exp(-np.linalg.slogdet(Z)[1] / n)
         Z_next = 0.5 * (c * Z + Z_inv / c)
-        if max_abs(Z_next - Z) <= SIGN_RTOL * max_abs(Z_next):
-            return Z_next
+        settled = max_abs(Z_next - Z) <= SIGN_RTOL * max_abs(Z_next)
+        if C is not None:
+            C_next = 0.5 * (c * C + Z_inv.T @ C @ Z_inv / c)
+            settled = settled and max_abs(C_next - C) <= SIGN_RTOL * max_abs(C_next)
+            C = C_next
+        if settled:
+            return Z_next, C
         Z = Z_next
     raise SingularMatrix("sign iteration did not settle; eigenvalues near the imaginary axis")
+
+
+def matrix_sign(Z) -> np.ndarray:
+    """sign(Z) by ``_newton_sign``: the eigenvectors of Z, with
+    eigenvalues -1 for the stable and +1 for the unstable ones. Raises
+    SingularMatrix when an iterate fails the condition certificate or
+    the iteration does not settle, which is what eigenvalues on or near
+    the imaginary axis cause.
+    """
+    return _newton_sign(as_square(Z, "Z"))[0]
 
 
 def _is_minus_identity(S: np.ndarray) -> bool:
@@ -196,20 +208,22 @@ def _is_minus_identity(S: np.ndarray) -> bool:
 def solve_lyapunov(A, W) -> np.ndarray:
     """Solve A' X + X A = -W for Hurwitz A and symmetric W.
 
-    Reads X off sign([[A, 0], [-W, -A']]) = [[-I, 0], [-2X, I]]. Raises
-    SingularMatrix when A is not Hurwitz. The result is symmetrized
-    before returning.
+    Reads X off sign([[A, 0], [-W, -A']]) = [[-I, 0], [-2X, I]], iterated
+    in Roberts' form on the n-by-n blocks: each iterate inverts A alone,
+    and the condition certificate judges A, not the block matrix, so the
+    size of W cannot make a well-conditioned A look singular. X is
+    homogeneous in W: scaling W scales X. Raises SingularMatrix when A
+    is not Hurwitz. The result is symmetrized before returning.
     """
     A = as_square(A, "A")
     W = as_square(W, "W")
     if A.shape != W.shape:
         raise ValueError("A and W must have identical shapes")
     _check_symmetric(W, "W")
-    n = A.shape[0]
-    S = matrix_sign(np.block([[A, np.zeros((n, n))], [-W, -A.T]]))
-    if not _is_minus_identity(S[:n, :n]):
+    S, C = _newton_sign(A, -W)
+    if not _is_minus_identity(S):
         raise SingularMatrix("A is not Hurwitz")
-    return symmetrize(-0.5 * S[n:, :n])
+    return symmetrize(-0.5 * C)
 
 
 def is_hurwitz(A) -> bool:

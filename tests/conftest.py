@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 import sontagctl
 from sontagctl.clf import build_lqr_clf
 from sontagctl.control import synthesize_design
-from sontagctl.model import SystemModel, lti_system, pendulum_system
+from sontagctl.model import lti_system, pendulum_system
 from sontagctl.riccati import solve_care
 
 
@@ -44,17 +45,23 @@ def format_cell(v) -> str:
     return f"{v:.17g}"
 
 
+def counted(fn, calls: list):
+    """``fn`` wrapped so that each call appends the shape of its first
+    argument to ``calls``: ``len(calls)`` counts the calls, and one log
+    may be shared by several wrapped functions."""
+    def wrapper(*args, **kwargs):
+        calls.append(np.shape(args[0]) if args else ())
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def counting_drift(sys_m):
-    """The same model with its drift wrapped in a call counter."""
-    calls = [0]
-
-    def f(X):
-        calls[0] += 1
-        return sys_m.f(X)
-
-    counted = SystemModel(n=sys_m.n, m=sys_m.m, f=f, G=sys_m.G, f_jac=sys_m.f_jac)
-    calls[0] = 0
-    return counted, calls
+    """The same model with its drift ``counted``; the check call that
+    model construction makes is not in the log."""
+    calls = []
+    model = dataclasses.replace(sys_m, f=counted(sys_m.f, calls))
+    calls.clear()
+    return model, calls
 
 
 @pytest.fixture(scope="session")

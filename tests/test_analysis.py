@@ -116,7 +116,7 @@ class TestLargestSublevel:
         ctrl = SontagController(res.clf, counted, res.lqr.Q, res.lqr.R)
         grid = GridSpec(lower=[-1.4, -4.0], upper=[1.4, 4.0], points_per_axis=(11, 11))
         c = largest_certified_sublevel(counted, res.clf, ctrl, grid)
-        assert calls[0] == 1
+        assert len(calls) == 1
         assert c == largest_certified_sublevel(sys_m, res.clf, res.controller, grid)
 
     def test_uncontrolled_pendulum_gives_zero(self, pendulum, pendulum_designs, pendulum_grid):

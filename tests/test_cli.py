@@ -89,6 +89,24 @@ class TestSynthesize:
         proc = run_cli("synthesize", "--config", str(cfg))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command, text", [
+        ("roa", "roa: {lower: [-1, -1, -1]}\n"),  # the pendulum state has length 2
+        ("roa", "roa: {lower: [1, 1], upper: [-1, -1]}\n"),
+        ("roa", "roa: {points_per_axis: [0, 5]}\n"),
+        ("roa", "roa: {sublevel: .nan}\n"),
+        ("sweep", "sweep: {theta_max_deg: .inf}\n"),
+        ("simulate", "sim: {x0: [.nan, 0]}\n"),
+        ("simulate", "sim: {h: .nan}\n"),
+        ("simulate", "sim: {h: .inf}\n"),
+    ], ids=["roa-length", "roa-empty-box", "roa-points", "sublevel-nan", "theta-inf", "x0-nan",
+            "h-nan", "h-inf"])
+    def test_invalid_values_exit_code(self, tmp_path, command, text):
+        cfg = tmp_path / "invalid.yaml"
+        cfg.write_text(text)
+        proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+
 
 class TestSimulate:
     def test_lqr_small_angle(self, tmp_path):

@@ -8,6 +8,7 @@ from sontagctl.linalg import (
     SingularMatrix,
     _row_all_finite,
     _row_dot,
+    _certified_inverse,
     _row_max_abs,
     cholesky_pd,
     is_hurwitz,
@@ -19,7 +20,7 @@ from sontagctl.linalg import (
 )
 from sontagctl.model import FeedbackLinearization
 
-from conftest import random_spd
+from conftest import counted, random_spd
 
 
 class TestSolveLinear:
@@ -208,6 +209,67 @@ class TestSolveLyapunov:
             assert max_abs(X - X.T) <= 1e-10 * max(max_abs(X), 1e-300)
             res = max_abs(A.T @ X + X @ A + W)
             assert res <= 1e-9 * (1.0 + max_abs(W))
+
+
+class TestLyapunovScale:
+    """The certificate judges A, not the block matrix [[A, 0], [-W, -A']],
+    so the size of W never makes a well-conditioned A look singular,
+    and X is homogeneous in W."""
+
+    def test_large_w(self):
+        # kappa_1 of the block matrix is about 1e12, that of A is 1
+        X = solve_lyapunov(-np.eye(2), 1e6 * np.eye(2))
+        np.testing.assert_array_equal(X, 5e5 * np.eye(2))
+
+    @pytest.mark.parametrize("s", [1e-6, 1e6, 1e13])
+    def test_homogeneous_in_w(self, s):
+        rng = np.random.default_rng(1008)
+        for _ in range(10):
+            n = int(rng.integers(1, 9))
+            A = _shifted_hurwitz(rng, n)
+            W = random_spd(rng, n)
+            np.testing.assert_allclose(solve_lyapunov(A, s * W), s * solve_lyapunov(A, W),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+    def test_scipy_oracle_large_w(self, n):
+        rng = np.random.default_rng(1009 + n)
+        A = _shifted_hurwitz(rng, n)
+        W = random_spd(rng, n)
+        W *= 1e8 / max_abs(W)
+        X = solve_lyapunov(A, W)
+        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -W)
+        assert max_abs(X - ref) <= 1e-10 * max_abs(ref)
+
+    @pytest.mark.parametrize("s", [1.0, 1e8])
+    def test_non_hurwitz_raises(self, s):
+        # eigenvalues -1 and 2: no pair sums to zero, so the equation is
+        # solvable, but A is not Hurwitz
+        A = np.array([[-1.0, 3.0], [0.0, 2.0]])
+        with pytest.raises(SingularMatrix):
+            solve_lyapunov(A, s * np.eye(2))
+
+
+class TestRobertsForm:
+    """solve_lyapunov iterates on n-by-n blocks: one inverse of A per
+    sign iterate and no factorization of the 2n-by-2n block matrix."""
+
+    def test_factors_only_n_by_n(self, monkeypatch):
+        calls = {name: [] for name in ("inv", "solve", "slogdet")}
+        for name, log in calls.items():
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), log))
+        rng = np.random.default_rng(1010)
+        solve_lyapunov(_shifted_hurwitz(rng, 16), random_spd(rng, 16))
+        assert calls["solve"] == []
+        # slogdet scales each iterate once, so it counts the iterates
+        assert len(calls["inv"]) == len(calls["slogdet"]) >= 1
+        assert set(calls["inv"] + calls["slogdet"]) == {(16, 16)}
+
+    def test_inverse_is_gesv_on_identity(self):
+        rng = np.random.default_rng(1011)
+        for n in range(1, 65):
+            A = rng.normal(size=(n, n))
+            assert _same_bits(_certified_inverse(A), np.linalg.solve(A, np.eye(n)))
 
 
 class TestIsHurwitz:

@@ -8,7 +8,7 @@ from sontagctl.linalg import cholesky_pd, is_hurwitz, max_abs
 from sontagctl.model import linearize
 from sontagctl.riccati import BadWeights, NotStabilizable, solve_care
 
-from conftest import random_lti, random_spd
+from conftest import counted, random_lti, random_spd
 
 
 def are_residual(A, B, Q, R, P):
@@ -120,22 +120,17 @@ class TestOracles:
         Q, R = pendulum_weights
         d = solve_care(A, B, Q, R)
         ref = _mp_care(A, B, Q, R, d.P)
-        assert max_abs(d.P - ref) <= 1e-14 * max_abs(ref)
+        # correctly rounded: P and K feed every design, so any kernel
+        # change that moves a bit of P moves the CSVs
+        np.testing.assert_array_equal(d.P, ref)
 
     def test_rejection_is_bounded(self, monkeypatch):
-        calls = [0]
-
-        def counted(fn):
-            def wrapper(*args):
-                calls[0] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(riccati, "solve_lyapunov", counted(riccati.solve_lyapunov))
-        monkeypatch.setattr(riccati, "matrix_sign", counted(riccati.matrix_sign))
+        calls = []
+        monkeypatch.setattr(riccati, "solve_lyapunov", counted(riccati.solve_lyapunov, calls))
+        monkeypatch.setattr(riccati, "matrix_sign", counted(riccati.matrix_sign, calls))
         with pytest.raises(NotStabilizable):
             solve_care(np.eye(2), [[1.0], [0.0]], np.eye(2), [[1.0]])
-        assert 1 <= calls[0] <= 10
+        assert 1 <= len(calls) <= 10
 
 
 class TestPlateauRule:
@@ -145,22 +140,16 @@ class TestPlateauRule:
 
     @pytest.mark.parametrize("n", [4, 8, 16, 24, 32])
     def test_lyapunov_solves_per_care(self, n, monkeypatch):
-        calls = [0]
-        lyap = riccati.solve_lyapunov
-
-        def counted(*args):
-            calls[0] += 1
-            return lyap(*args)
-
-        monkeypatch.setattr(riccati, "solve_lyapunov", counted)
+        calls = []
+        monkeypatch.setattr(riccati, "solve_lyapunov", counted(riccati.solve_lyapunov, calls))
         rng = np.random.default_rng(2100 + n)
         m = max(1, n // 4)
         for _ in range(4):
             A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
             Q, R = random_spd(rng, n), random_spd(rng, m)
-            calls[0] = 0
+            calls.clear()
             d = solve_care(A, B, Q, R)
-            assert calls[0] <= 3
+            assert len(calls) <= 3
             ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
             assert max_abs(d.P - ref) <= 1e-8 * max_abs(ref)
 

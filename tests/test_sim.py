@@ -309,12 +309,12 @@ class TestModelCalls:
         cfg = SimConfig(n_steps=n, x0=np.array([0.3, 0.0]))
         traj = simulate(counted, ctrl, cfg, clf=res.clf)
         assert traj.inputs.shape[0] == n
-        assert calls[0] == 4 * n
-        calls[0] = 0
+        assert len(calls) == 4 * n
+        calls.clear()
         X0 = np.array([[0.3, 0.0], [-0.5, 1.0], [1.0, 0.0]])
         _, _, diverged = rollout_costs(counted, ctrl, X0, res.lqr.Q, res.lqr.R, cfg.h, n)
         assert not diverged.any()
-        assert calls[0] == 4 * n
+        assert len(calls) == 4 * n
 
 
     def test_design_ii_needs_no_finite_differences(self, pendulum, pendulum_designs,
