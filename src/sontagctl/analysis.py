@@ -8,6 +8,7 @@ CLF values, and sweep rows are produced in deterministic angle order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -38,7 +39,8 @@ class GridSpec:
         upper = as_vector(self.upper, "upper")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "points_per_axis", tuple(int(k) for k in self.points_per_axis))
+        points = tuple(operator.index(k) for k in self.points_per_axis)  # integers only
+        object.__setattr__(self, "points_per_axis", points)
         if lower.shape != upper.shape or len(self.points_per_axis) != lower.shape[0]:
             raise ValueError("grid bounds and axis counts disagree")
         if not np.all(lower < upper):

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    GridSpec,
     largest_certified_sublevel,
     roa_certify,
     sweep_initial_angles,
@@ -38,22 +37,19 @@ def _fmt_matrix(M) -> str:
                            suppress_small=False, separator=", ")
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "design", None):
-        cfg.design = args.design
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+def _flag_layer(args) -> dict:
+    """The command-line flags as one more config mapping."""
+    layer = {key: value for key, value in (("design", getattr(args, "design", None)),
+                                            ("out_dir", args.out), ("seed", args.seed))
+             if value not in (None, "")}
+    sim = {}
     if getattr(args, "zoh", False):
-        cfg.zoh = True
-    theta0 = getattr(args, "theta0_deg", None)
-    if theta0 is not None:
-        system, _ = cfg.build_system()
-        if system.n != 2:
-            raise ConfigError("--theta0-deg needs a two-state (angle, rate) system")
-        cfg.x0 = np.array([np.radians(theta0), 0.0])
-    return cfg.resolved()
+        sim["zoh"] = True
+    if getattr(args, "theta0_deg", None) is not None:
+        sim["x0"] = [np.radians(args.theta0_deg), 0.0]
+    if sim:
+        layer["sim"] = sim
+    return layer
 
 
 def _prepare_out(cfg: RunConfig) -> Path:
@@ -64,8 +60,8 @@ def _prepare_out(cfg: RunConfig) -> Path:
 
 
 def cmd_synthesize(cfg: RunConfig) -> int:
-    system, fbl = cfg.build_system()
-    result = synthesize_design(cfg.design, system, fbl, cfg.Q, cfg.R)
+    system = cfg.system
+    result = synthesize_design(cfg.design, system, cfg.fbl, cfg.Q, cfg.R)
     design = result.lqr
     rel = design.are_residual / max(np.abs(design.Q).max(), np.finfo(float).tiny)
     print(f"system: {system.name or 'custom'} (n={system.n}, m={system.m})")
@@ -80,10 +76,10 @@ def cmd_synthesize(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    system, fbl = cfg.build_system()
-    result = synthesize_design(cfg.design, system, fbl, cfg.Q, cfg.R)
+    system = cfg.system
+    result = synthesize_design(cfg.design, system, cfg.fbl, cfg.Q, cfg.R)
     clf = result.clf if result.clf is not None else build_lqr_clf(result.lqr)
-    traj = simulate(system, result.controller, cfg.sim_config(), clf=clf)
+    traj = simulate(system, result.controller, cfg.sim, clf=clf)
     out = _prepare_out(cfg)
     csv_path = out / "trajectory.csv"
     write_trajectory_csv(traj, csv_path)
@@ -106,22 +102,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    system, fbl = cfg.build_system()
+    system, fbl = cfg.system, cfg.fbl
+    if system.n != 2:
+        raise ConfigError("sweep needs a two-state (angle, rate) system")
     designs = {
         "sontag": synthesize_design("i", system, fbl, cfg.Q, cfg.R).controller,
         "fbl": synthesize_design("iii", system, fbl, cfg.Q, cfg.R).controller,
         "lqr": synthesize_design("iv", system, fbl, cfg.Q, cfg.R).controller,
     }
-    result = sweep_initial_angles(
-        system, designs, cfg.Q, cfg.R, cfg.sim_config(),
-        n_angles=cfg.sweep_n_angles,
-        theta_range_deg=(cfg.sweep_theta_min_deg, cfg.sweep_theta_max_deg),
-    )
+    result = sweep_initial_angles(system, designs, cfg.Q, cfg.R, cfg.sim,
+                                  n_angles=cfg.n_angles, theta_range_deg=cfg.theta_range_deg)
     out = _prepare_out(cfg)
     csv_path = out / "sweep.csv"
     write_sweep_csv(result, csv_path)
-    print(f"swept {cfg.sweep_n_angles} initial angles in "
-          f"[{cfg.sweep_theta_min_deg:g}, {cfg.sweep_theta_max_deg:g}] deg")
+    lo, hi = cfg.theta_range_deg
+    print(f"swept {cfg.n_angles} initial angles in [{lo:g}, {hi:g}] deg")
     for line in result.summary_lines():
         print(line)
     print(f"wrote {csv_path}")
@@ -129,18 +124,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_roa(cfg: RunConfig) -> int:
-    system, fbl = cfg.build_system()
+    system, fbl, grid = cfg.system, cfg.fbl, cfg.grid
     sontag = synthesize_design("i", system, fbl, cfg.Q, cfg.R)
     lqr = synthesize_design("iv", system, fbl, cfg.Q, cfg.R)
     clf = sontag.clf
-    grid = GridSpec(lower=cfg.roa_lower, upper=cfg.roa_upper,
-                    points_per_axis=cfg.roa_points_per_axis)
-    if cfg.roa_sublevel is None:
+    if cfg.sublevel is None:
         c_lqr = largest_certified_sublevel(system, clf, lqr.controller, grid)
         c_sontag = largest_certified_sublevel(system, clf, sontag.controller, grid)
         C = max(c_lqr, c_sontag)
     else:
-        c_lqr = c_sontag = C = cfg.roa_sublevel
+        c_lqr = c_sontag = C = cfg.sublevel
     cert = roa_certify(system, clf, lqr=lqr.controller, sontag=sontag.controller,
                        grid=grid, C=C)
     out = _prepare_out(cfg)
@@ -199,7 +192,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config, _flag_layer(args))
         return _COMMANDS[args.command](cfg)
     except (ConfigError, BadWeights) as exc:
         print(f"config error: {exc}", file=sys.stderr)

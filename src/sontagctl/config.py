@@ -1,19 +1,25 @@
 """Run configuration: a small YAML schema for system, weights,
 simulation, sweep, and grid-certification settings.
 
+Config is a thin shell over the library. One table of defaults names
+every key and its type; the library constructors (the system builders,
+``SimConfig``, ``GridSpec``) decide which values are valid, and their
+errors come back as ``ConfigError`` prefixed with the config section.
 The effective configuration (every field resolved to a concrete value)
 can be emitted back as YAML; re-reading it reproduces identical runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import yaml
 
-from .linalg import as_matrix, as_square, as_vector
-from .model import PendulumParams, lti_system, pendulum_system
+from .analysis import GridSpec
+from .control import DESIGN_SELECTORS
+from .linalg import as_square
+from .model import FeedbackLinearization, PendulumParams, SystemModel, lti_system, pendulum_system
 from .sim import SimConfig
 
 
@@ -21,242 +27,172 @@ class ConfigError(Exception):
     """A configuration file could not be parsed or validated."""
 
 
-_TOP_KEYS = {"system", "weights", "sim", "sweep", "roa", "design", "out_dir", "seed"}
+#: Marks a system parameter that has no default.
+_REQUIRED = object()
+
+#: ``system.name`` -> (parameter defaults, builder returning (system, fbl)).
+_SYSTEMS = {
+    "pendulum": (asdict(PendulumParams()), lambda p: pendulum_system(PendulumParams(**p))),
+    "lti": ({"A": _REQUIRED, "B": _REQUIRED}, lambda p: lti_system(p["A"], p["B"])),
+}
+
+#: Every settable key besides ``system`` with its default. A value must have
+#: its default's type, where a float key takes whatever ``float()`` accepts;
+#: None marks a value filled in once the system is built, mostly from its
+#: dimensions.
+_DEFAULTS = {
+    "weights": {"Q": None, "R": None},
+    "sim": {"h": 0.01, "n_steps": 1500, "x0": None, "zoh": False},
+    "sweep": {"n_angles": 1000, "theta_min_deg": 0.0, "theta_max_deg": 89.0},
+    "roa": {"lower": None, "upper": None, "points_per_axis": None, "sublevel": None},
+    "design": "i",
+    "out_dir": "out",
+    "seed": 0,
+}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    system_name: str = "pendulum"
-    pendulum: PendulumParams = field(default_factory=PendulumParams)
-    lti_A: np.ndarray | None = None
-    lti_B: np.ndarray | None = None
-    Q: np.ndarray | None = None
-    R: np.ndarray | None = None
-    h: float = 0.01
-    n_steps: int = 1500
-    x0: np.ndarray | None = None
-    zoh: bool = False
-    sweep_n_angles: int = 1000
-    sweep_theta_min_deg: float = 0.0
-    sweep_theta_max_deg: float = 89.0
-    roa_lower: np.ndarray | None = None
-    roa_upper: np.ndarray | None = None
-    roa_points_per_axis: tuple[int, ...] = (101, 101)
-    roa_sublevel: float | None = None  # None means the largest certified one
-    design: str = "i"
-    out_dir: str = "out"
-    seed: int = 0
+    """What the commands use, built and validated once."""
 
-    def build_system(self):
-        """Instantiate the configured model; returns (system, fbl)."""
-        if self.system_name == "pendulum":
-            return pendulum_system(self.pendulum)
-        if self.system_name == "lti":
-            return lti_system(self.lti_A, self.lti_B)
-        raise ConfigError(f"unknown system {self.system_name!r}")
-
-    def resolved(self) -> "RunConfig":
-        """Fill dimension-dependent defaults (weights, x0, grid)."""
-        system, _ = self.build_system()
-        if self.Q is None:
-            self.Q = np.eye(system.n)
-        if self.R is None:
-            self.R = np.eye(system.m)
-        if self.x0 is None:
-            self.x0 = np.zeros(system.n)
-        if self.roa_lower is None:
-            self.roa_lower = np.array([-1.4, -4.0]) if system.n == 2 else -np.ones(system.n)
-        if self.roa_upper is None:
-            self.roa_upper = np.array([1.4, 4.0]) if system.n == 2 else np.ones(system.n)
-        if len(self.roa_points_per_axis) != system.n:
-            raise ConfigError("roa.points_per_axis length does not match the state dimension")
-        self.Q = as_square(self.Q, "Q")
-        self.R = as_square(self.R, "R")
-        if self.Q.shape[0] != system.n or self.R.shape[0] != system.m:
-            raise ConfigError("weight dimensions do not match the system")
-        self.x0 = _as_vector(self.x0, "sim.x0")
-        if self.x0.shape != (system.n,):
-            raise ConfigError("sim.x0 dimension does not match the system")
-        self.roa_lower = _as_vector(self.roa_lower, "roa.lower")
-        self.roa_upper = _as_vector(self.roa_upper, "roa.upper")
-        if self.roa_lower.shape != (system.n,) or self.roa_upper.shape != (system.n,):
-            raise ConfigError("roa.lower and roa.upper dimensions do not match the system")
-        if not np.all(self.roa_lower < self.roa_upper):
-            raise ConfigError("roa.lower must be strictly below roa.upper")
-        return self
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(h=self.h, n_steps=self.n_steps, x0=np.asarray(self.x0, float),
-                         zoh=self.zoh)
-
-    def effective_dict(self) -> dict:
-        """Every field resolved to plain Python values, ready for YAML."""
-        self.resolved()
-        system: dict = {"name": self.system_name}
-        if self.system_name == "pendulum":
-            p = self.pendulum
-            system["pendulum"] = {"mass": float(p.mass), "gravity": float(p.gravity),
-                                  "length": float(p.length), "inertia": float(p.inertia)}
-        else:
-            system["lti"] = {"A": self.lti_A.tolist(), "B": self.lti_B.tolist()}
-        return {
-            "system": system,
-            "weights": {"Q": self.Q.tolist(), "R": self.R.tolist()},
-            "sim": {"h": float(self.h), "n_steps": int(self.n_steps),
-                    "x0": np.asarray(self.x0, float).tolist(), "zoh": bool(self.zoh)},
-            "sweep": {"n_angles": int(self.sweep_n_angles),
-                      "theta_min_deg": float(self.sweep_theta_min_deg),
-                      "theta_max_deg": float(self.sweep_theta_max_deg)},
-            "roa": {"lower": np.asarray(self.roa_lower, float).tolist(),
-                    "upper": np.asarray(self.roa_upper, float).tolist(),
-                    "points_per_axis": list(self.roa_points_per_axis),
-                    "sublevel": "auto" if self.roa_sublevel is None else float(self.roa_sublevel)},
-            "design": self.design,
-            "out_dir": self.out_dir,
-            "seed": int(self.seed),
-        }
+    system: SystemModel
+    fbl: FeedbackLinearization | None
+    Q: np.ndarray
+    R: np.ndarray
+    sim: SimConfig
+    grid: GridSpec
+    sublevel: float | None  # None means the largest certified one
+    n_angles: int
+    theta_range_deg: tuple[float, float]
+    design: str
+    out_dir: str
+    effective: dict  # every key resolved to plain Python values, ready for YAML
 
 
-def _require_mapping(value, path: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path} must be a mapping")
-    return value
-
-
-def _check_keys(data: dict, allowed: set[str], path: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} under {path}")
-
-
-def _as_float(value, path: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} must be a number") from exc
-
-
-def _as_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path} must be an integer")
-    return value
-
-
-def _as_matrix(value, path: str) -> np.ndarray:
-    try:
-        return as_matrix(value, path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _as_vector(value, path: str) -> np.ndarray:
-    try:
-        return as_vector(value, path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def parse_config(data: dict | None, source: str = "<config>") -> RunConfig:
-    """Build a RunConfig from a parsed YAML mapping."""
-    cfg = RunConfig()
-    data = _require_mapping(data, source)
-    _check_keys(data, _TOP_KEYS, source)
-
-    system = _require_mapping(data.get("system"), "system")
-    _check_keys(system, {"name", "pendulum", "lti"}, "system")
-    cfg.system_name = system.get("name", "pendulum")
-    if cfg.system_name not in ("pendulum", "lti"):
-        raise ConfigError(f"system.name must be 'pendulum' or 'lti', got {cfg.system_name!r}")
-    pend = _require_mapping(system.get("pendulum"), "system.pendulum")
-    _check_keys(pend, {"mass", "gravity", "length", "inertia"}, "system.pendulum")
-    if pend:
+def _typed(value, default, path: str):
+    if default is None or default is _REQUIRED:
+        return value
+    if isinstance(default, float):
         try:
-            cfg.pendulum = PendulumParams(
-                mass=_as_float(pend.get("mass", 1.0), "system.pendulum.mass"),
-                gravity=_as_float(pend.get("gravity", 9.81), "system.pendulum.gravity"),
-                length=_as_float(pend.get("length", 1.0), "system.pendulum.length"),
-                inertia=_as_float(pend.get("inertia", 0.0), "system.pendulum.inertia"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"system.pendulum: {exc}") from exc
-    if cfg.system_name == "lti":
-        lti = _require_mapping(system.get("lti"), "system.lti")
-        _check_keys(lti, {"A", "B"}, "system.lti")
-        if "A" not in lti or "B" not in lti:
-            raise ConfigError("system.lti must provide A and B")
-        cfg.lti_A = _as_matrix(lti["A"], "system.lti.A")
-        cfg.lti_B = _as_matrix(lti["B"], "system.lti.B")
-
-    weights = _require_mapping(data.get("weights"), "weights")
-    _check_keys(weights, {"Q", "R"}, "weights")
-    if "Q" in weights:
-        cfg.Q = _as_matrix(weights["Q"], "weights.Q")
-    if "R" in weights:
-        cfg.R = _as_matrix(weights["R"], "weights.R")
-
-    sim = _require_mapping(data.get("sim"), "sim")
-    _check_keys(sim, {"h", "n_steps", "x0", "zoh"}, "sim")
-    cfg.h = _as_float(sim.get("h", cfg.h), "sim.h")
-    cfg.n_steps = _as_int(sim.get("n_steps", cfg.n_steps), "sim.n_steps")
-    if not 0 < cfg.h < np.inf or cfg.n_steps < 1:
-        raise ConfigError("sim.h must be positive and finite and sim.n_steps at least 1")
-    if "x0" in sim:
-        cfg.x0 = sim["x0"]
-    zoh = sim.get("zoh", False)
-    if not isinstance(zoh, bool):
-        raise ConfigError("sim.zoh must be a boolean")
-    cfg.zoh = zoh
-
-    sweep = _require_mapping(data.get("sweep"), "sweep")
-    _check_keys(sweep, {"n_angles", "theta_min_deg", "theta_max_deg"}, "sweep")
-    cfg.sweep_n_angles = _as_int(sweep.get("n_angles", cfg.sweep_n_angles), "sweep.n_angles")
-    cfg.sweep_theta_min_deg = _as_float(sweep.get("theta_min_deg", cfg.sweep_theta_min_deg),
-                                        "sweep.theta_min_deg")
-    cfg.sweep_theta_max_deg = _as_float(sweep.get("theta_max_deg", cfg.sweep_theta_max_deg),
-                                        "sweep.theta_max_deg")
-    if cfg.sweep_n_angles < 1:
-        raise ConfigError("sweep.n_angles must be at least 1")
-    if not -np.inf < cfg.sweep_theta_min_deg <= cfg.sweep_theta_max_deg < np.inf:
-        raise ConfigError("sweep angle range must be finite and nonempty")
-
-    roa = _require_mapping(data.get("roa"), "roa")
-    _check_keys(roa, {"lower", "upper", "points_per_axis", "sublevel"}, "roa")
-    if "lower" in roa:
-        cfg.roa_lower = roa["lower"]
-    if "upper" in roa:
-        cfg.roa_upper = roa["upper"]
-    if "points_per_axis" in roa:
-        cfg.roa_points_per_axis = tuple(_as_int(k, "roa.points_per_axis")
-                                        for k in roa["points_per_axis"])
-        if min(cfg.roa_points_per_axis, default=0) < 2:
-            raise ConfigError("roa.points_per_axis needs at least two points per axis")
-    sublevel = roa.get("sublevel", "auto")
-    if sublevel == "auto":
-        cfg.roa_sublevel = None
-    else:
-        cfg.roa_sublevel = _as_float(sublevel, "roa.sublevel")
-        if not cfg.roa_sublevel >= 0:
-            raise ConfigError("roa.sublevel must be nonnegative or 'auto'")
-
-    design = data.get("design", cfg.design)
-    if design not in ("i", "ii", "iii", "iv"):
-        raise ConfigError(f"design must be one of i, ii, iii, iv, got {design!r}")
-    cfg.design = design
-    out_dir = data.get("out_dir", cfg.out_dir)
-    if not isinstance(out_dir, str):
-        raise ConfigError("out_dir must be a string")
-    cfg.out_dir = out_dir
-    cfg.seed = _as_int(data.get("seed", cfg.seed), "seed")
-
-    return cfg.resolved()
+            return float(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path} must be a number") from exc
+    if type(value) is not type(default):  # so a bool is no int here
+        raise ConfigError(f"{path} must be of type {type(default).__name__}")
+    return value
 
 
-def load_config(path: str | None) -> RunConfig:
+def _merge(defaults: dict, layers: list, where: str, prefix: str = "") -> dict:
+    """Walk ``defaults``, taking each key from the last layer that sets it."""
+    layers = [{} if layer is None else layer for layer in layers]
+    for layer in layers:
+        if not isinstance(layer, dict):
+            raise ConfigError(f"{where} must be a mapping")
+        unknown = set(layer) - set(defaults)
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} under {where}")
+    merged = {}
+    for key, default in defaults.items():
+        path = prefix + key
+        given = [layer[key] for layer in layers if key in layer]
+        if isinstance(default, dict):
+            merged[key] = _merge(default, given, path, path + ".")
+            continue
+        checked = [_typed(value, default, path) for value in given]
+        if not checked and default is _REQUIRED:
+            raise ConfigError(f"{path} is required")
+        merged[key] = checked[-1] if checked else default
+    return merged
+
+
+def _axis_points(n: int) -> int:
+    """Default grid points per axis: 101 up to n = 2, then the largest k
+    with k**n <= 101**2 (at least 2)."""
+    return max(2, min(101, int(101 ** (2 / n))))
+
+
+def _fill(eff: dict, n: int, m: int) -> None:
+    """Replace each None in ``eff`` by its default for an n-state,
+    m-input system."""
+    box = [1.4, 4.0] if n == 2 else [1.0] * n
+    filled = {
+        "weights": {"Q": np.eye(n), "R": np.eye(m)},
+        "sim": {"x0": np.zeros(n)},
+        "roa": {"lower": [-b for b in box], "upper": box,
+                "points_per_axis": [_axis_points(n)] * n, "sublevel": "auto"},
+    }
+    for section, values in filled.items():
+        for key, value in values.items():
+            if eff[section][key] is None:
+                eff[section][key] = value
+
+
+def parse_config(data: dict | None, source: str = "<config>",
+                 overrides: dict | None = None) -> RunConfig:
+    """Build a RunConfig from a parsed YAML mapping, with ``overrides``
+    (a mapping of the same schema) taking precedence."""
+    system = data.get("system") if isinstance(data, dict) else None
+    name = system.get("name", "pendulum") if isinstance(system, dict) else "pendulum"
+    if not isinstance(name, str) or name not in _SYSTEMS:
+        raise ConfigError(f"system.name must be one of {sorted(_SYSTEMS)}, got {name!r}")
+    params, build = _SYSTEMS[name]
+    table = {"system": {"name": name, name: params}, **_DEFAULTS}
+    eff = _merge(table, [data, overrides], source)
+
+    section = f"system.{name}"
+    try:
+        sys_model, fbl = build(eff["system"][name])
+        eff["system"][name] = {k: np.asarray(v, dtype=float).tolist()
+                               for k, v in eff["system"][name].items()}
+        _fill(eff, sys_model.n, sys_model.m)
+        section = "weights"
+        Q = as_square(eff["weights"]["Q"], "Q")
+        R = as_square(eff["weights"]["R"], "R")
+        if Q.shape[0] != sys_model.n or R.shape[0] != sys_model.m:
+            raise ValueError("weight dimensions do not match the system")
+        section = "sim"
+        sim = SimConfig(**eff["sim"])
+        if sim.x0.shape[0] != sys_model.n:
+            raise ValueError("x0 dimension does not match the system")
+        section = "sweep"
+        sweep = eff["sweep"]
+        if sweep["n_angles"] < 1:
+            raise ValueError("n_angles must be at least 1")
+        if not -np.inf < sweep["theta_min_deg"] <= sweep["theta_max_deg"] < np.inf:
+            raise ValueError("angle range must be finite and nonempty")
+        section = "roa"
+        roa = eff["roa"]
+        grid = GridSpec(roa["lower"], roa["upper"], roa["points_per_axis"])
+        if grid.dim != sys_model.n:
+            raise ValueError("grid dimension does not match the system")
+        section = "roa.sublevel"
+        sublevel = None if roa["sublevel"] == "auto" else float(roa["sublevel"])
+        if sublevel is not None and not sublevel >= 0:
+            raise ValueError("must be nonnegative or 'auto'")
+        section = "design"
+        if eff["design"] not in DESIGN_SELECTORS:
+            raise ValueError(f"must be one of {', '.join(DESIGN_SELECTORS)}, "
+                             f"got {eff['design']!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+    eff["weights"] = {"Q": Q.tolist(), "R": R.tolist()}
+    eff["sim"]["x0"] = sim.x0.tolist()
+    roa.update(lower=grid.lower.tolist(), upper=grid.upper.tolist(),
+               points_per_axis=list(grid.points_per_axis),
+               sublevel="auto" if sublevel is None else sublevel)
+    return RunConfig(
+        system=sys_model, fbl=fbl, Q=Q, R=R, sim=sim, grid=grid, sublevel=sublevel,
+        n_angles=sweep["n_angles"],
+        theta_range_deg=(sweep["theta_min_deg"], sweep["theta_max_deg"]),
+        design=eff["design"], out_dir=eff["out_dir"], effective=eff,
+    )
+
+
+def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Read a YAML config file, or the built-in defaults when None."""
     if path is None:
-        return RunConfig().resolved()
+        return parse_config(None, overrides=overrides)
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
@@ -264,12 +200,12 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path!r}: {exc}") from exc
-    return parse_config(data, source=path)
+    return parse_config(data, source=path, overrides=overrides)
 
 
 def dump_effective(cfg: RunConfig) -> str:
     """Serialize the fully resolved configuration as YAML."""
-    return yaml.safe_dump(cfg.effective_dict(), sort_keys=False, default_flow_style=None)
+    return yaml.safe_dump(cfg.effective, sort_keys=False, default_flow_style=None)
 
 
 __all__ = ["ConfigError", "RunConfig", "dump_effective", "load_config", "parse_config"]

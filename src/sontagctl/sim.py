@@ -51,10 +51,12 @@ class SimConfig:
     zoh: bool = False
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("step size must be positive")
+        if not 0 < self.h < np.inf:
+            raise ValueError("step size must be positive and finite")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
+        if self.x0 is not None:
+            object.__setattr__(self, "x0", as_vector(self.x0, "x0"))
 
 
 @dataclass
@@ -195,7 +197,7 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
     it started from, or, for a state beyond the divergence guard, on
     that recorded state.
     """
-    x0 = np.zeros(sys.n) if cfg.x0 is None else as_vector(cfg.x0, "x0")
+    x0 = np.zeros(sys.n) if cfg.x0 is None else cfg.x0
     if x0.shape[0] != sys.n:
         raise ValueError("x0 dimension does not match the system")
     is_sontag = isinstance(controller, SontagController)

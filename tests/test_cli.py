@@ -1,4 +1,5 @@
 import filecmp
+import re
 import subprocess
 import sys
 
@@ -98,14 +99,90 @@ class TestSynthesize:
         ("simulate", "sim: {x0: [.nan, 0]}\n"),
         ("simulate", "sim: {h: .nan}\n"),
         ("simulate", "sim: {h: .inf}\n"),
+        ("synthesize", "system: {name: lti, lti: {A: [[0, 1], [0, 0]], B: [[1]]}}\n"),
+        ("roa", "roa: {points_per_axis: 5}\n"),
+        # without a name the pendulum runs, so the lti section would be ignored
+        ("synthesize", "system: {lti: {A: [[1]], B: [[1]]}}\n"),
+        ("sweep", "system: {name: lti, lti: {A: [[0, 1, 0], [0, 0, 1], [-1, -2, -3]],"
+                  " B: [[0], [0], [1]]}}\n"),
     ], ids=["roa-length", "roa-empty-box", "roa-points", "sublevel-nan", "theta-inf", "x0-nan",
-            "h-nan", "h-inf"])
+            "h-nan", "h-inf", "lti-B-rows", "points-scalar", "unselected-system",
+            "sweep-three-states"])
     def test_invalid_values_exit_code(self, tmp_path, command, text):
         cfg = tmp_path / "invalid.yaml"
         cfg.write_text(text)
         proc = run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+
+def test_three_states_run_without_roa_section(tmp_path):
+    cfg = tmp_path / "third.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "system": {"name": "lti", "lti": {"A": [[0, 1, 0], [0, 0, 1], [-1, -2, -3]],
+                                          "B": [[0], [0], [1]]}},
+        "sim": {"n_steps": 50},
+    }))
+    assert run_cli("synthesize", "--config", str(cfg)).returncode == 0
+    out = tmp_path / "run"
+    proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    roa = yaml.safe_load((out / "config.yaml").read_text())["roa"]
+    assert roa["points_per_axis"] == [21, 21, 21]
+    assert roa["lower"] == [-1.0] * 3 and roa["upper"] == [1.0] * 3
+
+
+DEFAULT_CONFIG_YAML = """\
+system:
+  name: pendulum
+  pendulum: {mass: 1.0, gravity: 9.81, length: 1.0, inertia: 0.0}
+weights:
+  Q:
+  - [1.0, 0.0]
+  - [0.0, 1.0]
+  R:
+  - [1.0]
+sim:
+  h: 0.01
+  n_steps: 1500
+  x0: [0.0, 0.0]
+  zoh: false
+sweep: {n_angles: 1000, theta_min_deg: 0.0, theta_max_deg: 89.0}
+roa:
+  lower: [-1.4, -4.0]
+  upper: [1.4, 4.0]
+  points_per_axis: [101, 101]
+  sublevel: auto
+design: i
+out_dir: <out>
+seed: 0
+"""
+DOUBLE_INTEGRATOR_SYSTEM_YAML = """\
+system:
+  name: lti
+  lti:
+    A:
+    - [0.0, 1.0]
+    - [0.0, 0.0]
+    B:
+    - [0.0]
+    - [1.0]
+"""
+
+
+@pytest.mark.parametrize("system", [None, "lti"])
+def test_effective_config_bytes(tmp_path, system):
+    args = ["simulate", "--out", str(tmp_path / "out")]
+    expected = DEFAULT_CONFIG_YAML
+    if system == "lti":
+        cfg = tmp_path / "dbl.yaml"
+        cfg.write_text("system: {name: lti, lti: {A: [[0, 1], [0, 0]], B: [[0], [1]]}}\n")
+        args += ["--config", str(cfg)]
+        # the three system lines differ; the rest is the pendulum's default
+        expected = DOUBLE_INTEGRATOR_SYSTEM_YAML + expected.split("\n", 3)[3]
+    assert run_cli(*args).returncode == 0
+    text = (tmp_path / "out" / "config.yaml").read_text()
+    assert re.sub(r"(?m)^out_dir: .*$", "out_dir: <out>", text) == expected
 
 
 class TestSimulate:

@@ -72,6 +72,12 @@ class TestRk4Step:
         np.testing.assert_allclose(out, np.stack(rows), rtol=1e-14)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.01, np.nan, np.inf])
+def test_sim_config_rejects_bad_step(h):
+    with pytest.raises(ValueError):
+        SimConfig(h=h)
+
+
 class TestSimulate:
     def test_rest_at_origin(self, pendulum, pendulum_designs):
         sys_m, _ = pendulum
