@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _row_dot, _row_max_abs, as_square, cholesky_pd, max_abs, solve_many, symmetrize
+from .linalg import (_all_rows, _row_dot, _row_max_abs, as_square, cholesky_pd, max_abs, solve_many,
+                     symmetrize)
 from .model import FeedbackLinearization, SystemModel, fd_jacobian, identity_coordinates
 
 #: Base absolute tolerance for treating the input-direction derivative as zero.
@@ -72,6 +73,8 @@ class TransformedClf:
             else:
                 J = fd_jacobian(self.fbl.T, X)
             g = _row_dot(J.swapaxes(-1, -2), (Z @ self.P_tilde)[..., None, :])
+        if _all_rows(ok):
+            return g
         return np.where(ok[..., None], g, np.nan)
 
 

@@ -37,19 +37,34 @@ def _fmt_matrix(M) -> str:
                            suppress_small=False, separator=", ")
 
 
-def _flag_layer(args) -> dict:
-    """The command-line flags as one more config mapping."""
+def _flag_layer(args, theta0: bool = True) -> dict:
+    """The command-line flags as one more config mapping; ``theta0``
+    False leaves out the x0 that ``--theta0-deg`` sets."""
     layer = {key: value for key, value in (("design", getattr(args, "design", None)),
                                             ("out_dir", args.out), ("seed", args.seed))
              if value not in (None, "")}
     sim = {}
     if getattr(args, "zoh", False):
         sim["zoh"] = True
-    if getattr(args, "theta0_deg", None) is not None:
+    if theta0 and getattr(args, "theta0_deg", None) is not None:
         sim["x0"] = [np.radians(args.theta0_deg), 0.0]
     if sim:
         layer["sim"] = sim
     return layer
+
+
+def _load(args) -> RunConfig:
+    """The run configuration, built once. ``--theta0-deg`` sets x0 to
+    (angle, 0); when that x0 fails, a system that is not two-state is
+    reported as such rather than as an x0 of the wrong length."""
+    try:
+        return load_config(args.config, _flag_layer(args))
+    except ConfigError:
+        if getattr(args, "theta0_deg", None) is None:
+            raise
+        if load_config(args.config, _flag_layer(args, theta0=False)).system.n != 2:
+            raise ConfigError("--theta0-deg needs a two-state (angle, rate) system") from None
+        raise
 
 
 def _prepare_out(cfg: RunConfig) -> Path:
@@ -192,7 +207,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, _flag_layer(args))
+        cfg = _load(args)
         return _COMMANDS[args.command](cfg)
     except (ConfigError, BadWeights) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .clf import b_tolerance, build_global_clf, build_lqr_clf, lie_terms
-from .linalg import (_row_all_finite, _row_dot, _row_max_abs, as_matrix, as_square, cholesky_pd,
-                     max_abs, solve_many, symmetrize)
+from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, _select, as_matrix,
+                     as_square, cholesky_pd, max_abs, solve_many, symmetrize)
 from .model import FeedbackLinearization, SystemModel, apply_input, fd_jacobian, linearize
 from .riccati import LqrDesign, solve_care
 
@@ -38,7 +38,7 @@ GAMMA_PIVOT_TOL = 1e-12
 
 def _lambda_array(a, q, beta):
     """Scaling factor of the Sontag-type law, elementwise; callers guard
-    beta > 0 on used lanes.
+    beta > 0 on used lanes. A single state's numpy scalars stay scalars.
 
     With q >= 0 the result is nonnegative, strictly positive when q > 0,
     and equals 1 exactly when a = (beta - q) / 2, the relation the
@@ -47,13 +47,13 @@ def _lambda_array(a, q, beta):
     branch and keeps every denominator positive, so no masked division
     is needed.
     """
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    a = np.asarray(a, dtype=float)[()]
+    q = np.asarray(q, dtype=float)[()]
+    beta = np.asarray(beta, dtype=float)[()]
     s = np.sqrt(a * a + q * beta)
     neg = a < 0.0
-    num = np.where(neg, q, a + s)
-    denom = np.where(neg, s - a, beta)
+    num = _select(neg, q, a + s)
+    denom = _select(neg, s - a, beta)
     return num / denom
 
 
@@ -104,9 +104,12 @@ class SontagController:
         x_norm = np.sqrt(_row_dot(X, X))
         nonzero = _row_max_abs(lt.b) > b_tolerance(self.clf, x_norm)
         ok = _row_all_finite(lt.grad)
-        lam = _lambda_array(lt.a, q, np.where(nonzero, beta, 1.0))
-        U = np.where(nonzero[..., None], -lam[..., None] * Rb, 0.0)
-        U = np.where(ok[..., None], U, np.nan)
+        lam = _lambda_array(lt.a, q, _select(nonzero, beta, 1.0))
+        U = (-lam)[..., None] * Rb
+        if not _all_rows(nonzero):
+            U = np.where(nonzero[..., None], U, 0.0)
+        if not _all_rows(ok):
+            U = np.where(ok[..., None], U, np.nan)
         return _Parts(U=U, lam=lam, nonzero=nonzero, ok=ok, a=lt.a, beta=beta, q=q,
                       x_norm=x_norm, f=lt.f, G=lt.G)
 
@@ -151,12 +154,14 @@ class FblController:
         if m == 1:
             g = gam[..., 0, 0]
             ok = ok & (np.abs(g) > GAMMA_PIVOT_TOL)
-            U = rhs / np.where(ok, g, 1.0)[..., None]
+            U = rhs / (g if _all_rows(ok) else np.where(ok, g, 1.0))[..., None]
         else:
             det = np.linalg.det(gam)
             ok = ok & (np.abs(det) > GAMMA_PIVOT_TOL)
             safe = np.where(ok[..., None, None], gam, np.eye(m))
             U = np.linalg.solve(safe, rhs[..., None])[..., 0]
+        if _all_rows(ok):
+            return U
         return np.where(ok[..., None], U, np.nan)
 
 

@@ -90,6 +90,22 @@ def _row_dot(A: np.ndarray, B: np.ndarray):
     return s.T
 
 
+def _select(mask, a, b):
+    """``np.where(mask, a, b)`` for a row mask. A row scalar (the 0-d
+    mask of a single state) picks ``a`` or ``b`` in Python instead, so
+    numpy scalars stay scalars rather than becoming 0-d arrays."""
+    if mask.ndim == 0:
+        return a if mask else b
+    return np.where(mask, a, b)
+
+
+def _all_rows(mask) -> bool:
+    """Whether a row mask holds on every row: ``bool`` on a row scalar,
+    where ``.all()`` would cost as much as the mask it lets a caller
+    skip."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.all())
+
+
 def _row_max_abs(A: np.ndarray):
     """``np.abs(A).max(axis=-1)`` by column arithmetic; NaN propagates."""
     absA = np.abs(A)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import SingularMatrix, _certified_inverse, _row_dot, as_matrix, as_square, max_abs
+from .linalg import SingularMatrix, _certified_inverse, as_matrix, as_square, max_abs
 
 EQUILIBRIUM_TOL = 1e-12
 #: Default relative step for central finite differences.
@@ -149,10 +149,14 @@ def fd_jacobian(fn, x, step_scale: float = FD_STEP_SCALE) -> np.ndarray:
 
 
 def apply_input(Gx, u) -> np.ndarray:
-    """Contract an (..., n, m) input matrix with (..., m) inputs."""
+    """Contract an (..., n, m) input matrix with (..., m) inputs, adding
+    the input columns in index order from +0.0 as ``_row_dot`` does."""
     Gx = np.asarray(Gx, dtype=float)
     u = np.asarray(u, dtype=float)
-    return _row_dot(Gx, u[..., None, :])
+    s = Gx[..., 0] * u[..., 0, None] + 0.0
+    for k in range(1, Gx.shape[-1]):
+        s += Gx[..., k] * u[..., k, None]
+    return s
 
 
 def linearize(sys: SystemModel) -> tuple[np.ndarray, np.ndarray]:

@@ -23,13 +23,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import SontagController, _clf_violations, _Parts
-from .linalg import _row_all_finite, _row_dot, _row_max_abs, as_square, as_vector
+from .linalg import _all_rows, _row_all_finite, _row_dot, _row_max_abs, as_square, as_vector
 from .model import SystemModel, apply_input
 
 #: A run halts once the state norm passes this bound.
 DIVERGENCE_GUARD = 1e6
 #: A run counts as stabilized when the final state norm is below this.
 STABILIZATION_TOL = 1e-2
+#: Overflow and NaN on the way to a halt are flagged, not warned about.
+_HALT_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
 FLAG_CLF_VIOLATION = "clf_violation"
 FLAG_DOMAIN = "domain_violation"
@@ -158,9 +160,9 @@ def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool,
     """
     is_sontag = isinstance(controller, SontagController)
     X = np.asarray(X, dtype=float)
-    running = np.ones(X.shape[:-1], dtype=bool)
+    running = np.ones(X.shape[:-1], dtype=bool)[()]
     parts = k1 = None
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_HALT_ERRSTATE):
         for _ in range(n_steps):
             if is_sontag:
                 parts = controller._parts(X)
@@ -168,7 +170,7 @@ def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool,
             else:
                 U = np.asarray(controller.u(X), dtype=float)
             u_ok = _row_all_finite(U)
-            if not u_ok.all():
+            if not _all_rows(u_ok):
                 U = np.where(u_ok[..., None], U, 0.0)
             if is_sontag:
                 k1 = parts.f + apply_input(parts.G, U)
@@ -176,7 +178,7 @@ def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool,
             x_max = _row_max_abs(X_new)
             on_step(_Step(X, U, parts, running, u_ok, X_new, x_max))
             ok = running & u_ok & (x_max <= DIVERGENCE_GUARD)
-            if ok.all():
+            if _all_rows(ok):
                 X = X_new
                 continue
             running = ok
@@ -224,11 +226,13 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
 
     stabilized, halted = _rollout(sys, controller, x0, cfg.h, cfg.n_steps, cfg.zoh, record)
     X = np.array(states)
+    with np.errstate(**_HALT_ERRSTATE):  # x0 is recorded even beyond the divergence guard
+        V = None if clf is None else np.asarray(clf.value(X), dtype=float)
     return Trajectory(
         times=cfg.h * np.arange(len(states)),
         states=X,
         inputs=np.array(inputs, dtype=float).reshape(len(inputs), sys.m),
-        clf_values=None if clf is None else np.asarray(clf.value(X), dtype=float),
+        clf_values=V,
         lambdas=np.array(lams) if is_sontag else None,
         flags=[";".join(f) for f in flags],
         diverged=bool(halted),
@@ -325,7 +329,9 @@ def rollout_costs(sys: SystemModel, controller, X0, Q, R, h: float, n_steps: int
 
     def add_cost(s: _Step) -> None:
         nonlocal costs
-        costs += np.where(s.running & s.u_ok, 0.5 * h * _running_cost(s.X, s.U, Q, R), 0.0)
+        live = s.running & s.u_ok
+        cost = 0.5 * h * _running_cost(s.X, s.U, Q, R)
+        costs += cost if _all_rows(live) else np.where(live, cost, 0.0)
 
     stabilized, diverged = _rollout(sys, controller, X0, h, n_steps, zoh, add_cost)
     return np.where(diverged, np.inf, costs), stabilized, diverged

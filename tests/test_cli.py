@@ -233,6 +233,23 @@ class TestSimulate:
             outs.append(out / "trajectory.csv")
         assert filecmp.cmp(*outs, shallow=False)
 
+    def test_huge_angle_writes_no_warning(self, tmp_path):
+        proc = run_cli("simulate", "--theta0-deg", "1e300", "--out", str(tmp_path / "run"))
+        assert proc.returncode == 0
+        assert "stabilized = False" in proc.stdout
+        assert proc.stderr == ""
+
+    def test_theta0_needs_two_states(self, tmp_path):
+        cfg = tmp_path / "third.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "system": {"name": "lti", "lti": {"A": [[0, 1, 0], [0, 0, 1], [-1, -2, -3]],
+                                              "B": [[0], [0], [1]]}},
+        }))
+        proc = run_cli("simulate", "--config", str(cfg), "--theta0-deg", "20",
+                       "--out", str(tmp_path / "run"))
+        assert proc.returncode == 2
+        assert "config error: --theta0-deg needs a two-state (angle, rate) system" in proc.stderr
+
     def test_zoh_flag(self, tmp_path):
         out = tmp_path / "run"
         proc = run_cli("simulate", "--design", "i", "--theta0-deg", "25",

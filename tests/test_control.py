@@ -17,6 +17,7 @@ from sontagctl.control import (
 )
 from sontagctl.model import FeedbackLinearization, SystemModel, apply_input, lti_system
 from sontagctl.riccati import solve_care
+from sontagctl.sim import rk4_step
 
 from conftest import random_lti, random_spd
 
@@ -365,6 +366,83 @@ class TestBatchOfOne:
     def test_clf_value(self, pendulum_designs, states, selector):
         clf = pendulum_designs[selector].clf
         assert _bits(clf.value(states)) == _bits([clf.value(x) for x in states])
+
+
+def _nan_bits(x) -> bytes:
+    """Bytes of ``x`` with every NaN made the same NaN: IEEE 754 leaves
+    the sign of a NaN computed from NaNs open, so NaNs compare by
+    position; every other value, zeros' signs included, by its bits."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+class TestBatchOfOneEdges:
+    """The rows a random box misses, stacked against row by row: the
+    origin, the zero-input line b = 0 and its edge, drift that decays V
+    and drift that does not, and states beyond the pendulum's
+    linearization domain. A single state runs on numpy scalars, a stack
+    on arrays, so both sides of every row mask are compared."""
+
+    @pytest.fixture(scope="class")
+    def states(self, pendulum_designs):
+        P = pendulum_designs["i"].clf.P
+        rng = np.random.default_rng(5017)
+        x1 = np.linspace(-1.4, 1.4, 41)
+        on_line = np.stack([x1, -P[0, 1] / P[1, 1] * x1], axis=-1)   # P12 x1 + P22 x2 = 0
+        near_line = [on_line + [0.0, d] for d in (-1e-9, -1e-11, 1e-11, 1e-9)]
+        edge = np.pi / 2
+        outside = np.stack([rng.choice([-1.0, 1.0], 40) * rng.uniform(edge, 3.0, 40),
+                            rng.uniform(-4.0, 4.0, 40)], axis=-1)
+        outside[:4, 0] = [edge, -edge, np.nextafter(edge, 0.0), np.nextafter(-edge, 0.0)]
+        wide = np.stack([rng.uniform(-1.5, 1.5, 400), rng.uniform(-5.0, 5.0, 400)], axis=-1)
+        zeros = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
+        return np.concatenate([zeros, on_line, *near_line, outside, wide])
+
+    @pytest.mark.parametrize("selector", ["i", "ii"])
+    def test_sontag_parts(self, pendulum_designs, states, selector):
+        ctrl = pendulum_designs[selector].controller
+        stacked = ctrl._parts(states)
+        rows = [ctrl._parts(x) for x in states]
+        for name in ("nonzero", "ok", "lam", "a", "beta", "q", "x_norm"):
+            assert all(np.ndim(getattr(r, name)) == 0
+                       and not isinstance(getattr(r, name), np.ndarray) for r in rows), name
+        for name in stacked._fields:
+            assert _nan_bits(getattr(stacked, name)) == _nan_bits(
+                [getattr(r, name) for r in rows]), name
+        # every branch occurs on both paths
+        nonzero, ok, a = stacked.nonzero, stacked.ok, stacked.a
+        assert nonzero.any() and (ok & ~nonzero).sum() >= 8
+        assert (ok & (a < 0.0)).any() and (ok & (a >= 0.0)).any()
+        assert (ok & nonzero & (a < 0.0)).any() and (ok & nonzero & (a >= 0.0)).any()
+        outside = np.abs(states[:, 0]) >= np.pi / 2
+        assert outside.sum() >= 30
+        np.testing.assert_array_equal(~ok, outside if selector == "ii" else False)
+
+    # The linear part Z @ K' of the FBL and LQR laws is a matrix product
+    # on a stack and a vector product on one state, whose last bits can
+    # differ, so those inputs agree to rounding; their NaN masks exactly.
+    def test_fbl_input(self, pendulum_designs, states):
+        ctrl = pendulum_designs["iii"].controller
+        stacked = ctrl.u(states)
+        rows = np.array([ctrl.u(x) for x in states])
+        assert np.isnan(stacked[np.abs(states[:, 0]) >= np.pi / 2]).all()
+        np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=1e-12)   # NaNs by position
+
+    @pytest.mark.parametrize("selector", ["i", "ii"])
+    def test_rk4_step(self, pendulum, pendulum_designs, states, selector):
+        sys_m, _ = pendulum
+        ctrl = pendulum_designs[selector].controller
+        stacked = rk4_step(sys_m, ctrl, states, 0.01)
+        rows = [rk4_step(sys_m, ctrl, x, 0.01) for x in states]
+        assert _nan_bits(stacked) == _nan_bits(rows)
+
+    @pytest.mark.parametrize("selector", ["iii", "iv"])
+    def test_rk4_step_linear_gains(self, pendulum, pendulum_designs, states, selector):
+        sys_m, _ = pendulum
+        ctrl = pendulum_designs[selector].controller
+        stacked = rk4_step(sys_m, ctrl, states, 0.01)
+        rows = np.array([rk4_step(sys_m, ctrl, x, 0.01) for x in states])
+        np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=1e-12)
 
 
 class TestSynthesizeDesign:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -125,6 +127,20 @@ class TestSimulate:
         assert FLAG_DIVERGENCE in traj.flags[-1]
         assert traj.states.shape[0] < 51
         assert cost_index(traj, np.eye(1), np.eye(1)) == np.inf
+
+    @pytest.mark.parametrize("selector", ["i", "ii", "iii", "iv"])
+    def test_huge_start_halts_without_warning(self, pendulum, pendulum_designs, selector):
+        # V at the recorded x0 overflows; the run halts and says so in
+        # its flags, not through a numpy warning
+        sys_m, _ = pendulum
+        res = pendulum_designs[selector]
+        clf = pendulum_designs["i"].clf if res.clf is None else res.clf
+        cfg = SimConfig(n_steps=50, x0=np.array([np.radians(1e300), 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate(sys_m, res.controller, cfg, clf=clf)
+        assert traj.diverged and not traj.stabilized
+        assert traj.clf_values.shape == (traj.states.shape[0],)
 
     def test_domain_violation_halts(self, pendulum, pendulum_designs):
         sys_m, _ = pendulum
