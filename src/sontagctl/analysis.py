@@ -15,8 +15,8 @@ from typing import Mapping
 import numpy as np
 
 from .linalg import _row_dot, _row_max_abs, as_matrix, as_square, as_vector, symmetrize
-from .model import FeedbackLinearization, SystemModel
-from .sim import SimConfig, _closed_loop_deriv, rollout_costs
+from .model import FeedbackLinearization, SystemModel, apply_input
+from .sim import SimConfig, _closed_loop, rollout_costs
 
 #: Grid membership requires the CLF derivative below this margin.
 VDOT_TOL = 1e-12
@@ -122,7 +122,8 @@ class SweepResult:
 
 
 def _vdot_under(sys: SystemModel, clf, controller, pts: np.ndarray) -> np.ndarray:
-    xdot = _closed_loop_deriv(sys, controller, pts)
+    U, fX, GX, _ = _closed_loop(sys, controller, pts)
+    xdot = fX + apply_input(GX, U)
     return _row_dot(np.asarray(clf.grad(pts), dtype=float), xdot)
 
 
@@ -145,22 +146,14 @@ def roa_certify(sys: SystemModel, clf, *, lqr, sontag, grid: GridSpec,
                           subset_holds=subset)
 
 
-def _origin_ring(grid: GridSpec, pts: np.ndarray) -> np.ndarray:
+def _origin_ring(grid: GridSpec) -> np.ndarray:
     """Indices of the grid nodes immediately surrounding the node
-    closest to the origin (the innermost shell of the grid)."""
-    shape = grid.points_per_axis
-    axes = grid.axes()
-    center = tuple(int(np.argmin(np.abs(ax))) for ax in axes)
-    offsets = np.stack(np.meshgrid(*([np.array([-1, 0, 1])] * grid.dim),
-                                   indexing="ij"), axis=-1).reshape(-1, grid.dim)
-    idx = []
-    for off in offsets:
-        if not off.any():
-            continue
-        node = tuple(c + o for c, o in zip(center, off))
-        if all(0 <= v < s for v, s in zip(node, shape)):
-            idx.append(int(np.ravel_multi_index(node, shape)))
-    return np.array(sorted(idx), dtype=int)
+    closest to the origin (the innermost shell of the grid): those at
+    Chebyshev index distance 1 from it."""
+    center = [np.argmin(np.abs(ax)) for ax in grid.axes()]
+    idx = np.indices(grid.points_per_axis).reshape(grid.dim, -1)
+    dist = np.abs(idx - np.array(center)[:, None]).max(axis=0)
+    return np.flatnonzero(dist == 1)
 
 
 def largest_certified_sublevel(sys: SystemModel, clf, controller,
@@ -175,7 +168,7 @@ def largest_certified_sublevel(sys: SystemModel, clf, controller,
     V = np.asarray(clf.value(pts), dtype=float)
     decays = _vdot_under(sys, clf, controller, pts) < -VDOT_TOL
 
-    ring = _origin_ring(grid, pts)
+    ring = _origin_ring(grid)
     if ring.size and not bool(np.all(decays[ring])):
         return 0.0
 

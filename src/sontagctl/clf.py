@@ -53,7 +53,7 @@ class TransformedClf:
     def value(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         Z = np.asarray(self.fbl.T(X), dtype=float)
-        ok = self.fbl.domain.contains(Z)
+        ok = self.fbl.domain(Z)
         v = 0.5 * _row_dot(Z @ self.P_tilde, Z)
         return np.where(ok, v, np.nan)
 
@@ -63,11 +63,11 @@ class TransformedClf:
         into +0.0 as the contraction with an identity Jacobian does."""
         X = np.asarray(X, dtype=float)
         if self.fbl.T is identity_coordinates:
-            ok = self.fbl.domain.contains(X)
+            ok = self.fbl.domain(X)
             g = X @ self.P_tilde + 0.0
         else:
             Z = np.asarray(self.fbl.T(X), dtype=float)
-            ok = self.fbl.domain.contains(Z)
+            ok = self.fbl.domain(Z)
             if self.fbl.T_jac is not None:
                 J = np.asarray(self.fbl.T_jac(X), dtype=float)
             else:

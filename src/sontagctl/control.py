@@ -29,7 +29,7 @@ import numpy as np
 from .clf import b_tolerance, build_global_clf, build_lqr_clf, lie_terms
 from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, _select, as_matrix,
                      as_square, cholesky_pd, max_abs, solve_many, symmetrize)
-from .model import FeedbackLinearization, SystemModel, apply_input, fd_jacobian, linearize
+from .model import FeedbackLinearization, SystemModel, fd_jacobian, linearize
 from .riccati import LqrDesign, solve_care
 
 #: Below this pivot magnitude the input transformation counts as singular.
@@ -117,12 +117,6 @@ class SontagController:
         """Control input for stacked states; NaN outside the CLF domain."""
         return self._parts(X).U
 
-    def closed_loop_deriv(self, X) -> np.ndarray:
-        """f(x) + G(x) u(x) in one pass, reusing the model evaluations
-        already needed for the Lie derivatives."""
-        p = self._parts(X)
-        return p.f + apply_input(p.G, p.U)
-
 
 class LqrController:
     """Linear state feedback u = -K x."""
@@ -149,7 +143,7 @@ class FblController:
         Z = np.asarray(self.fbl.T(X), dtype=float)
         rhs = -(np.asarray(self.fbl.psi(Z), dtype=float) + Z @ self.K_fbl.T)
         gam = np.asarray(self.fbl.gamma(Z), dtype=float)
-        ok = self.fbl.domain.contains(Z)
+        ok = self.fbl.domain(Z)
         m = self.K_fbl.shape[0]
         if m == 1:
             g = gam[..., 0, 0]

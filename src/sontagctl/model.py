@@ -10,7 +10,7 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,18 +26,9 @@ class NonFiniteJacobian(Exception):
     """Linearization produced overflow or NaN entries."""
 
 
-@dataclass(frozen=True)
-class Domain:
-    """A region of state space given by a predicate over stacked states."""
-
-    description: str = "all of state space"
-    predicate: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def contains(self, Z) -> np.ndarray:
-        Z = np.asarray(Z, dtype=float)
-        if self.predicate is None:
-            return np.ones(Z.shape[:-1], dtype=bool)
-        return np.asarray(self.predicate(Z), dtype=bool)
+def _whole_space(Z) -> np.ndarray:
+    """The domain predicate that holds on every state."""
+    return np.ones(np.shape(Z)[:-1], dtype=bool)[()]
 
 
 @dataclass(frozen=True)
@@ -67,8 +58,10 @@ class SystemModel:
 class FeedbackLinearization:
     """Coordinates z = T(x) in which the dynamics read
     zdot = A_tilde z + B_tilde (psi(z) + gamma(z) u) with gamma
-    nonsingular on ``domain``. ``T = identity_coordinates`` declares
-    z = x; ``T_jac`` (finite differences when None) is then never used."""
+    nonsingular on ``domain``, a predicate that maps stacked (..., n)
+    z to a (...,) mask (all of state space by default).
+    ``T = identity_coordinates`` declares z = x; ``T_jac`` (finite
+    differences when None) is then never used."""
 
     T: Callable[[np.ndarray], np.ndarray]
     psi: Callable[[np.ndarray], np.ndarray]
@@ -78,7 +71,7 @@ class FeedbackLinearization:
     J_T0: np.ndarray
     T_jac: Callable[[np.ndarray], np.ndarray] | None = None
     psi_jac: Callable[[np.ndarray], np.ndarray] | None = None
-    domain: Domain = field(default_factory=Domain)
+    domain: Callable[[np.ndarray], np.ndarray] = _whole_space
     name: str = ""
 
     def __post_init__(self):
@@ -245,10 +238,7 @@ def pendulum_system(params: PendulumParams | None = None):
         B_tilde=np.array([[0.0], [1.0]]),
         J_T0=np.eye(2),
         psi_jac=psi_jac,
-        domain=Domain(
-            description="pendulum angle within (-pi/2, pi/2)",
-            predicate=lambda Z: np.abs(np.asarray(Z, float)[..., 0]) < np.pi / 2,
-        ),
+        domain=lambda Z: np.abs(Z[..., 0]) < np.pi / 2,
         name="pendulum",
     )
     return system, fbl
@@ -301,7 +291,6 @@ def lti_system(A, B, name: str = "lti"):
 
 
 __all__ = [
-    "Domain",
     "FeedbackLinearization",
     "NonFiniteJacobian",
     "PendulumParams",

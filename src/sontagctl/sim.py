@@ -6,17 +6,24 @@ zero-order hold freezes the input over each step instead. Costs use
 the step-start samples only, matching a zero-order-hold discretization
 of the running quadratic cost.
 
-One stepping loop serves both ``simulate`` (a batch of one, recorded
-step by step) and ``rollout_costs`` (many rows, costs only), so both
-share one halt policy. All pathologies become per-step flags rather
-than exceptions: a state beyond the divergence guard, a non-finite
-state, or a control evaluation that comes back non-finite halts the
-run with the corresponding flag, and a halted run carries an infinite
-cost so sweep rows stay comparable.
+One private kernel, ``_closed_loop``, decides how a controller's
+closed loop is evaluated at given states: a Sontag law answers from
+its Lie-term evaluation, which already holds f and G, and any other
+law from u, f and G. The step-start evaluation also supplies RK4's
+first stage, so a step evaluates the model four times, with or
+without a zero-order hold. One stepping loop on that kernel serves
+both ``simulate`` (a batch of one, recorded step by step) and
+``rollout_costs`` (many rows, costs only), so both share one halt
+policy. All pathologies become per-step flags rather than exceptions:
+a state beyond the divergence guard, a non-finite state, or a control
+evaluation that comes back non-finite halts the run with the
+corresponding flag, and a halted run carries an infinite cost so
+sweep rows stay comparable.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -55,6 +62,7 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.h < np.inf:
             raise ValueError("step size must be positive and finite")
+        object.__setattr__(self, "n_steps", operator.index(self.n_steps))  # integers only
         if self.n_steps < 1:
             raise ValueError("need at least one step")
         if self.x0 is not None:
@@ -93,46 +101,46 @@ class CostReport:
     stabilized: bool
 
 
-def _dynamics(sys: SystemModel, X, U) -> np.ndarray:
-    """xdot = f(x) + G(x) u at given states and inputs."""
-    return np.asarray(sys.f(X), dtype=float) + apply_input(sys.G(X), U)
+def _closed_loop(sys: SystemModel, controller, X):
+    """The closed loop evaluated at X: (U, f, G, parts). A Sontag law
+    answers from its own evaluation, which already holds f and G, and
+    returns it as ``parts``; any other law answers with u(X), f(X) and
+    G(X) and no parts."""
+    if isinstance(controller, SontagController):
+        p = controller._parts(X)
+        return p.U, p.f, p.G, p
+    U = np.asarray(controller.u(X), dtype=float)
+    return U, np.asarray(sys.f(X), dtype=float), np.asarray(sys.G(X), dtype=float), None
 
 
-def _closed_loop_deriv(sys: SystemModel, controller, X) -> np.ndarray:
-    """f(x) + G(x) u(x); a Sontag controller supplies it from the model
-    evaluation its law already makes."""
-    fused = getattr(controller, "closed_loop_deriv", None)
-    if fused is not None:
-        return fused(X)
-    return _dynamics(sys, X, controller.u(X))
-
-
-def rk4_step(sys: SystemModel, controller, x, h: float, *, u0=None, zoh: bool = False,
-             k1=None):
-    """One classical Runge-Kutta step of xdot = f(x) + G(x) u(x).
-
-    The controller is re-evaluated at each stage state unless ``zoh``
-    holds the step-start input; ``u0`` optionally supplies a
-    precomputed step-start input and ``k1`` the step-start derivative
-    f(x) + G(x) u0 that goes with it. Accepts stacked states.
-    """
-    x = np.asarray(x, dtype=float)
+def _rk4(sys: SystemModel, controller, x, h: float, zoh: bool, U, fx, Gx) -> np.ndarray:
+    """The RK4 successor of x given its step-start evaluation (U, f, G):
+    k1 = f + G U, and the later stages evaluate the closed loop again,
+    or the model alone under the held input U when ``zoh``."""
     if zoh:
-        if u0 is None:
-            u0 = controller.u(x)
-
         def stage(xs):
-            return _dynamics(sys, xs, u0)
+            return np.asarray(sys.f(xs), dtype=float) + apply_input(sys.G(xs), U)
     else:
         def stage(xs):
-            return _closed_loop_deriv(sys, controller, xs)
+            Us, fs, Gs, _ = _closed_loop(sys, controller, xs)
+            return fs + apply_input(Gs, Us)
 
-    if k1 is None:
-        k1 = stage(x) if u0 is None else _dynamics(sys, x, u0)
+    k1 = fx + apply_input(Gx, U)
     k2 = stage(x + (0.5 * h) * k1)
     k3 = stage(x + (0.5 * h) * k2)
     k4 = stage(x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_step(sys: SystemModel, controller, x, h: float, *, zoh: bool = False):
+    """One classical Runge-Kutta step of xdot = f(x) + G(x) u(x).
+
+    The controller is re-evaluated at each stage state unless ``zoh``
+    holds the step-start input. Accepts stacked states.
+    """
+    x = np.asarray(x, dtype=float)
+    U, fx, Gx, _ = _closed_loop(sys, controller, x)
+    return _rk4(sys, controller, x, h, zoh, U, fx, Gx)
 
 
 class _Step(NamedTuple):
@@ -151,30 +159,22 @@ def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool,
     """The closed-loop stepping loop behind ``simulate`` and
     ``rollout_costs``, on (n,) or stacked (..., n) states.
 
-    The controller is evaluated once per step start; a Sontag
-    controller's evaluation also supplies RK4's k1. ``on_step`` sees
-    every step as a ``_Step``. A row halts at the first step whose input
-    or successor is not finite or whose successor passes the divergence
-    guard; halted rows stay frozen, and the loop ends early once every
-    row has halted. Returns the (stabilized, halted) row masks.
+    The closed loop is evaluated once per step start, and that
+    evaluation also supplies RK4's k1. ``on_step`` sees every step as a
+    ``_Step``. A row halts at the first step whose input or successor is
+    not finite or whose successor passes the divergence guard; halted
+    rows stay frozen, and the loop ends early once every row has halted.
+    Returns the (stabilized, halted) row masks.
     """
-    is_sontag = isinstance(controller, SontagController)
     X = np.asarray(X, dtype=float)
     running = np.ones(X.shape[:-1], dtype=bool)[()]
-    parts = k1 = None
     with np.errstate(**_HALT_ERRSTATE):
         for _ in range(n_steps):
-            if is_sontag:
-                parts = controller._parts(X)
-                U = parts.U
-            else:
-                U = np.asarray(controller.u(X), dtype=float)
+            U, fX, GX, parts = _closed_loop(sys, controller, X)
             u_ok = _row_all_finite(U)
             if not _all_rows(u_ok):
                 U = np.where(u_ok[..., None], U, 0.0)
-            if is_sontag:
-                k1 = parts.f + apply_input(parts.G, U)
-            X_new = rk4_step(sys, controller, X, h, u0=U, zoh=zoh, k1=k1)
+            X_new = _rk4(sys, controller, X, h, zoh, U, fX, GX)
             x_max = _row_max_abs(X_new)
             on_step(_Step(X, U, parts, running, u_ok, X_new, x_max))
             ok = running & u_ok & (x_max <= DIVERGENCE_GUARD)

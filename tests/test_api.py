@@ -48,3 +48,12 @@ def test_module_all_resolves(name):
     module = importlib.import_module(f"sontagctl.{name}")
     missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert not missing
+
+
+@pytest.mark.parametrize("cls", [sontagctl.SontagController, sontagctl.LqrController,
+                                 sontagctl.FblController])
+def test_controller_methods(cls):
+    # a controller's only public evaluation method is u
+    methods = {name for name, value in vars(cls).items()
+               if callable(value) and not name.startswith("_")}
+    assert methods == {"u"}

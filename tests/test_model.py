@@ -56,8 +56,8 @@ class TestPendulumDynamics:
 
     def test_domain_predicate(self, pendulum):
         _, fbl = pendulum
-        assert fbl.domain.contains(np.array([1.5, 0.0]))
-        assert not fbl.domain.contains(np.array([np.pi / 2, 0.0]))
+        assert fbl.domain(np.array([1.5, 0.0]))
+        assert not fbl.domain(np.array([np.pi / 2, 0.0]))
 
 
 class TestLinearize:

@@ -73,11 +73,27 @@ class TestRk4Step:
         rows = [rk4_step(sys_m, ctrl, x, 0.01) for x in X]
         np.testing.assert_allclose(out, np.stack(rows), rtol=1e-14)
 
+    @pytest.mark.parametrize("zoh", [False, True])
+    @pytest.mark.parametrize("selector", ["i", "ii", "iii", "iv"])
+    def test_matches_one_simulated_step(self, pendulum, pendulum_designs, selector, zoh):
+        # rk4_step and the rollout loop share one step kernel
+        sys_m, _ = pendulum
+        ctrl = pendulum_designs[selector].controller
+        x0 = np.array([0.4, -0.3])
+        traj = simulate(sys_m, ctrl, SimConfig(n_steps=1, x0=x0, zoh=zoh))
+        out = rk4_step(sys_m, ctrl, x0, traj.h, zoh=zoh)
+        np.testing.assert_array_equal(out, traj.states[1])
+
 
 @pytest.mark.parametrize("h", [0.0, -0.01, np.nan, np.inf])
 def test_sim_config_rejects_bad_step(h):
     with pytest.raises(ValueError):
         SimConfig(h=h)
+
+
+def test_sim_config_rejects_non_integer_steps():
+    with pytest.raises(TypeError):
+        SimConfig(n_steps=2.5)
 
 
 class TestSimulate:
@@ -320,24 +336,34 @@ class TestBatchRollout:
 
 
 class TestModelCalls:
-    def test_four_drift_calls_per_sontag_step(self, pendulum, pendulum_designs):
-        # the step-start Sontag evaluation supplies RK4's k1, so each
-        # step evaluates f once per RK4 stage, in both entry points
+    @pytest.mark.parametrize("entry", ["simulate", "rollout_costs", "rk4_step"])
+    @pytest.mark.parametrize("zoh", [False, True])
+    @pytest.mark.parametrize("selector", ["i", "iii", "iv"])
+    def test_four_drift_calls_per_step(self, pendulum, pendulum_designs, selector, zoh,
+                                       entry):
+        # the step-start evaluation supplies RK4's k1, so each step
+        # evaluates f once per RK4 stage, with or without a held input,
+        # in every entry point
         sys_m, _ = pendulum
-        res = pendulum_designs["i"]
+        res = pendulum_designs[selector]
         counted, calls = counting_drift(sys_m)
-        ctrl = SontagController(res.clf, counted, res.lqr.Q, res.lqr.R)
+        ctrl = res.controller
+        if selector == "i":
+            ctrl = SontagController(res.clf, counted, res.lqr.Q, res.lqr.R)
         n = 50
-        cfg = SimConfig(n_steps=n, x0=np.array([0.3, 0.0]))
-        traj = simulate(counted, ctrl, cfg, clf=res.clf)
-        assert traj.inputs.shape[0] == n
+        if entry == "simulate":
+            cfg = SimConfig(n_steps=n, x0=np.array([0.3, 0.0]), zoh=zoh)
+            traj = simulate(counted, ctrl, cfg, clf=res.clf)
+            assert traj.inputs.shape[0] == n
+        elif entry == "rollout_costs":
+            X0 = np.array([[0.3, 0.0], [-0.5, 1.0], [1.0, 0.0]])
+            _, _, diverged = rollout_costs(counted, ctrl, X0, res.lqr.Q, res.lqr.R, 0.01, n,
+                                           zoh=zoh)
+            assert not diverged.any()
+        else:
+            n = 1
+            rk4_step(counted, ctrl, np.array([0.3, 0.0]), 0.01, zoh=zoh)
         assert len(calls) == 4 * n
-        calls.clear()
-        X0 = np.array([[0.3, 0.0], [-0.5, 1.0], [1.0, 0.0]])
-        _, _, diverged = rollout_costs(counted, ctrl, X0, res.lqr.Q, res.lqr.R, cfg.h, n)
-        assert not diverged.any()
-        assert len(calls) == 4 * n
-
 
     def test_design_ii_needs_no_finite_differences(self, pendulum, pendulum_designs,
                                                    monkeypatch):
