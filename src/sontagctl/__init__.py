@@ -12,7 +12,6 @@ from .analysis import (
     RoaCertificate,
     SweepResult,
     global_clf_sample_check,
-    largest_certified_sublevel,
     roa_certify,
     sweep_initial_angles,
 )

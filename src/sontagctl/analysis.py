@@ -67,9 +67,13 @@ class RoaCertificate:
 
     A point is a member when it is nonzero, lies in the sublevel set
     V <= C, and the CLF strictly decays there under the controller.
+    ``C_lqr`` and ``C_sontag`` are each law's largest sampled sublevel
+    constant on the grid.
     """
 
     C: float
+    C_lqr: float
+    C_sontag: float
     grid: GridSpec
     points: np.ndarray
     values: np.ndarray
@@ -127,25 +131,6 @@ def _vdot_under(sys: SystemModel, clf, controller, pts: np.ndarray) -> np.ndarra
     return _row_dot(np.asarray(clf.grad(pts), dtype=float), xdot)
 
 
-def roa_certify(sys: SystemModel, clf, *, lqr, sontag, grid: GridSpec,
-                C: float) -> RoaCertificate:
-    """Evaluate membership of every grid point in the sampled
-    attraction sets of the LQR and the Sontag-type controller and test
-    whether the LQR members are contained in the Sontag members."""
-    if C < 0:
-        raise ValueError("sublevel constant must be nonnegative")
-    pts = grid.points()
-    nonzero = _row_max_abs(pts) > 0.0
-    V = np.asarray(clf.value(pts), dtype=float)
-    in_level = nonzero & (V <= C)
-    mem_lqr = in_level & (_vdot_under(sys, clf, lqr, pts) < -VDOT_TOL)
-    mem_sontag = in_level & (_vdot_under(sys, clf, sontag, pts) < -VDOT_TOL)
-    subset = bool(np.all(mem_sontag | ~mem_lqr))
-    return RoaCertificate(C=float(C), grid=grid, points=pts, values=V,
-                          members_lqr=mem_lqr, members_sontag=mem_sontag,
-                          subset_holds=subset)
-
-
 def _origin_ring(grid: GridSpec) -> np.ndarray:
     """Indices of the grid nodes immediately surrounding the node
     closest to the origin (the innermost shell of the grid): those at
@@ -156,22 +141,14 @@ def _origin_ring(grid: GridSpec) -> np.ndarray:
     return np.flatnonzero(dist == 1)
 
 
-def largest_certified_sublevel(sys: SystemModel, clf, controller,
-                               grid: GridSpec) -> float:
-    """Largest C such that every nonzero grid point with V <= C decays
-    strictly under the controller, found by bisection over the sampled
-    values. Returns 0 when the innermost shell of grid points around
-    the origin already fails, or when the certified sublevel contains
-    no grid points at all."""
-    pts = grid.points()
-    nonzero = _row_max_abs(pts) > 0.0
-    V = np.asarray(clf.value(pts), dtype=float)
-    decays = _vdot_under(sys, clf, controller, pts) < -VDOT_TOL
-
-    ring = _origin_ring(grid)
+def _largest_sublevel(V: np.ndarray, nonzero: np.ndarray, decays: np.ndarray,
+                      ring: np.ndarray) -> float:
+    """Largest C such that every nonzero sample with V <= C decays,
+    found by bisection over the sampled values. Returns 0 when the
+    innermost shell ``ring`` around the origin already fails, or when
+    the certified sublevel contains no sample at all."""
     if ring.size and not bool(np.all(decays[ring])):
         return 0.0
-
     Vnz = V[nonzero]
     ok = decays[nonzero]
     if bool(np.all(ok)):
@@ -186,6 +163,36 @@ def largest_certified_sublevel(sys: SystemModel, clf, controller,
     if not bool(np.any(Vnz <= lo)):
         return 0.0
     return lo
+
+
+def roa_certify(sys: SystemModel, clf, *, lqr, sontag, grid: GridSpec,
+                C: float | None = None) -> RoaCertificate:
+    """Evaluate membership of every grid point in the sampled
+    attraction sets of the LQR and the Sontag-type controller and test
+    whether the LQR members are contained in the Sontag members.
+
+    The grid, V and each law's decay mask are evaluated once. Each
+    law's largest certified sublevel constant comes from them; C
+    defaults to the larger of the two."""
+    if C is not None and not C >= 0:
+        raise ValueError("sublevel constant must be nonnegative")
+    pts = grid.points()
+    nonzero = _row_max_abs(pts) > 0.0
+    V = np.asarray(clf.value(pts), dtype=float)
+    decays_lqr = _vdot_under(sys, clf, lqr, pts) < -VDOT_TOL
+    decays_sontag = _vdot_under(sys, clf, sontag, pts) < -VDOT_TOL
+    ring = _origin_ring(grid)
+    C_lqr = _largest_sublevel(V, nonzero, decays_lqr, ring)
+    C_sontag = _largest_sublevel(V, nonzero, decays_sontag, ring)
+    if C is None:
+        C = max(C_lqr, C_sontag)
+    in_level = nonzero & (V <= C)
+    mem_lqr = in_level & decays_lqr
+    mem_sontag = in_level & decays_sontag
+    subset = bool(np.all(mem_sontag | ~mem_lqr))
+    return RoaCertificate(C=float(C), C_lqr=C_lqr, C_sontag=C_sontag, grid=grid, points=pts,
+                          values=V, members_lqr=mem_lqr, members_sontag=mem_sontag,
+                          subset_holds=subset)
 
 
 def global_clf_sample_check(fbl: FeedbackLinearization, P_tilde, grid: GridSpec) -> GlobalClfReport:
@@ -299,7 +306,6 @@ __all__ = [
     "SweepResult",
     "VDOT_TOL",
     "global_clf_sample_check",
-    "largest_certified_sublevel",
     "roa_certify",
     "sweep_initial_angles",
     "write_roa_csv",

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (_all_rows, _row_dot, _row_max_abs, as_square, cholesky_pd, max_abs, solve_many,
-                     symmetrize)
+from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, as_square, cholesky_pd,
+                     max_abs, solve_many, symmetrize)
 from .model import FeedbackLinearization, SystemModel, fd_jacobian, identity_coordinates
 
 #: Base absolute tolerance for treating the input-direction derivative as zero.
@@ -81,24 +81,34 @@ class TransformedClf:
 class LieTerms(NamedTuple):
     """CLF gradient, model terms and Lie derivatives at stacked states."""
 
-    grad: np.ndarray   # (..., n)
-    f: np.ndarray      # (..., n)
-    G: np.ndarray      # (..., n, m)
-    a: np.ndarray      # (...,)   grad V . f
-    b: np.ndarray      # (..., m) grad V . G
+    grad: np.ndarray     # (..., n)
+    f: np.ndarray        # (..., n)
+    G: np.ndarray        # (..., n, m)
+    a: np.ndarray        # (...,)   grad V . f
+    b: np.ndarray        # (..., m) grad V . G
+    x_norm: np.ndarray   # (...,)   |x|
+    nonzero: np.ndarray  # (...,)   b beyond the zero-direction threshold
+    ok: np.ndarray       # (...,)   finite gradient: inside the CLF domain
 
 
 def lie_terms(clf, sys: SystemModel, X) -> LieTerms:
     """a = grad V . f(x) and b = grad V . G(x) at (n,) or (..., n)
     states, with the gradient and model evaluations they came from.
-    Entries are NaN outside the CLF domain."""
+    Entries are NaN outside the CLF domain.
+
+    ``nonzero`` is the one test for an available input direction: b
+    counts as zero up to the scale-aware threshold
+    B_TOL_BASE (1 + |P| |x|)."""
     X = np.asarray(X, dtype=float)
     grad = np.asarray(clf.grad(X), dtype=float)
     fX = np.asarray(sys.f(X), dtype=float)
     GX = np.asarray(sys.G(X), dtype=float)
     a = _row_dot(grad, fX)
     b = _row_dot(grad[..., None, :], GX.swapaxes(-1, -2))
-    return LieTerms(grad=grad, f=fX, G=GX, a=a, b=b)
+    x_norm = np.sqrt(_row_dot(X, X))
+    nonzero = _row_max_abs(b) > B_TOL_BASE + (B_TOL_BASE * clf.p_norm) * x_norm
+    return LieTerms(grad=grad, f=fX, G=GX, a=a, b=b, x_norm=x_norm, nonzero=nonzero,
+                    ok=_row_all_finite(grad))
 
 
 def transform_P(P, J_T0) -> np.ndarray:
@@ -112,25 +122,17 @@ def transform_P(P, J_T0) -> np.ndarray:
     return symmetrize(Pt)
 
 
-def b_tolerance(clf, x_norm):
-    """Scale-aware threshold below which b(x) counts as zero, for a
-    state norm (or an array of them)."""
-    return B_TOL_BASE + (B_TOL_BASE * clf.p_norm) * x_norm
-
-
 def clf_condition_at(clf, sys: SystemModel, X) -> np.ndarray:
     """Pointwise CLF decrease condition at (n,) or stacked (..., n)
     nonzero states, as a row mask.
 
-    True where some input direction is available (b beyond
-    ``b_tolerance``) or the drift alone decays V (a below
-    -A_TOL |x|^2); False outside the CLF domain.
+    True where some input direction is available (``nonzero`` of
+    ``lie_terms``) or the drift alone decays V (a below -A_TOL |x|^2);
+    False outside the CLF domain.
     """
     X = np.asarray(X, dtype=float)
     lt = lie_terms(clf, sys, X)
-    x_sq = _row_dot(X, X)
-    has_input = _row_max_abs(lt.b) > b_tolerance(clf, np.sqrt(x_sq))
-    return has_input | (lt.a < -A_TOL * x_sq)
+    return lt.nonzero | (lt.a < -A_TOL * _row_dot(X, X))
 
 
 def build_lqr_clf(design) -> QuadraticClf:
@@ -154,7 +156,6 @@ __all__ = [
     "LieTerms",
     "QuadraticClf",
     "TransformedClf",
-    "b_tolerance",
     "build_global_clf",
     "build_lqr_clf",
     "clf_condition_at",

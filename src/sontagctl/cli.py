@@ -13,13 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    largest_certified_sublevel,
-    roa_certify,
-    sweep_initial_angles,
-    write_roa_csv,
-    write_sweep_csv,
-)
+from .analysis import roa_certify, sweep_initial_angles, write_roa_csv, write_sweep_csv
 from .clf import build_lqr_clf
 from .config import ConfigError, RunConfig, dump_effective, load_config
 from .control import synthesize_design
@@ -139,23 +133,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_roa(cfg: RunConfig) -> int:
-    system, fbl, grid = cfg.system, cfg.fbl, cfg.grid
+    system, fbl = cfg.system, cfg.fbl
     sontag = synthesize_design("i", system, fbl, cfg.Q, cfg.R)
     lqr = synthesize_design("iv", system, fbl, cfg.Q, cfg.R)
-    clf = sontag.clf
-    if cfg.sublevel is None:
-        c_lqr = largest_certified_sublevel(system, clf, lqr.controller, grid)
-        c_sontag = largest_certified_sublevel(system, clf, sontag.controller, grid)
-        C = max(c_lqr, c_sontag)
-    else:
-        c_lqr = c_sontag = C = cfg.sublevel
-    cert = roa_certify(system, clf, lqr=lqr.controller, sontag=sontag.controller,
-                       grid=grid, C=C)
+    cert = roa_certify(system, sontag.clf, lqr=lqr.controller, sontag=sontag.controller,
+                       grid=cfg.grid, C=cfg.sublevel)
     out = _prepare_out(cfg)
     csv_path = out / "roa.csv"
     write_roa_csv(cert, csv_path)
-    print(f"C_lqr = {c_lqr:.17g}")
-    print(f"C_sontag = {c_sontag:.17g}")
+    print(f"C_lqr = {cert.C_lqr:.17g}")
+    print(f"C_sontag = {cert.C_sontag:.17g}")
+    print(f"C = {cert.C:.17g}")
     print(f"members_lqr = {int(cert.members_lqr.sum())}")
     print(f"members_sontag = {int(cert.members_sontag.sum())}")
     print(f"subset_holds = {cert.subset_holds}")

@@ -26,9 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clf import b_tolerance, build_global_clf, build_lqr_clf, lie_terms
-from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, _select, as_matrix,
-                     as_square, cholesky_pd, max_abs, solve_many, symmetrize)
+from .clf import build_global_clf, build_lqr_clf, lie_terms
+from .linalg import (_all_rows, _row_dot, _select, as_matrix, as_square, cholesky_pd, max_abs,
+                     solve_many, symmetrize)
 from .model import FeedbackLinearization, SystemModel, fd_jacobian, linearize
 from .riccati import LqrDesign, solve_care
 
@@ -101,17 +101,14 @@ class SontagController:
         Rb = lt.b @ self.R_inv
         beta = _row_dot(lt.b, Rb)
         q = _row_dot(X @ self.Q, X)
-        x_norm = np.sqrt(_row_dot(X, X))
-        nonzero = _row_max_abs(lt.b) > b_tolerance(self.clf, x_norm)
-        ok = _row_all_finite(lt.grad)
-        lam = _lambda_array(lt.a, q, _select(nonzero, beta, 1.0))
+        lam = _lambda_array(lt.a, q, _select(lt.nonzero, beta, 1.0))
         U = (-lam)[..., None] * Rb
-        if not _all_rows(nonzero):
-            U = np.where(nonzero[..., None], U, 0.0)
-        if not _all_rows(ok):
-            U = np.where(ok[..., None], U, np.nan)
-        return _Parts(U=U, lam=lam, nonzero=nonzero, ok=ok, a=lt.a, beta=beta, q=q,
-                      x_norm=x_norm, f=lt.f, G=lt.G)
+        if not _all_rows(lt.nonzero):
+            U = np.where(lt.nonzero[..., None], U, 0.0)
+        if not _all_rows(lt.ok):
+            U = np.where(lt.ok[..., None], U, np.nan)
+        return _Parts(U=U, lam=lam, nonzero=lt.nonzero, ok=lt.ok, a=lt.a, beta=beta, q=q,
+                      x_norm=lt.x_norm, f=lt.f, G=lt.G)
 
     def u(self, X) -> np.ndarray:
         """Control input for stacked states; NaN outside the CLF domain."""

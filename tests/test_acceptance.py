@@ -17,7 +17,6 @@ import yaml
 from sontagctl.analysis import (
     GridSpec,
     global_clf_sample_check,
-    largest_certified_sublevel,
     roa_certify,
     sweep_initial_angles,
 )
@@ -128,12 +127,9 @@ def test_criterion_5_roa_grid(pendulum_setup):
         sys_m, _, _, _, designs = pendulum_setup
         grid = GridSpec(lower=[-1.4, -4.0], upper=[1.4, 4.0], points_per_axis=(101, 101))
         clf = designs["i"].clf
-        c_lqr = largest_certified_sublevel(sys_m, clf, designs["iv"].controller, grid)
-        c_sontag = largest_certified_sublevel(sys_m, clf, designs["i"].controller, grid)
-        assert c_sontag >= c_lqr > 0.0
         cert = roa_certify(sys_m, clf, lqr=designs["iv"].controller,
-                           sontag=designs["i"].controller, grid=grid,
-                           C=max(c_lqr, c_sontag))
+                           sontag=designs["i"].controller, grid=grid)
+        assert cert.C_sontag >= cert.C_lqr > 0.0
         assert cert.subset_holds
         assert cert.members_lqr.sum() > 0
 

@@ -1,3 +1,6 @@
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,6 @@ from sontagctl.analysis import (
     RoaCertificate,
     SweepResult,
     global_clf_sample_check,
-    largest_certified_sublevel,
     roa_certify,
     sweep_initial_angles,
     write_roa_csv,
@@ -15,7 +17,7 @@ from sontagctl.analysis import (
 from sontagctl.control import LqrController, SontagController
 from sontagctl.sim import SimConfig, cost_index, simulate
 
-from conftest import EXTREMES, counting_drift, format_cell
+from conftest import EXTREMES, counted, counting_drift, format_cell
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +57,8 @@ class TestRoaCertify:
         sys_m, _ = pendulum
         res_s = pendulum_designs["i"]
         res_l = pendulum_designs["iv"]
-        c = largest_certified_sublevel(sys_m, res_s.clf, res_s.controller, pendulum_grid)
+        c = roa_certify(sys_m, res_s.clf, lqr=res_l.controller,
+                        sontag=res_s.controller, grid=pendulum_grid).C_sontag
         cert = roa_certify(sys_m, res_s.clf, lqr=res_l.controller,
                            sontag=res_s.controller, grid=pendulum_grid, C=c)
         assert cert.subset_holds
@@ -85,14 +88,62 @@ class TestRoaCertify:
         assert np.all(big.members_sontag | ~small.members_sontag)
 
 
+    def test_auto_sublevel_matches_explicit(self, pendulum, pendulum_designs, pendulum_grid):
+        sys_m, _ = pendulum
+        res_s = pendulum_designs["i"]
+        kw = dict(lqr=pendulum_designs["iv"].controller, sontag=res_s.controller,
+                  grid=pendulum_grid)
+        auto = roa_certify(sys_m, res_s.clf, **kw)
+        fixed = roa_certify(sys_m, res_s.clf, C=auto.C, **kw)
+        assert auto.C_sontag >= auto.C_lqr > 0.0
+        assert auto.C == max(auto.C_lqr, auto.C_sontag)
+        assert (fixed.C, fixed.C_lqr, fixed.C_sontag) == (auto.C, auto.C_lqr, auto.C_sontag)
+        for name in ("points", "values", "members_lqr", "members_sontag"):
+            assert getattr(fixed, name).tobytes() == getattr(auto, name).tobytes(), name
+        assert fixed.subset_holds == auto.subset_holds
+
+    @pytest.mark.parametrize("C", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_sublevel(self, pendulum, pendulum_designs, C):
+        # a NaN C used to certify nothing and report the subset as holding
+        sys_m, _ = pendulum
+        res_s = pendulum_designs["i"]
+        grid = GridSpec(lower=[-1.4, -4.0], upper=[1.4, 4.0], points_per_axis=(11, 11))
+        with pytest.raises(ValueError):
+            roa_certify(sys_m, res_s.clf, lqr=pendulum_designs["iv"].controller,
+                        sontag=res_s.controller, grid=grid, C=C)
+
+    def test_one_evaluation_per_decision(self, pendulum, pendulum_designs, monkeypatch):
+        # the grid, V and each law's closed loop are evaluated once, on
+        # the whole grid, for both sublevel constants and the members
+        sys_m, _ = pendulum
+        res = pendulum_designs["i"]
+        calls = {name: [] for name in ("points", "value", "grad", "f", "G")}
+        model = dataclasses.replace(sys_m, f=counted(sys_m.f, calls["f"]),
+                                    G=counted(sys_m.G, calls["G"]))
+        clf = types.SimpleNamespace(value=counted(res.clf.value, calls["value"]),
+                                    grad=counted(res.clf.grad, calls["grad"]),
+                                    p_norm=res.clf.p_norm)
+        monkeypatch.setattr(GridSpec, "points", counted(GridSpec.points, calls["points"]))
+        for log in calls.values():
+            log.clear()
+        grid = GridSpec(lower=[-1.4, -4.0], upper=[1.4, 4.0], points_per_axis=(11, 11))
+        roa_certify(model, clf, lqr=pendulum_designs["iv"].controller,
+                    sontag=SontagController(clf, model, res.lqr.Q, res.lqr.R), grid=grid)
+        assert {name: len(log) for name, log in calls.items()} == {
+            "points": 1, "value": 1, "grad": 3, "f": 2, "G": 2}
+        for name in ("value", "grad", "f", "G"):
+            assert all(shape == (121, 2) for shape in calls[name]), name
+
+
 class TestLargestSublevel:
     def test_fully_certified_grid(self, double_integrator, dbl_int_design, dbl_int_clf):
         # a stable linear closed loop certifies the entire grid, so the
         # constant is the largest sampled value (attained on the boundary)
         sys_m, _ = double_integrator
         lqr = LqrController(dbl_int_design.K)
+        sontag = SontagController(dbl_int_clf, sys_m, dbl_int_design.Q, dbl_int_design.R)
         grid = GridSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], points_per_axis=(21, 21))
-        c = largest_certified_sublevel(sys_m, dbl_int_clf, lqr, grid)
+        c = roa_certify(sys_m, dbl_int_clf, lqr=lqr, sontag=sontag, grid=grid).C_lqr
         pts = grid.points()
         v = dbl_int_clf.value(pts)
         assert c == pytest.approx(float(v.max()), rel=1e-12)
@@ -100,10 +151,9 @@ class TestLargestSublevel:
     def test_pendulum_ordering(self, pendulum, pendulum_designs, pendulum_grid):
         sys_m, _ = pendulum
         res_s = pendulum_designs["i"]
-        c_lqr = largest_certified_sublevel(sys_m, res_s.clf,
-                                           pendulum_designs["iv"].controller, pendulum_grid)
-        c_sontag = largest_certified_sublevel(sys_m, res_s.clf,
-                                              res_s.controller, pendulum_grid)
+        cert = roa_certify(sys_m, res_s.clf, lqr=pendulum_designs["iv"].controller,
+                           sontag=res_s.controller, grid=pendulum_grid)
+        c_lqr, c_sontag = cert.C_lqr, cert.C_sontag
         assert 0.0 < c_lqr < np.inf
         assert c_sontag >= c_lqr
 
@@ -112,12 +162,14 @@ class TestLargestSublevel:
         # decay test evaluates the batched drift once
         sys_m, _ = pendulum
         res = pendulum_designs["i"]
-        counted, calls = counting_drift(sys_m)
-        ctrl = SontagController(res.clf, counted, res.lqr.Q, res.lqr.R)
+        lqr = pendulum_designs["iv"].controller
+        model, calls = counting_drift(sys_m)
+        ctrl = SontagController(res.clf, model, res.lqr.Q, res.lqr.R)
         grid = GridSpec(lower=[-1.4, -4.0], upper=[1.4, 4.0], points_per_axis=(11, 11))
-        c = largest_certified_sublevel(counted, res.clf, ctrl, grid)
+        c = roa_certify(sys_m, res.clf, lqr=lqr, sontag=ctrl, grid=grid).C_sontag
         assert len(calls) == 1
-        assert c == largest_certified_sublevel(sys_m, res.clf, res.controller, grid)
+        assert c == roa_certify(sys_m, res.clf, lqr=lqr, sontag=res.controller,
+                                grid=grid).C_sontag
 
     def test_uncontrolled_pendulum_gives_zero(self, pendulum, pendulum_designs, pendulum_grid):
         # with zero gain the CLF grows along the unstable direction
@@ -125,7 +177,9 @@ class TestLargestSublevel:
         sys_m, _ = pendulum
         res_s = pendulum_designs["i"]
         zero_gain = LqrController(np.zeros((1, 2)))
-        assert largest_certified_sublevel(sys_m, res_s.clf, zero_gain, pendulum_grid) == 0.0
+        cert = roa_certify(sys_m, res_s.clf, lqr=zero_gain, sontag=res_s.controller,
+                           grid=pendulum_grid)
+        assert cert.C_lqr == 0.0
 
 
 class TestGlobalClfCheck:
@@ -292,8 +346,8 @@ class TestCsvOracle:
         values = rng.normal(size=k)
         values[-EXTREMES.size:] = EXTREMES
         grid = GridSpec(lower=[0.0] * n, upper=[1.0] * n, points_per_axis=(2,) * n)
-        cert = RoaCertificate(C=1.0, grid=grid, points=points, values=values,
-                              members_lqr=rng.random(k) < 0.5,
+        cert = RoaCertificate(C=1.0, C_lqr=1.0, C_sontag=1.0, grid=grid, points=points,
+                              values=values, members_lqr=rng.random(k) < 0.5,
                               members_sontag=rng.random(k) < 0.5, subset_holds=False)
         path = tmp_path / "roa.csv"
         write_roa_csv(cert, path)

@@ -12,7 +12,7 @@ import sontagctl
 PUBLIC_NAMES = {
     # analysis
     "GlobalClfReport", "GridSpec", "RoaCertificate", "SweepResult",
-    "global_clf_sample_check", "largest_certified_sublevel", "roa_certify",
+    "global_clf_sample_check", "roa_certify",
     "sweep_initial_angles",
     # clf
     "QuadraticClf", "TransformedClf", "build_global_clf", "build_lqr_clf",

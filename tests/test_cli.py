@@ -322,4 +322,5 @@ class TestRoa:
         proc = run_cli("roa", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0
         assert "members_lqr = 0" in proc.stdout
+        assert "\nC = 0\n" in proc.stdout
         assert "subset_holds = True" in proc.stdout

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sontagctl.clf import build_lqr_clf, clf_condition_at, lie_terms
+from sontagctl.clf import A_TOL, build_lqr_clf, clf_condition_at, lie_terms
 from sontagctl.control import (
     FblController,
     LqrController,
@@ -417,6 +417,19 @@ class TestBatchOfOneEdges:
         outside = np.abs(states[:, 0]) >= np.pi / 2
         assert outside.sum() >= 30
         np.testing.assert_array_equal(~ok, outside if selector == "ii" else False)
+
+    @pytest.mark.parametrize("selector", ["i", "ii"])
+    def test_zero_direction_from_lie_terms(self, pendulum, pendulum_designs, states, selector):
+        # the b-counts-as-zero test is made once, in lie_terms, and both
+        # the controller and the CLF condition read it from there
+        sys_m, _ = pendulum
+        res = pendulum_designs[selector]
+        lt = lie_terms(res.clf, sys_m, states)
+        x_sq = np.sum(states * states, axis=-1)
+        expected = lt.nonzero | (lt.a < -A_TOL * x_sq)
+        np.testing.assert_array_equal(clf_condition_at(res.clf, sys_m, states), expected)
+        np.testing.assert_array_equal(res.controller._parts(states).nonzero, lt.nonzero)
+        assert lt.nonzero.any() and not lt.nonzero.all()
 
     # The linear part Z @ K' of the FBL and LQR laws is a matrix product
     # on a stack and a vector product on one state, whose last bits can
