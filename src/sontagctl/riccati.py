@@ -7,6 +7,11 @@ each one Lyapunov solve for the current closed loop, then refine P to
 the round-off floor. Only LU and Cholesky factorizations are used, no
 eigensolvers, and every certificate (positive definiteness, Hurwitz
 closed loop, residual size) is checked explicitly before returning.
+P certifies the closed loop A - BK itself: P is positive definite and
+a Cholesky of -(A_cl'P + P A_cl) = Q + K'RK - (residual) proves A_cl
+Hurwitz by Lyapunov's theorem. The sign-function test ``is_hurwitz``
+runs only when that Cholesky is inconclusive, which an ill-conditioned
+Q causes.
 """
 
 from __future__ import annotations
@@ -57,7 +62,9 @@ class LqrDesign:
 
     Invariants established by ``solve_care``: P symmetric positive
     definite, K = R^{-1} B' P, the Riccati residual below
-    ``RESIDUAL_RTOL`` relative to Q, and A - B K Hurwitz.
+    ``RESIDUAL_RTOL`` relative to Q, and A - B K Hurwitz, certified by a
+    Cholesky of -((A - BK)'P + P(A - BK)), or by ``is_hurwitz`` where
+    that Cholesky is inconclusive (ill-conditioned Q).
     """
 
     A: np.ndarray
@@ -76,7 +83,11 @@ def _sign_start(A, B, Q, R) -> np.ndarray:
     -[[S11 + I], [S21]], solved by normal equations.
     """
     n = A.shape[0]
-    H = np.block([[A, -B @ solve_many(R, B.T)], [-Q, -A.T]])
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = A
+    H[:n, n:] = -B @ solve_many(R, B.T)
+    H[n:, :n] = -Q
+    H[n:, n:] = -A.T
     S = matrix_sign(H) + np.eye(2 * n)
     M, N = S[:, n:], S[:, :n]
     return symmetrize(solve_many(M.T @ M, -(M.T @ N)))
@@ -135,7 +146,12 @@ def solve_care(A, B, Q, R) -> LqrDesign:
     residual = max_abs(A.T @ P + P @ A - P @ B @ K + Q)
     if residual > RESIDUAL_RTOL * max_abs(Q):
         raise NotStabilizable(f"Riccati residual {residual:.3e} exceeds contract")
-    if not is_hurwitz(A - B @ K):
-        raise NotStabilizable("closed loop A - B K is not Hurwitz")
+    A_cl = A - B @ K
+    try:
+        cholesky_pd(-symmetrize(A_cl.T @ P + P @ A_cl))
+    except LinalgError:
+        # inconclusive when Q + K'RK is near singular; the sign test decides
+        if not is_hurwitz(A_cl):
+            raise NotStabilizable("closed loop A - B K is not Hurwitz") from None
     return LqrDesign(A=A, B=B, Q=Q, R=R, P=P, K=K, are_residual=residual)
 

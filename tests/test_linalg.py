@@ -9,6 +9,7 @@ from sontagctl.linalg import (
     _row_all_finite,
     _row_dot,
     _certified_inverse,
+    _norm1,
     _row_max_abs,
     cholesky_pd,
     is_hurwitz,
@@ -85,6 +86,32 @@ class TestConditionCertificate:
     def test_matrix_sign_raises(self, case):
         with pytest.raises(SingularMatrix):
             matrix_sign(self.SINGULAR[case])
+
+    def test_kappa_product_is_norm_bitwise(self):
+        # the certificate's 1-norms are np.linalg.norm(., 1) bit for bit,
+        # NaN in an inverse included
+        rng = np.random.default_rng(1012)
+        mats = []
+        for n in range(1, 9):
+            mats.append(rng.normal(size=(n, n)))
+            mats.append(rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-8, 8, size=(n, n)))
+            near = np.outer(rng.normal(size=n), rng.normal(size=n))
+            mats.append(near + 1e-14 * rng.normal(size=(n, n)))
+        for A in mats:
+            with np.errstate(all="ignore"):
+                inv = np.linalg.solve(A, np.eye(A.shape[0]))
+            for B in (inv, np.where(rng.random(inv.shape) < 0.3, np.nan, inv)):
+                assert _same_bits(_norm1(A) * _norm1(B),
+                                  np.linalg.norm(A, 1) * np.linalg.norm(B, 1))
+
+    def test_max_abs_is_np_max_bitwise(self):
+        rng = np.random.default_rng(1013)
+        for shape in ((1,), (5,), (3, 3), (4, 7), (2, 3, 4)):
+            for _ in range(20):
+                a = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+                a[rng.random(shape) < 0.2] = rng.choice([np.nan, np.inf, -np.inf, -0.0])
+                assert _same_bits(max_abs(a), float(np.max(np.abs(a))))
+        assert _same_bits(max_abs(np.full(3, -0.0)), 0.0)
 
     def test_kappa_1e11_accepted(self):
         A = np.diag([1.0, 1e-11])
@@ -282,6 +309,11 @@ class TestIsHurwitz:
     def test_damped_oscillator(self):
         # s^2 + s + 1: stable by the Routh criterion
         assert is_hurwitz([[0.0, 1.0], [-1.0, -1.0]])
+
+    @pytest.mark.parametrize("c, hurwitz", [(1e6, False), (1e3, True)])
+    def test_unit_pivot_chain(self, c, hurwitz):
+        # eigenvalues all -1; kappa_1 beyond 1e12 makes the 1e6 chain singular
+        assert is_hurwitz([[-1.0, c, 0.0], [0.0, -1.0, c], [0.0, 0.0, -1.0]]) is hurwitz
 
     def test_agrees_with_eigenvalues(self):
         rng = np.random.default_rng(1004)

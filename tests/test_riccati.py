@@ -4,7 +4,7 @@ import pytest
 import scipy.linalg
 
 from sontagctl import riccati
-from sontagctl.linalg import cholesky_pd, is_hurwitz, max_abs
+from sontagctl.linalg import LinalgError, cholesky_pd, is_hurwitz, max_abs, symmetrize
 from sontagctl.model import linearize
 from sontagctl.riccati import BadWeights, NotStabilizable, solve_care
 
@@ -115,10 +115,14 @@ class TestOracles:
             ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
             assert max_abs(d.P - ref) <= 1e-8 * max_abs(ref)
 
-    def test_pendulum_mpmath(self, pendulum, pendulum_weights):
+    def test_pendulum_mpmath(self, pendulum, pendulum_weights, monkeypatch):
+        hurwitz_calls = []
+        monkeypatch.setattr(riccati, "is_hurwitz", counted(riccati.is_hurwitz, hurwitz_calls))
         A, B = linearize(pendulum[0])
         Q, R = pendulum_weights
         d = solve_care(A, B, Q, R)
+        # P certifies its closed loop; the sign test is not needed
+        assert len(hurwitz_calls) == 0
         ref = _mp_care(A, B, Q, R, d.P)
         # correctly rounded: P and K feed every design, so any kernel
         # change that moves a bit of P moves the CSVs
@@ -140,8 +144,9 @@ class TestPlateauRule:
 
     @pytest.mark.parametrize("n", [4, 8, 16, 24, 32])
     def test_lyapunov_solves_per_care(self, n, monkeypatch):
-        calls = []
+        calls, hurwitz_calls = [], []
         monkeypatch.setattr(riccati, "solve_lyapunov", counted(riccati.solve_lyapunov, calls))
+        monkeypatch.setattr(riccati, "is_hurwitz", counted(riccati.is_hurwitz, hurwitz_calls))
         rng = np.random.default_rng(2100 + n)
         m = max(1, n // 4)
         for _ in range(4):
@@ -150,8 +155,42 @@ class TestPlateauRule:
             calls.clear()
             d = solve_care(A, B, Q, R)
             assert len(calls) <= 3
+            assert len(hurwitz_calls) == 0
             ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
             assert max_abs(d.P - ref) <= 1e-8 * max_abs(ref)
+
+
+class TestClosedLoopCertificate:
+    """P certifies A - B K through a Cholesky of -(A_cl'P + P A_cl); the
+    sign test runs only where that certificate is inconclusive."""
+
+    def test_sign_test_fallback_on_near_singular_q(self, monkeypatch):
+        # Q with two eigenvalues 1e-13 leaves Q + K'RK a direction whose
+        # size is below the round-off of A_cl'P + P A_cl: whether the
+        # Cholesky passes there depends on the BLAS kernel, so each draw
+        # must call the sign test exactly when the certificate, recomputed
+        # here, is inconclusive, and some draw must fall back
+        calls = []
+        monkeypatch.setattr(riccati, "is_hurwitz", counted(riccati.is_hurwitz, calls))
+        rng = np.random.default_rng(0)
+        fallbacks = 0
+        for _ in range(12):
+            A = rng.normal(size=(3, 3)) + np.triu(1e3 * rng.normal(size=(3, 3)), 1)
+            B = rng.normal(size=(3, 1))
+            V = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            Q = symmetrize(V @ np.diag([1.0, 1e-13, 1e-13]) @ V.T)
+            calls.clear()
+            d = solve_care(A, B, Q, np.eye(1))
+            A_cl = A - B @ d.K
+            assert np.all(np.real(scipy.linalg.eigvals(A_cl)) < 0)
+            try:
+                cholesky_pd(-symmetrize(A_cl.T @ d.P + d.P @ A_cl))
+                inconclusive = False
+            except LinalgError:
+                inconclusive = True
+            assert len(calls) == inconclusive
+            fallbacks += inconclusive
+        assert fallbacks >= 1
 
 
 def _solve_unit_weights(A, B):
