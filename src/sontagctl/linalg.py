@@ -185,7 +185,7 @@ def cholesky_pd(M) -> np.ndarray:
         raise NotPositiveDefinite("matrix is not positive definite") from exc
 
 
-def _newton_sign(Z: np.ndarray, C: np.ndarray | None = None):
+def _newton_sign(Z: np.ndarray, C: np.ndarray | None = None, trace: list | None = None):
     """(sign(Z), C_inf) by the determinant-scaled Newton iteration.
 
     Z <- (c Z + Z^{-1}/c) / 2 with c = |det Z|^{-1/n} from
@@ -194,7 +194,9 @@ def _newton_sign(Z: np.ndarray, C: np.ndarray | None = None):
     C <- (c C + Z^{-T} C Z^{-1}/c) / 2, so the sign of that block matrix,
     [[sign(Z), 0], [C_inf, -sign(Z)']], costs n-by-n inverses of Z alone.
     Each block stops on its own relative change, so C_inf is homogeneous
-    in C. Raises SingularMatrix as ``matrix_sign`` does.
+    in C. A given ``trace`` list receives (Z^{-1}, c, whether Z has
+    settled) for each iterate, which ``_replay_lyapunov`` replays on
+    another C. Raises SingularMatrix as ``matrix_sign`` does.
     """
     n = Z.shape[0]
     for _ in range(MAX_NEWTON_ITER):
@@ -202,14 +204,22 @@ def _newton_sign(Z: np.ndarray, C: np.ndarray | None = None):
         c = np.exp(-np.linalg.slogdet(Z)[1] / n)
         Z_next = 0.5 * (c * Z + Z_inv / c)
         settled = max_abs(Z_next - Z) <= SIGN_RTOL * max_abs(Z_next)
+        if trace is not None:
+            trace.append((Z_inv, c, settled))
         if C is not None:
-            C_next = 0.5 * (c * C + Z_inv.T @ C @ Z_inv / c)
-            settled = settled and max_abs(C_next - C) <= SIGN_RTOL * max_abs(C_next)
-            C = C_next
+            C, settled = _roberts_step(C, Z_inv, c, settled)
         if settled:
             return Z_next, C
         Z = Z_next
     raise SingularMatrix("sign iteration did not settle; eigenvalues near the imaginary axis")
+
+
+def _roberts_step(C: np.ndarray, Z_inv: np.ndarray, c, settled: bool):
+    """One Roberts-form update of the coupled block, and whether the
+    iteration has settled: Z had (``settled``) and C's relative change
+    is at most SIGN_RTOL."""
+    C_next = 0.5 * (c * C + Z_inv.T @ C @ Z_inv / c)
+    return C_next, settled and max_abs(C_next - C) <= SIGN_RTOL * max_abs(C_next)
 
 
 def matrix_sign(Z) -> np.ndarray:
@@ -242,10 +252,30 @@ def solve_lyapunov(A, W) -> np.ndarray:
     if A.shape != W.shape:
         raise ValueError("A and W must have identical shapes")
     _check_symmetric(W, "W")
-    S, C = _newton_sign(A, -W)
+    return _lyapunov(A, W)
+
+
+def _lyapunov(A: np.ndarray, W: np.ndarray, trace: list | None = None) -> np.ndarray:
+    """``solve_lyapunov`` on inputs already validated; a given ``trace``
+    list records the sign iterates of A for ``_replay_lyapunov``."""
+    S, C = _newton_sign(A, -W, trace)
     if not _is_minus_identity(S):
         raise SingularMatrix("A is not Hurwitz")
     return symmetrize(-0.5 * C)
+
+
+def _replay_lyapunov(trace: list, W: np.ndarray):
+    """``_lyapunov(A, W)`` from the iterates that an earlier ``_lyapunov``
+    on the same A recorded: the same Roberts-form updates and stop rule
+    with no inverse or determinant, so bitwise a fresh solve, whose
+    sign = -I certificate covers this one. None when C has not settled
+    by the last recorded iterate."""
+    C = -W
+    for Z_inv, c, settled in trace:
+        C, settled = _roberts_step(C, Z_inv, c, settled)
+        if settled:
+            return symmetrize(-0.5 * C)
+    return None
 
 
 def is_hurwitz(A) -> bool:

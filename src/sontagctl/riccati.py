@@ -4,9 +4,16 @@ The stabilizing solution comes from the matrix sign function of the
 Hamiltonian H = [[A, -B R^{-1} B'], [-Q, -A']]: its stable invariant
 subspace is the graph [I; P]. Newton steps in defect-correction form,
 each one Lyapunov solve for the current closed loop, then refine P to
-the round-off floor. Only LU and Cholesky factorizations are used, no
-eigensolvers, and every certificate (positive definiteness, Hurwitz
-closed loop, residual size) is checked explicitly before returning.
+the round-off floor. Once a step is at that floor, the closed loop moves
+by round-off only, so the steps after it replay the Lyapunov sign
+iterates of that first plateau step on their own defect (the chord
+method) instead of inverting the closed loop again; a replay that
+leaves the floor, or does not settle within the recorded iterates,
+hands the next step back to a fresh solve. Only LU and Cholesky
+factorizations are used, no eigensolvers, and every certificate
+(positive definiteness, Hurwitz closed loop, residual size) is checked
+explicitly before returning. The residual is bounded relative to the
+size of its terms A'P, PBK and Q, whose rounding it measures.
 P certifies the closed loop A - BK itself: P is positive definite and
 a Cholesky of -(A_cl'P + P A_cl) = Q + K'RK - (residual) proves A_cl
 Hurwitz by Lyapunov's theorem. The sign-function test ``is_hurwitz``
@@ -24,13 +31,14 @@ from .linalg import (
     MAX_NEWTON_ITER,
     LinalgError,
     SingularMatrix,
+    _lyapunov,
+    _replay_lyapunov,
     as_matrix,
     as_square,
     cholesky_pd,
     is_hurwitz,
     matrix_sign,
     max_abs,
-    solve_lyapunov,
     solve_many,
     symmetrize,
 )
@@ -52,7 +60,8 @@ class BadWeights(Exception):
 #: certificate still has to pass.
 PLATEAU_RTOL = 1e-9
 MAX_PLATEAU_STEPS = 3
-#: Relative residual bound certified for every returned solution.
+#: Residual bound certified for every returned solution, relative to
+#: the size of the residual's terms (see ``_certified_residual``).
 RESIDUAL_RTOL = 1e-8
 
 
@@ -62,7 +71,8 @@ class LqrDesign:
 
     Invariants established by ``solve_care``: P symmetric positive
     definite, K = R^{-1} B' P, the Riccati residual below
-    ``RESIDUAL_RTOL`` relative to Q, and A - B K Hurwitz, certified by a
+    ``RESIDUAL_RTOL`` relative to 2|A'P| + |PBK| + |Q|, the size of the
+    terms it is the rounding of, and A - B K Hurwitz, certified by a
     Cholesky of -((A - BK)'P + P(A - BK)), or by ``is_hurwitz`` where
     that Cholesky is inconclusive (ill-conditioned Q).
     """
@@ -91,6 +101,18 @@ def _sign_start(A, B, Q, R) -> np.ndarray:
     S = matrix_sign(H) + np.eye(2 * n)
     M, N = S[:, n:], S[:, :n]
     return symmetrize(solve_many(M.T @ M, -(M.T @ N)))
+
+
+def _certified_residual(A, B, Q, P, K) -> float:
+    """max |A'P + PA - PBK + Q|, certified to be at most RESIDUAL_RTOL
+    times the size of its terms, 2|A'P| + |PBK| + |Q|: at a solution the
+    residual is the rounding of those terms, which grows with |A||P| and
+    not with |Q| alone. Raises NotStabilizable beyond that bound."""
+    AtP, PBK = A.T @ P, P @ B @ K
+    residual = max_abs(AtP + P @ A - PBK + Q)
+    if residual > RESIDUAL_RTOL * (2 * max_abs(AtP) + max_abs(PBK) + max_abs(Q)):
+        raise NotStabilizable(f"Riccati residual {residual:.3e} exceeds contract")
+    return residual
 
 
 def solve_care(A, B, Q, R) -> LqrDesign:
@@ -123,15 +145,24 @@ def solve_care(A, B, Q, R) -> LqrDesign:
         P = _sign_start(A, B, Q, R)
         step_prev = np.inf
         plateau_steps = 0
+        trace = None
         for _ in range(MAX_NEWTON_ITER):
             K = solve_many(R, B.T @ P)
-            D = solve_lyapunov(A - B @ K, symmetrize(A.T @ P + P @ A - P @ B @ K + Q))
+            W = symmetrize(A.T @ P + P @ A - P @ B @ K + Q)
+            # on the plateau A - BK moves by round-off only: replay the
+            # sign iterates of the first plateau step (the chord method)
+            D = _replay_lyapunov(trace, W) if trace else None
+            if D is None:
+                trace = []
+                D = _lyapunov(A - B @ K, W, trace)
             P = P + D
             step = max_abs(D)
             if step <= PLATEAU_RTOL * max_abs(P):
                 plateau_steps += 1
                 if step >= 0.5 * step_prev or plateau_steps == MAX_PLATEAU_STEPS:
                     break
+            else:
+                trace = None
             step_prev = step
         else:
             raise NotStabilizable("Newton defect correction did not settle")
@@ -143,9 +174,7 @@ def solve_care(A, B, Q, R) -> LqrDesign:
     except LinalgError as exc:
         raise NotStabilizable("Riccati solution is not positive definite") from exc
     K = solve_many(R, B.T @ P)
-    residual = max_abs(A.T @ P + P @ A - P @ B @ K + Q)
-    if residual > RESIDUAL_RTOL * max_abs(Q):
-        raise NotStabilizable(f"Riccati residual {residual:.3e} exceeds contract")
+    residual = _certified_residual(A, B, Q, P, K)
     A_cl = A - B @ K
     try:
         cholesky_pd(-symmetrize(A_cl.T @ P + P @ A_cl))

@@ -9,6 +9,8 @@ from sontagctl.linalg import (
     _row_all_finite,
     _row_dot,
     _certified_inverse,
+    _lyapunov,
+    _replay_lyapunov,
     _norm1,
     _row_max_abs,
     cholesky_pd,
@@ -297,6 +299,42 @@ class TestRobertsForm:
         for n in range(1, 65):
             A = rng.normal(size=(n, n))
             assert _same_bits(_certified_inverse(A), np.linalg.solve(A, np.eye(n)))
+
+
+class TestLyapunovReplay:
+    """A Lyapunov solve records its sign iterates of A; replaying them on
+    another right-hand side runs the same Roberts-form updates and stop
+    rule with no inverse or determinant."""
+
+    @staticmethod
+    def _hurwitz(rng, n):
+        # a generic non-normal A, shifted half a unit left of the axis
+        M = rng.normal(size=(n, n))
+        return M - (np.real(scipy.linalg.eigvals(M)).max() + 0.5) * np.eye(n)
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_replay_on_second_rhs(self, n):
+        rng = np.random.default_rng(1020 + n)
+        A = self._hurwitz(rng, n)
+        W1, W2 = symmetrize(random_spd(rng, n)), symmetrize(rng.normal(size=(n, n)))
+        trace = []
+        _lyapunov(A, W1, trace)
+        X2 = _replay_lyapunov(trace, W2)
+        assert X2 is not None
+        np.testing.assert_allclose(X2, solve_lyapunov(A, W2), rtol=1e-12, atol=0)
+        # the same updates on the same iterates: bitwise the fresh solve
+        assert _same_bits(X2, solve_lyapunov(A, W2))
+        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -W2)
+        assert max_abs(X2 - ref) <= 1e-10 * max_abs(ref)
+
+    def test_unsettled_replay_is_none(self):
+        # a trace cut before the iterate at which W's own solve settles
+        rng = np.random.default_rng(1030)
+        A, W = self._hurwitz(rng, 6), symmetrize(random_spd(rng, 6))
+        trace = []
+        X = _lyapunov(A, W, trace)
+        assert _same_bits(_replay_lyapunov(trace, W), X)
+        assert _replay_lyapunov(trace[:-1], W) is None
 
 
 class TestIsHurwitz:

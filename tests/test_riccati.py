@@ -4,7 +4,8 @@ import pytest
 import scipy.linalg
 
 from sontagctl import riccati
-from sontagctl.linalg import LinalgError, cholesky_pd, is_hurwitz, max_abs, symmetrize
+from sontagctl.linalg import (MAX_NEWTON_ITER, LinalgError, cholesky_pd, is_hurwitz, max_abs,
+                              solve_lyapunov, solve_many, symmetrize)
 from sontagctl.model import linearize
 from sontagctl.riccati import BadWeights, NotStabilizable, solve_care
 
@@ -130,34 +131,146 @@ class TestOracles:
 
     def test_rejection_is_bounded(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(riccati, "solve_lyapunov", counted(riccati.solve_lyapunov, calls))
+        monkeypatch.setattr(riccati, "_lyapunov", counted(riccati._lyapunov, calls))
+        monkeypatch.setattr(riccati, "_replay_lyapunov", counted(riccati._replay_lyapunov, calls))
         monkeypatch.setattr(riccati, "matrix_sign", counted(riccati.matrix_sign, calls))
         with pytest.raises(NotStabilizable):
             solve_care(np.eye(2), [[1.0], [0.0]], np.eye(2), [[1.0]])
         assert 1 <= len(calls) <= 10
 
 
+def _fresh_newton(A, B, Q, R):
+    """``solve_care``'s Newton refinement with a fresh Lyapunov sign
+    iteration at every step, through public ``solve_lyapunov``: the
+    reference that the plateau replay must reproduce bit for bit."""
+    Q, R = symmetrize(Q), symmetrize(R)
+    P = riccati._sign_start(A, B, Q, R)
+    step_prev, plateau_steps = np.inf, 0
+    for _ in range(MAX_NEWTON_ITER):
+        K = solve_many(R, B.T @ P)
+        D = solve_lyapunov(A - B @ K, symmetrize(A.T @ P + P @ A - P @ B @ K + Q))
+        P = P + D
+        step = max_abs(D)
+        if step <= riccati.PLATEAU_RTOL * max_abs(P):
+            plateau_steps += 1
+            if step >= 0.5 * step_prev or plateau_steps == riccati.MAX_PLATEAU_STEPS:
+                return P
+        step_prev = step
+    raise AssertionError("the reference refinement did not settle")
+
+
+def _scaled_draw(rng, n):
+    """(A, B, Q, R) with m = max(1, n // 4) and A scaled by 1/sqrt(n)."""
+    m = max(1, n // 4)
+    A, B = rng.normal(size=(n, n)) / np.sqrt(n), rng.normal(size=(n, m))
+    return A, B, random_spd(rng, n), random_spd(rng, m)
+
+
 class TestPlateauRule:
     """The sign start is at the round-off plateau already, so one Newton
-    step refines it and the noise steps after it stop the refinement:
-    at most 3 Lyapunov solves per certified solve."""
+    step refines it and the noise steps after it stop the refinement.
+    On the plateau A - BK moves by round-off only, so the steps after the
+    first replay its Lyapunov sign iterates: one fresh sign iteration and
+    at most 2 replays per certified solve."""
 
     @pytest.mark.parametrize("n", [4, 8, 16, 24, 32])
     def test_lyapunov_solves_per_care(self, n, monkeypatch):
-        calls, hurwitz_calls = [], []
-        monkeypatch.setattr(riccati, "solve_lyapunov", counted(riccati.solve_lyapunov, calls))
+        fresh, replays, hurwitz_calls, factorizations = [], [], [], []
+        monkeypatch.setattr(riccati, "_lyapunov", counted(riccati._lyapunov, fresh))
         monkeypatch.setattr(riccati, "is_hurwitz", counted(riccati.is_hurwitz, hurwitz_calls))
+        for name in ("inv", "slogdet"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name), factorizations))
+        replay = riccati._replay_lyapunov
+
+        def counted_replay(trace, W):
+            before = len(factorizations)
+            D = replay(trace, W)
+            replays.append(len(factorizations) - before)
+            return D
+
+        monkeypatch.setattr(riccati, "_replay_lyapunov", counted_replay)
         rng = np.random.default_rng(2100 + n)
         m = max(1, n // 4)
         for _ in range(4):
             A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
             Q, R = random_spd(rng, n), random_spd(rng, m)
-            calls.clear()
+            fresh.clear()
+            replays.clear()
             d = solve_care(A, B, Q, R)
-            assert len(calls) <= 3
+            assert len(fresh) == 1
+            assert len(replays) <= 2
+            # a replay neither inverts nor scales: it reuses the iterates
+            assert replays == [0] * len(replays)
             assert len(hurwitz_calls) == 0
             ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
             assert max_abs(d.P - ref) <= 1e-8 * max_abs(ref)
+
+    def test_replay_is_fresh_newton_bitwise(self, pendulum, pendulum_weights):
+        A, B = linearize(pendulum[0])
+        Q, R = pendulum_weights
+        assert np.array_equal(solve_care(A, B, Q, R).P, _fresh_newton(A, B, Q, R))
+        rng = np.random.default_rng(2200)
+        for n in (2, 4, 8, 16, 32):
+            for _ in range(8):
+                A, B, Q, R = _scaled_draw(rng, n)
+                d = solve_care(A, B, Q, R)
+                assert np.array_equal(d.P, _fresh_newton(A, B, Q, R))
+                assert np.array_equal(d.K, solve_many(d.R, d.B.T @ d.P))
+
+    def test_unsettled_replay_solves_fresh(self, monkeypatch):
+        # a replay that does not settle within its trace hands the step
+        # back to a fresh sign iteration, so every step then runs one
+        fresh = []
+        monkeypatch.setattr(riccati, "_lyapunov", counted(riccati._lyapunov, fresh))
+        monkeypatch.setattr(riccati, "_replay_lyapunov", lambda trace, W: None)
+        A, B, Q, R = _scaled_draw(np.random.default_rng(2201), 8)
+        d = solve_care(A, B, Q, R)
+        assert len(fresh) >= 2
+        assert np.array_equal(d.P, _fresh_newton(A, B, Q, R))
+
+    def test_off_plateau_steps_solve_fresh(self, monkeypatch):
+        # a start 1e-3 off the solution takes Newton steps above the
+        # plateau; each solves fresh, and only a plateau step's iterates
+        # are replayed
+        sign_start = riccati._sign_start
+        monkeypatch.setattr(riccati, "_sign_start", lambda *args: sign_start(*args) * (1 + 1e-3))
+        fresh = []
+        monkeypatch.setattr(riccati, "_lyapunov", counted(riccati._lyapunov, fresh))
+        A, B, Q, R = _scaled_draw(np.random.default_rng(2202), 8)
+        d = solve_care(A, B, Q, R)
+        assert len(fresh) >= 3
+        assert np.array_equal(d.P, _fresh_newton(A, B, Q, R))
+
+
+class TestResidualCertificate:
+    """The residual A'P + PA - PBK + Q is the rounding of its terms, so
+    its bound scales with |A'P| and |PBK| as well as |Q|."""
+
+    @staticmethod
+    def _seed94_n4():
+        # the first n = 4 system that the care-lti benchmark draws from seed 94
+        rng = np.random.default_rng([94, 2])
+        return rng.normal(size=(4, 4)) / 2, rng.normal(size=(4, 1)), np.eye(4), np.eye(1)
+
+    def test_large_p_accepted(self):
+        A, B, Q, R = self._seed94_n4()
+        d = solve_care(A, B, Q, R)
+        ref = scipy.linalg.solve_continuous_are(A, B, Q, R)
+        assert max_abs(ref) > 1e5
+        assert max_abs(d.P - ref) <= 1e-8 * max_abs(ref)
+        # the residual is round-off of terms of size |A'P| ~ 1e5: 2.9e-8 on
+        # the default OpenBLAS kernel, beyond 1e-8 |Q| but far within 1e-8 |A'P|
+        assert d.are_residual <= riccati.RESIDUAL_RTOL * max_abs(A.T @ d.P)
+        assert np.all(np.real(scipy.linalg.eigvals(A - B @ d.K)) < 0)
+
+    def test_perturbed_p_rejected(self):
+        A, B, Q, R = self._seed94_n4()
+        d = solve_care(A, B, Q, R)
+        assert riccati._certified_residual(A, B, Q, d.P, d.K) == d.are_residual
+        E = symmetrize(np.random.default_rng(2300).uniform(-1.0, 1.0, size=(4, 4)))
+        P = d.P + 1e-6 * max_abs(d.P) * E / max_abs(E)
+        with pytest.raises(NotStabilizable, match="residual"):
+            riccati._certified_residual(A, B, Q, P, solve_many(R, B.T @ P))
 
 
 class TestClosedLoopCertificate:
