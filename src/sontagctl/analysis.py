@@ -264,12 +264,13 @@ def sweep_initial_angles(sys: SystemModel, designs: Mapping[str, object], Q, R,
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Sweep rows as CSV; +inf costs print as 'inf' and unavailable
-    ratios as empty fields."""
+    ratios as empty fields. The body is formatted in one pass and
+    written once."""
     header = ("theta0_deg,J_sontag,J_lqr,J_fbl,ratio_lqr,ratio_fbl,"
               "stab_sontag,stab_lqr,stab_fbl")
-    rows = np.column_stack([result.theta0_deg, result.j_sontag, result.j_lqr, result.j_fbl,
-                            result.ratio_lqr, result.ratio_fbl, result.stab_sontag,
-                            result.stab_lqr, result.stab_fbl]).tolist()
+    cells = np.column_stack([result.theta0_deg, result.j_sontag, result.j_lqr, result.j_fbl,
+                             result.ratio_lqr, result.ratio_fbl, result.stab_sontag,
+                             result.stab_lqr, result.stab_fbl]).ravel().tolist()
     lqr_ok = (~np.isnan(result.ratio_lqr)).tolist()
     fbl_ok = (~np.isnan(result.ratio_fbl)).tolist()
     # One format per ratio availability; "%.0s" takes its value and
@@ -278,23 +279,23 @@ def write_sweep_csv(result: SweepResult, path) -> None:
     fmt = {(ok_l, ok_f): (num * 4 + (num if ok_l else empty) + (num if ok_f else empty)
                           + "%d,%d,%d\n")
            for ok_l in (True, False) for ok_f in (True, False)}
+    body = "".join(fmt[ok_l, ok_f] for ok_l, ok_f in zip(lqr_ok, fbl_ok))
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row, ok_l, ok_f in zip(rows, lqr_ok, fbl_ok):
-            fh.write(fmt[ok_l, ok_f] % tuple(row))
+        fh.write(body % tuple(cells))
 
 
 def write_roa_csv(cert: RoaCertificate, path) -> None:
-    """Grid membership as CSV: coordinates, CLF value, member flags."""
+    """Grid membership as CSV: coordinates, CLF value, member flags. The
+    body is formatted in one pass and written once."""
     n = cert.points.shape[1]
     header = [f"x{i + 1}" for i in range(n)] + ["V", "member_lqr", "member_sontag"]
-    rows = np.column_stack([cert.points, cert.values, cert.members_lqr,
-                            cert.members_sontag]).tolist()
+    cells = np.column_stack([cert.points, cert.values, cert.members_lqr,
+                             cert.members_sontag])
     fmt = "%.17g," * (n + 1) + "%d,%d\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(fmt % tuple(row))
+        fh.write((fmt * cells.shape[0]) % tuple(cells.ravel().tolist()))
 
 
 __all__ = [

@@ -37,8 +37,10 @@ GAMMA_PIVOT_TOL = 1e-12
 
 
 def _lambda_array(a, q, beta):
-    """Scaling factor of the Sontag-type law, elementwise; callers guard
-    beta > 0 on used lanes. A single state's numpy scalars stay scalars.
+    """Scaling factor of the Sontag-type law, elementwise, on numpy
+    scalars or arrays (``beta`` may also be a Python float); callers
+    guard beta > 0 on used lanes. A single state's numpy scalars stay
+    scalars and go through no array conversion.
 
     With q >= 0 the result is nonnegative, strictly positive when q > 0,
     and equals 1 exactly when a = (beta - q) / 2, the relation the
@@ -47,9 +49,6 @@ def _lambda_array(a, q, beta):
     branch and keeps every denominator positive, so no masked division
     is needed.
     """
-    a = np.asarray(a, dtype=float)[()]
-    q = np.asarray(q, dtype=float)[()]
-    beta = np.asarray(beta, dtype=float)[()]
     s = np.sqrt(a * a + q * beta)
     neg = a < 0.0
     num = _select(neg, q, a + s)
@@ -102,13 +101,13 @@ class SontagController:
         beta = _row_dot(lt.b, Rb)
         q = _row_dot(X @ self.Q, X)
         lam = _lambda_array(lt.a, q, _select(lt.nonzero, beta, 1.0))
-        U = (-lam)[..., None] * Rb
+        U = (Rb.T * -lam.T).T
         if not _all_rows(lt.nonzero):
             U = np.where(lt.nonzero[..., None], U, 0.0)
         if not _all_rows(lt.ok):
             U = np.where(lt.ok[..., None], U, np.nan)
-        return _Parts(U=U, lam=lam, nonzero=lt.nonzero, ok=lt.ok, a=lt.a, beta=beta, q=q,
-                      x_norm=lt.x_norm, f=lt.f, G=lt.G)
+        # positional, as in lie_terms
+        return _Parts(U, lam, lt.nonzero, lt.ok, lt.a, beta, q, lt.x_norm, lt.f, lt.G)
 
     def u(self, X) -> np.ndarray:
         """Control input for stacked states; NaN outside the CLF domain."""
@@ -143,7 +142,7 @@ class FblController:
         ok = self.fbl.domain(Z)
         m = self.K_fbl.shape[0]
         if m == 1:
-            g = gam[..., 0, 0]
+            g = gam.T[0, 0].T
             ok = ok & (np.abs(g) > GAMMA_PIVOT_TOL)
             U = rhs / (g if _all_rows(ok) else np.where(ok, g, 1.0))[..., None]
         else:

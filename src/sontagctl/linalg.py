@@ -85,7 +85,7 @@ def _row_dot(A: np.ndarray, B: np.ndarray):
     not 0-d arrays, when there is a single row."""
     columns = (A * B).T
     s = columns[0] + 0.0
-    for k in range(1, columns.shape[0]):
+    for k in range(1, len(columns)):
         s += columns[k]
     return s.T
 
@@ -107,20 +107,24 @@ def _all_rows(mask) -> bool:
 
 
 def _row_max_abs(A: np.ndarray):
-    """``np.abs(A).max(axis=-1)`` by column arithmetic; NaN propagates."""
-    absA = np.abs(A)
-    m = absA[..., 0]
-    for k in range(1, A.shape[-1]):
-        m = np.maximum(m, absA[..., k])
-    return m
+    """``np.abs(A).max(axis=-1)`` by column arithmetic, on the leading
+    axis of the transpose as ``_row_dot``; NaN propagates."""
+    columns = np.abs(A).T
+    m = columns[0]
+    for k in range(1, len(columns)):
+        m = np.maximum(m, columns[k])
+    return m.T
 
 
 def _row_all_finite(A: np.ndarray):
-    """``np.isfinite(A).all(axis=-1)`` by column arithmetic."""
-    ok = np.isfinite(A[..., 0])
-    for k in range(1, A.shape[-1]):
-        ok &= np.isfinite(A[..., k])
-    return ok
+    """``np.isfinite(A).all(axis=-1)``: one ``isfinite`` over A, then
+    its columns combined on the leading axis of the transpose as
+    ``_row_dot``."""
+    columns = np.isfinite(A).T
+    ok = columns[0]
+    for k in range(1, len(columns)):
+        ok = ok & columns[k]
+    return ok.T
 
 
 def symmetrize(M) -> np.ndarray:

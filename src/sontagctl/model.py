@@ -4,8 +4,12 @@ Dynamics callables follow a stacked convention: states may carry
 arbitrary leading batch axes with the state coordinates on the last
 axis. ``f`` maps (..., n) -> (..., n) and ``G`` maps (..., n) ->
 (..., n, m), so simulation and grid code can evaluate a model on many
-states at once without special cases. All models are immutable after
-construction and safe to share across workers.
+states at once without special cases. The shipped models read and write
+coordinate k through the transpose (``X.T[k]``, ``out.T[k] = ...``): on
+a stack that is the same strided view as ``X[..., k]``, and on a single
+(n,) state it is a numpy scalar, where ``X[..., k]`` would be a 0-d
+array whose ``sin`` or ``abs`` pays array dispatch. All models are
+immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -143,13 +147,15 @@ def fd_jacobian(fn, x, step_scale: float = FD_STEP_SCALE) -> np.ndarray:
 
 def apply_input(Gx, u) -> np.ndarray:
     """Contract an (..., n, m) input matrix with (..., m) inputs, adding
-    the input columns in index order from +0.0 as ``_row_dot`` does."""
-    Gx = np.asarray(Gx, dtype=float)
-    u = np.asarray(u, dtype=float)
-    s = Gx[..., 0] * u[..., 0, None] + 0.0
-    for k in range(1, Gx.shape[-1]):
-        s += Gx[..., k] * u[..., k, None]
-    return s
+    the input columns in index order from +0.0 as ``_row_dot`` does.
+    The columns are ``Gx.T[k] * u.T[k]``: on a single state, input k
+    is a numpy scalar, not a 0-d array."""
+    GT = np.asarray(Gx, dtype=float).T
+    uT = np.asarray(u, dtype=float).T
+    s = GT[0] * uT[0] + 0.0
+    for k in range(1, len(GT)):
+        s += GT[k] * uT[k]
+    return s.T
 
 
 def linearize(sys: SystemModel) -> tuple[np.ndarray, np.ndarray]:
@@ -196,14 +202,15 @@ def pendulum_system(params: PendulumParams | None = None):
     def f(X):
         X = np.asarray(X, dtype=float)
         out = np.empty_like(X)
-        out[..., 0] = X[..., 1]
-        out[..., 1] = drift_gain * np.sin(X[..., 0])
+        XT, outT = X.T, out.T
+        outT[0] = XT[1]
+        outT[1] = drift_gain * np.sin(XT[0])
         return out
 
     def G(X):
         X = np.asarray(X, dtype=float)
         out = np.zeros(X.shape + (1,))
-        out[..., 1, 0] = -input_gain * np.cos(X[..., 0])
+        out.T[0, 1] = -input_gain * np.cos(X.T[0])
         return out
 
     def f_jac(X):
@@ -226,8 +233,11 @@ def pendulum_system(params: PendulumParams | None = None):
     def gamma(Z):
         Z = np.asarray(Z, dtype=float)
         out = np.zeros(Z.shape[:-1] + (1, 1))
-        out[..., 0, 0] = -input_gain * np.cos(Z[..., 0])
+        out.T[0, 0] = -input_gain * np.cos(Z.T[0])
         return out
+
+    def domain(Z):
+        return (np.abs(Z.T[0]) < np.pi / 2).T
 
     system = SystemModel(n=2, m=1, f=f, G=G, f_jac=f_jac, name="pendulum")
     fbl = FeedbackLinearization(
@@ -238,7 +248,7 @@ def pendulum_system(params: PendulumParams | None = None):
         B_tilde=np.array([[0.0], [1.0]]),
         J_T0=np.eye(2),
         psi_jac=psi_jac,
-        domain=lambda Z: np.abs(Z[..., 0]) < np.pi / 2,
+        domain=domain,
         name="pendulum",
     )
     return system, fbl

@@ -103,14 +103,22 @@ def _sign_start(A, B, Q, R) -> np.ndarray:
     return symmetrize(solve_many(M.T @ M, -(M.T @ N)))
 
 
-def _certified_residual(A, B, Q, P, K) -> float:
-    """max |A'P + PA - PBK + Q|, certified to be at most RESIDUAL_RTOL
-    times the size of its terms, 2|A'P| + |PBK| + |Q|: at a solution the
-    residual is the rounding of those terms, which grows with |A||P| and
-    not with |Q| alone. Raises NotStabilizable beyond that bound."""
+def _residual_and_scale(A, B, Q, P, K) -> tuple[float, float]:
+    """The Riccati residual max |A'P + PA - PBK + Q| and the size of its
+    terms, 2|A'P| + |PBK| + |Q|, the scale it is certified against: at
+    a solution the residual is the rounding of those terms, which grows
+    with |A||P| and not with |Q| alone."""
     AtP, PBK = A.T @ P, P @ B @ K
     residual = max_abs(AtP + P @ A - PBK + Q)
-    if residual > RESIDUAL_RTOL * (2 * max_abs(AtP) + max_abs(PBK) + max_abs(Q)):
+    return residual, 2 * max_abs(AtP) + max_abs(PBK) + max_abs(Q)
+
+
+def _certified_residual(A, B, Q, P, K) -> float:
+    """The Riccati residual, certified to be at most RESIDUAL_RTOL times
+    its scale (``_residual_and_scale``). Raises NotStabilizable beyond
+    that bound."""
+    residual, scale = _residual_and_scale(A, B, Q, P, K)
+    if residual > RESIDUAL_RTOL * scale:
         raise NotStabilizable(f"Riccati residual {residual:.3e} exceeds contract")
     return residual
 

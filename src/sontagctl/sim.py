@@ -14,17 +14,21 @@ first stage, so a step evaluates the model four times, with or
 without a zero-order hold. One stepping loop on that kernel serves
 both ``simulate`` (a batch of one, recorded step by step) and
 ``rollout_costs`` (many rows, costs only), so both share one halt
-policy. All pathologies become per-step flags rather than exceptions:
-a state beyond the divergence guard, a non-finite state, or a control
-evaluation that comes back non-finite halts the run with the
-corresponding flag, and a halted run carries an infinite cost so
-sweep rows stay comparable.
+policy. On the batch of one every row quantity (the Lie terms, the
+Sontag factor, the state norm and the row masks) is a numpy scalar,
+not a 0-d array: the kernels index coordinates on the leading axis of
+a transpose, as ``linalg._row_dot`` does. All pathologies become
+per-step flags rather than exceptions: a state beyond the divergence
+guard, a non-finite state, or a control evaluation that comes back
+non-finite halts the run with the corresponding flag, and a halted run
+carries an infinite cost so sweep rows stay comparable.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -342,7 +346,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     Floats carry 17 significant digits; the lambda field is empty where
     the factor is undefined, and input/lambda fields are empty on the
-    final state row.
+    final state row. The body is formatted in one pass and written once.
     """
     n_rows, n = traj.states.shape
     n_inputs, m = traj.inputs.shape
@@ -359,6 +363,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     rows = np.column_stack(columns + [lam]).tolist()
     has_lam = np.isfinite(lam).tolist()
     flags = traj.flags[:n_rows] + [""] * (n_rows - len(traj.flags))
+    for row, flag in zip(rows, flags):
+        row.append(flag)
 
     # One format per (inputs, lambda) presence; "%.0s" takes its value
     # and prints nothing, leaving the field empty.
@@ -367,10 +373,10 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     fmt = {(with_u, with_lam): (num * (1 + n) + (num if with_u else empty) * m + v_field
                                 + (num if with_lam else empty) + "%s\n")
            for with_u in (True, False) for with_lam in (True, False)}
+    body = "".join(fmt[k < n_inputs, has_lam[k]] for k in range(n_rows))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for k, row in enumerate(rows):
-            fh.write(fmt[k < n_inputs, has_lam[k]] % (*row, flags[k]))
+        fh.write(body % tuple(chain.from_iterable(rows)))
 
 
 __all__ = [

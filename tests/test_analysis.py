@@ -17,6 +17,7 @@ from sontagctl.analysis import (
 from sontagctl.control import LqrController, SontagController
 from sontagctl.sim import SimConfig, cost_index, simulate
 
+import csv_reference
 from conftest import EXTREMES, counted, counting_drift, format_cell
 
 
@@ -306,8 +307,8 @@ class TestSweep:
 
 
 class TestCsvOracle:
-    """The sweep and ROA writers against per-cell formatting on
-    hand-built results."""
+    """The sweep and ROA writers against per-cell formatting and against
+    the row-by-row writers on hand-built results."""
 
     def test_sweep(self, tmp_path):
         rng = np.random.default_rng(4030)
@@ -335,6 +336,7 @@ class TestCsvOracle:
             lines.append(",".join(row))
         text = path.read_text()
         assert text == "\n".join(lines) + "\n"
+        assert text == csv_reference.sweep_csv(result)
         assert ",inf," in text and ",-inf," in text and ",," in text
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -358,3 +360,19 @@ class TestCsvOracle:
             row += [str(int(cert.members_lqr[i])), str(int(cert.members_sontag[i]))]
             lines.append(",".join(row))
         assert path.read_text() == "\n".join(lines) + "\n"
+        assert path.read_text() == csv_reference.roa_csv(cert)
+
+    def test_roa_default_grid(self, tmp_path, pendulum, pendulum_designs, pendulum_grid):
+        # the 101 x 101 grid of the default config, with extreme V values
+        sys_m, _ = pendulum
+        cert = roa_certify(sys_m, pendulum_designs["i"].clf,
+                           lqr=pendulum_designs["iv"].controller,
+                           sontag=pendulum_designs["i"].controller, grid=pendulum_grid)
+        values = cert.values.copy()
+        values[::1000][:EXTREMES.size] = EXTREMES
+        cert = dataclasses.replace(cert, values=values)
+        path = tmp_path / "roa.csv"
+        write_roa_csv(cert, path)
+        text = path.read_text()
+        assert text.count("\n") == 1 + 101 * 101
+        assert text == csv_reference.roa_csv(cert)

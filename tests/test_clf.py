@@ -159,6 +159,18 @@ class TestLieDerivatives:
         assert ld.a == 0.0
         np.testing.assert_array_equal(ld.b, np.zeros(1))
 
+    @pytest.mark.parametrize("selector", ["i", "ii"])
+    def test_single_state_row_quantities_are_numpy_scalars(self, pendulum, pendulum_designs,
+                                                             selector):
+        # not 0-d arrays, whose every later operation pays array dispatch
+        sys_m, _ = pendulum
+        clf = pendulum_designs[selector].clf
+        for x in ([0.3, -0.2], [0.0, 0.0], [2.0, 0.5]):
+            lt = lie_terms(clf, sys_m, np.array(x))
+            for name, kind in (("a", np.float64), ("x_norm", np.float64),
+                               ("nonzero", np.bool_), ("ok", np.bool_)):
+                assert type(getattr(lt, name)) is kind, (x, name)
+
     def test_against_flow_differences(self, pendulum, pendulum_designs):
         # dV/dt along the drift approximates a; adding a unit input
         # perturbs it by the matching component of b

@@ -3,10 +3,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 from conftest import cli_env
+from sontagctl.riccati import RESIDUAL_RTOL
 
 SONTAGCTL = [sys.executable, "-m", "sontagctl"]
 
@@ -66,6 +68,23 @@ class TestSynthesize:
         assert proc.returncode == 0
         # K = [1, sqrt(3)]
         assert "1.732050" in proc.stdout
+
+    def test_relative_residual_is_the_certified_ratio(self, tmp_path):
+        # seed 94's n = 4 care-lti draw: |P| ~ 1e5 puts the residual
+        # (2.9e-8 with the default OpenBLAS kernel) above 1e-8 |Q|, but
+        # not above 1e-8 of its own terms, the ratio solve_care certifies
+        rng = np.random.default_rng([94, 2])
+        A = rng.normal(size=(4, 4)) / 2
+        B = rng.normal(size=(4, 1))
+        cfg = tmp_path / "lti.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "system": {"name": "lti", "lti": {"A": A.tolist(), "B": B.tolist()}},
+        }))
+        proc = run_cli("synthesize", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        rel = float(proc.stdout.split("relative ")[1].split(")")[0])
+        assert rel <= RESIDUAL_RTOL
+        assert "closed_loop_hurwitz = True" in proc.stdout
 
     def test_not_stabilizable_gate(self, tmp_path):
         cfg = tmp_path / "bad.yaml"

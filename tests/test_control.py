@@ -29,25 +29,33 @@ def lambda_reference(a, q, beta):
         return float((a + mpmath.sqrt(a * a + q * beta)) / beta)
 
 
+def _lam(a, q, beta):
+    """``_lambda_array`` on numpy scalars, the form a single state's
+    Lie terms take."""
+    return _lambda_array(np.float64(a), np.float64(q), np.float64(beta))
+
+
 class TestLambdaFactor:
     def test_riccati_relation_gives_one_exactly(self):
         # a = (beta - q)/2 makes the factor one; values chosen so the
         # arithmetic is exact in binary floating point
         for q, beta in ((1.0, 4.0), (4.0, 1.0), (0.25, 16.0), (16.0, 0.25)):
             a = (beta - q) / 2.0
-            assert _lambda_array(a, q, beta) == 1.0
+            assert _lam(a, q, beta) == 1.0
 
     def test_riccati_relation_random(self):
         rng = np.random.default_rng(5001)
         for _ in range(200):
             q = float(rng.uniform(1e-6, 1e3))
             beta = float(rng.uniform(1e-6, 1e3))
-            lam = float(_lambda_array((beta - q) / 2.0, q, beta))
+            lam = float(_lam((beta - q) / 2.0, q, beta))
             assert lam == pytest.approx(1.0, rel=1e-12)
 
     def test_simple_values(self):
         np.testing.assert_array_equal(
-            _lambda_array([0.0, -3.0, 3.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0]), [1.0, 0.0, 6.0])
+            _lambda_array(np.array([0.0, -3.0, 3.0]), np.array([1.0, 0.0, 0.0]),
+                          np.array([1.0, 1.0, 1.0])), [1.0, 0.0, 6.0])
+        assert type(_lam(3.0, 0.0, 1.0)) is np.float64
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -59,7 +67,7 @@ class TestLambdaFactor:
         # the branch selection must survive the cancellation regime
         # (a < 0 with q*beta far below a^2), where the naive form loses
         # every significant digit
-        lam = float(_lambda_array(a, q, beta))
+        lam = float(_lam(a, q, beta))
         ref = lambda_reference(a, q, beta)
         assert lam == pytest.approx(ref, rel=1e-12, abs=5e-324)
 
@@ -77,7 +85,7 @@ class TestLambdaFactor:
             direct = (a + s) / beta
             rationalized = q / (s - a)
             assert direct == pytest.approx(rationalized, rel=1e-12)
-            assert float(_lambda_array(a, q, beta)) == pytest.approx(direct, rel=1e-12)
+            assert float(_lam(a, q, beta)) == pytest.approx(direct, rel=1e-12)
 
 
 class TestSontagControl:
@@ -361,6 +369,27 @@ class TestBatchOfOne:
         G = sys_m.G(states)
         U = np.random.default_rng(5014).normal(size=(states.shape[0], 1))
         assert _bits(apply_input(G, U)) == _bits([apply_input(g, u) for g, u in zip(G, U)])
+        # stacks of 3-d and more, and several inputs, keep the batch axes in order
+        rng = np.random.default_rng(5015)
+        for batch in ((40, 50), (4, 5, 6)):
+            for m in (1, 3):
+                G = rng.normal(size=batch + (2, m))
+                U = rng.normal(size=batch + (m,))
+                rows = np.array([apply_input(g, u) for g, u in zip(G.reshape(-1, 2, m),
+                                                                   U.reshape(-1, m))])
+                out = apply_input(G, U)
+                assert out.shape == batch + (2,)
+                assert _bits(out) == _bits(rows.reshape(batch + (2,)))
+
+    @pytest.mark.parametrize("selector", ["i", "ii", "iii", "iv"])
+    def test_stack_axes(self, pendulum_designs, states, selector):
+        # a (40, 50, 2) stack evaluates like the (2000, 2) one, so no
+        # kernel mixes up the batch axes it indexes through a transpose;
+        # the matrix products may round differently on a 3-d stack
+        ctrl = pendulum_designs[selector].controller
+        U = ctrl.u(states.reshape(40, 50, 2))
+        assert U.shape == (40, 50, 1)
+        np.testing.assert_allclose(U.reshape(-1, 1), ctrl.u(states), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("selector", ["i", "ii"])
     def test_clf_value(self, pendulum_designs, states, selector):

@@ -54,8 +54,20 @@ class TestPendulumDynamics:
         rhs = Z @ np.asarray(fbl.A_tilde).T + inner @ np.asarray(fbl.B_tilde).T
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    def test_stacks_match_rows(self, pendulum):
+        # the model reads and writes coordinates on the leading axis of
+        # the transpose; a (3, 4, 2) stack must still equal its rows
+        sys_m, fbl = pendulum
+        X = np.random.default_rng(3002).uniform(-3.0, 3.0, size=(3, 4, 2))
+        for fn in (sys_m.f, sys_m.G, fbl.psi, fbl.gamma, fbl.domain):
+            stacked = np.asarray(fn(X))
+            rows = np.array([[fn(x) for x in row] for row in X])
+            assert stacked.shape == rows.shape and stacked.dtype == rows.dtype
+            assert stacked.tobytes() == rows.tobytes()
+
     def test_domain_predicate(self, pendulum):
         _, fbl = pendulum
+        assert type(fbl.domain(np.array([0.3, 0.0]))) is np.bool_
         assert fbl.domain(np.array([1.5, 0.0]))
         assert not fbl.domain(np.array([np.pi / 2, 0.0]))
 

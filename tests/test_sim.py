@@ -7,6 +7,7 @@ import scipy.linalg
 from sontagctl.control import LqrController, SontagController, synthesize_design
 from sontagctl.model import SystemModel, lti_system
 from sontagctl.sim import (
+    FLAG_CLF_VIOLATION,
     FLAG_DIVERGENCE,
     FLAG_DOMAIN,
     SimConfig,
@@ -21,6 +22,7 @@ from sontagctl.sim import (
     write_trajectory_csv,
 )
 
+import csv_reference
 from conftest import EXTREMES, counting_drift, format_cell
 
 
@@ -448,7 +450,8 @@ def _reference_trajectory_csv(traj) -> str:
 
 
 class TestTrajectoryCsvOracle:
-    """The writer against per-cell formatting on hand-built runs."""
+    """The writer against per-cell formatting and against the row-by-row
+    writer on hand-built runs."""
 
     @staticmethod
     def _traj(n_states, n_inputs, m, clf_values=True, lambdas="nan"):
@@ -466,13 +469,18 @@ class TestTrajectoryCsvOracle:
         elif lambdas == "all":
             lam = rng.uniform(0.5, 2.0, n_inputs)
             lam[:3] = [5e-324, 1.7976931348623157e308, -0.0]
+        flags = [FLAG_CLF_VIOLATION if k % 4 == 1 else "" for k in range(n_states)]
+        flags[-1] = FLAG_DIVERGENCE
+        if n_inputs < n_states - 1 or n_inputs == 0:
+            # halted on an input that was not finite
+            flags[n_inputs] = f"{FLAG_CLF_VIOLATION};{FLAG_DOMAIN}"
         return Trajectory(
             times=0.01 * np.arange(n_states),
             states=states,
             inputs=inputs,
             clf_values=EXTREMES[np.arange(n_states) % EXTREMES.size] if clf_values else None,
             lambdas=lam,
-            flags=[FLAG_DIVERGENCE if k == n_states - 1 else "" for k in range(n_states)],
+            flags=flags,
         )
 
     @pytest.mark.parametrize("n_states,n_inputs,m,clf_values,lambdas", [
@@ -488,4 +496,6 @@ class TestTrajectoryCsvOracle:
         traj = self._traj(n_states, n_inputs, m, clf_values, lambdas)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
-        assert path.read_text() == _reference_trajectory_csv(traj)
+        text = path.read_text()
+        assert text == _reference_trajectory_csv(traj)
+        assert text == csv_reference.trajectory_csv(traj)
