@@ -4,12 +4,17 @@ Grid checks here are sampling, not formal certificates: membership and
 violation reports are exact at the sampled points and say nothing in
 between. Sublevel constants come from a bisection over the sampled
 CLF values, and sweep rows are produced in deterministic angle order.
+The sweep's three design rollouts run at the same time in forked worker
+processes, at most one per design; each rollout is computed whole by one
+process, so the results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -24,6 +29,10 @@ VDOT_TOL = 1e-12
 BETA_TOL = 1e-9
 #: Bisection iterations for the largest certified sublevel constant.
 BISECTION_ITERS = 40
+#: The designs an angle sweep compares, in the order their rollouts
+#: start. The Sontag law's rollout is the longest, so it starts first
+#: and, on two workers, the other two share the second.
+_SWEEP_DESIGNS = ("sontag", "lqr", "fbl")
 
 
 @dataclass(frozen=True)
@@ -219,6 +228,48 @@ def global_clf_sample_check(fbl: FeedbackLinearization, P_tilde, grid: GridSpec)
                            ok=not bool(violating.any()))
 
 
+#: A worker's jobs. Set only in forked workers, by their pool initializer.
+_worker_jobs: tuple = ()
+
+
+def _init_worker(jobs: tuple) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _run_worker_job(index: int):
+    return _worker_jobs[index]()
+
+
+def _run_each(jobs: tuple) -> list:
+    """Each job's result, in job order.
+
+    The jobs run at the same time in forked worker processes, one worker
+    per job and per usable CPU. They run in this process, one after
+    another, where only one CPU is usable, where the platform cannot
+    fork, or where this process is a daemon (a ``multiprocessing.Pool``
+    worker), which may start no process. The jobs reach the workers
+    through fork, never pickled: they may hold closures. Only a job's
+    index goes out and its result comes back. A job's exception is
+    raised here, and every worker has exited when this returns or
+    raises.
+    """
+    # Imported here, not with the module: the pool machinery takes 16-23 ms
+    # to import, which every other command would pay.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(getaffinity(0)) if getaffinity else (os.cpu_count() or 1)
+    workers = min(len(jobs), cpus)
+    if workers < 2 or not hasattr(os, "fork") or multiprocessing.current_process().daemon:
+        return [job() for job in jobs]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(jobs,)) as pool:
+        futures = [pool.submit(_run_worker_job, i) for i in range(len(jobs))]
+        return [future.result() for future in futures]
+
+
 def sweep_initial_angles(sys: SystemModel, designs: Mapping[str, object], Q, R,
                          cfg: SimConfig, n_angles: int = 1000,
                          theta_range_deg: tuple[float, float] = (0.0, 89.0)) -> SweepResult:
@@ -229,8 +280,15 @@ def sweep_initial_angles(sys: SystemModel, designs: Mapping[str, object], Q, R,
     Ratios are the Sontag cost over the other design's cost, defined
     only where the denominator run stabilized (NaN marks unavailable),
     with the all-zero equilibrium row set to 1 by convention.
+
+    Each design's rollout over all angles is one ``rollout_costs`` call.
+    The three calls run at the same time in forked worker processes, at
+    most one worker per design and per usable CPU, or one after another
+    in this process where one CPU is usable, the platform has no
+    ``fork`` or this process is a daemon. Every row is bitwise what the
+    in-process call gives, whatever the worker count.
     """
-    for key in ("sontag", "lqr", "fbl"):
+    for key in _SWEEP_DESIGNS:
         if key not in designs:
             raise ValueError(f"designs must provide a {key!r} controller")
     if sys.n != 2:
@@ -239,11 +297,12 @@ def sweep_initial_angles(sys: SystemModel, designs: Mapping[str, object], Q, R,
     thetas = np.linspace(lo, hi, n_angles)
     X0 = np.stack([np.radians(thetas), np.zeros(n_angles)], axis=-1)
 
+    jobs = tuple(partial(rollout_costs, sys, designs[name], X0, Q, R, cfg.h, cfg.n_steps,
+                         zoh=cfg.zoh) for name in _SWEEP_DESIGNS)
     J = {}
     stab = {}
-    for name in ("sontag", "lqr", "fbl"):
-        J[name], stab[name], _ = rollout_costs(
-            sys, designs[name], X0, Q, R, cfg.h, cfg.n_steps, zoh=cfg.zoh)
+    for name, (costs, stabilized, _) in zip(_SWEEP_DESIGNS, _run_each(jobs)):
+        J[name], stab[name] = costs, stabilized
 
     def ratio_to(denom: str) -> np.ndarray:
         out = np.full(n_angles, np.nan)

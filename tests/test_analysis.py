@@ -1,4 +1,7 @@
+import concurrent.futures
 import dataclasses
+import multiprocessing
+import os
 import types
 
 import numpy as np
@@ -15,7 +18,7 @@ from sontagctl.analysis import (
     write_sweep_csv,
 )
 from sontagctl.control import LqrController, SontagController
-from sontagctl.sim import SimConfig, cost_index, simulate
+from sontagctl.sim import SimConfig, cost_index, rollout_costs, simulate
 
 import csv_reference
 from conftest import EXTREMES, counted, counting_drift, format_cell
@@ -224,14 +227,38 @@ class TestGlobalClfCheck:
 
 
 @pytest.fixture(scope="module")
-def small_sweep(pendulum, pendulum_designs, pendulum_weights):
+def sweep_designs(pendulum_designs):
+    return {name: pendulum_designs[sel].controller
+            for name, sel in (("sontag", "i"), ("lqr", "iv"), ("fbl", "iii"))}
+
+
+@pytest.fixture(scope="module")
+def small_sweep(pendulum, sweep_designs, pendulum_weights):
     sys_m, _ = pendulum
     Q, R = pendulum_weights
-    designs = {name: pendulum_designs[sel].controller
-               for name, sel in (("sontag", "i"), ("lqr", "iv"), ("fbl", "iii"))}
-    return sweep_initial_angles(sys_m, designs, Q, R,
+    return sweep_initial_angles(sys_m, sweep_designs, Q, R,
                                 SimConfig(h=0.01, n_steps=1500),
                                 n_angles=24, theta_range_deg=(0.0, 69.0))
+
+
+def set_usable_cpus(monkeypatch, count):
+    """Make the sweep see ``count`` usable CPUs, whichever call it reads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """(workers, start method) of each process pool a sweep creates."""
+    made = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append((max_workers, kwargs["mp_context"].get_start_method()))
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return made
 
 
 class TestSweep:
@@ -251,12 +278,10 @@ class TestSweep:
         assert failed.any()
         assert np.all(np.isnan(small_sweep.ratio_lqr[failed]))
 
-    def test_rows_match_single_simulations(self, pendulum, pendulum_designs,
-                                           pendulum_weights):
+    def test_rows_match_single_simulations(self, pendulum, sweep_designs, pendulum_weights):
         sys_m, _ = pendulum
         Q, R = pendulum_weights
-        designs = {name: pendulum_designs[sel].controller
-                   for name, sel in (("sontag", "i"), ("lqr", "iv"), ("fbl", "iii"))}
+        designs = sweep_designs
         cfg = SimConfig(h=0.01, n_steps=400)
         result = sweep_initial_angles(sys_m, designs, Q, R, cfg,
                                       n_angles=4, theta_range_deg=(10.0, 40.0))
@@ -291,11 +316,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_initial_angles(sys_m, {"sontag": None}, Q, R, SimConfig())
 
-    def test_deterministic_repetition(self, pendulum, pendulum_designs, pendulum_weights):
+    def test_deterministic_repetition(self, pendulum, sweep_designs, pendulum_weights):
         sys_m, _ = pendulum
         Q, R = pendulum_weights
-        designs = {name: pendulum_designs[sel].controller
-                   for name, sel in (("sontag", "i"), ("lqr", "iv"), ("fbl", "iii"))}
+        designs = sweep_designs
         cfg = SimConfig(h=0.01, n_steps=300)
         r1 = sweep_initial_angles(sys_m, designs, Q, R, cfg, n_angles=8,
                                   theta_range_deg=(0.0, 60.0))
@@ -304,6 +328,94 @@ class TestSweep:
         np.testing.assert_array_equal(r1.j_sontag, r2.j_sontag)
         np.testing.assert_array_equal(r1.j_lqr, r2.j_lqr)
         np.testing.assert_array_equal(r1.j_fbl, r2.j_fbl)
+
+    @pytest.mark.parametrize("zoh", [False, True])
+    def test_pool_rows_are_the_in_process_rows(self, monkeypatch, pools, pendulum,
+                                               sweep_designs, pendulum_weights, zoh):
+        sys_m, _ = pendulum
+        Q, R = pendulum_weights
+        cfg = SimConfig(h=0.01, n_steps=300, zoh=zoh)
+
+        def sweep():
+            return sweep_initial_angles(sys_m, sweep_designs, Q, R, cfg, n_angles=12,
+                                        theta_range_deg=(0.0, 80.0))
+
+        pooled = {}
+        for cpus in (2, 8):
+            set_usable_cpus(monkeypatch, cpus)
+            pooled[cpus] = sweep()
+        assert pools == [(2, "fork"), (3, "fork")]  # one worker per design at most
+        result = pooled[8]
+        X0 = np.stack([np.radians(result.theta0_deg), np.zeros(12)], axis=-1)
+        for name in ("sontag", "lqr", "fbl"):
+            costs, stabilized, _ = rollout_costs(sys_m, sweep_designs[name], X0, Q, R,
+                                                 cfg.h, cfg.n_steps, zoh=zoh)
+            np.testing.assert_array_equal(getattr(result, f"j_{name}"), costs)
+            np.testing.assert_array_equal(getattr(result, f"stab_{name}"), stabilized)
+
+        def forbidden():
+            raise AssertionError("the in-process path forked")
+
+        set_usable_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", forbidden)
+        serial = sweep()
+        monkeypatch.delattr(os, "fork")  # a platform without fork
+        set_usable_cpus(monkeypatch, 8)
+        no_fork = sweep()
+        assert len(pools) == 2
+        for other in (pooled[2], serial, no_fork):
+            for field in dataclasses.fields(SweepResult):
+                np.testing.assert_array_equal(getattr(other, field.name),
+                                              getattr(result, field.name))
+
+    def test_worker_failure_is_raised_and_no_worker_outlives_a_sweep(
+            self, monkeypatch, pools, pendulum, sweep_designs, pendulum_weights):
+        sys_m, _ = pendulum
+        Q, R = pendulum_weights
+        cfg = SimConfig(h=0.01, n_steps=50)
+        set_usable_cpus(monkeypatch, 8)
+        sweep_initial_angles(sys_m, sweep_designs, Q, R, cfg, n_angles=4)
+        assert multiprocessing.active_children() == []
+
+        class Failing:
+            def u(self, X):
+                raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="^boom$"):
+            sweep_initial_angles(sys_m, {**sweep_designs, "fbl": Failing()}, Q, R, cfg,
+                                 n_angles=4)
+        assert multiprocessing.active_children() == []
+        assert [workers for workers, _ in pools] == [3, 3]
+
+    def test_daemon_process_sweeps_in_process(self, monkeypatch, pendulum, sweep_designs,
+                                              pendulum_weights):
+        # a multiprocessing.Pool worker is a daemon, and a daemon may start
+        # no process of its own
+        sys_m, _ = pendulum
+        Q, R = pendulum_weights
+        set_usable_cpus(monkeypatch, 8)
+
+        def sweep():
+            return sweep_initial_angles(sys_m, sweep_designs, Q, R,
+                                        SimConfig(h=0.01, n_steps=50), n_angles=4)
+
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def child():
+            try:
+                send.send(sweep().j_sontag)
+            except Exception as exc:
+                send.send(exc)
+
+        proc = ctx.Process(target=child, daemon=True)
+        proc.start()
+        assert receive.poll(60)
+        got = receive.recv()
+        proc.join(60)
+        assert proc.exitcode == 0
+        assert not isinstance(got, Exception), got
+        np.testing.assert_array_equal(got, sweep().j_sontag)
 
 
 class TestCsvOracle:
