@@ -19,7 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import _row_dot, _row_max_abs, as_matrix, as_square, as_vector, symmetrize
+from .linalg import (_row_dot, _row_max_abs, _stack_matmul, as_matrix, as_square, as_vector,
+                     symmetrize)
 from .model import FeedbackLinearization, SystemModel, apply_input
 from .sim import SimConfig, _closed_loop, rollout_costs
 
@@ -66,8 +67,9 @@ class GridSpec:
                 for lo, hi, k in zip(self.lower, self.upper, self.points_per_axis)]
 
     def points(self) -> np.ndarray:
+        """The grid as a (dim, N) stack, the last axis varying fastest."""
         mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.dim)
+        return np.stack(mesh).reshape(self.dim, -1)
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class RoaCertificate:
     A point is a member when it is nonzero, lies in the sublevel set
     V <= C, and the CLF strictly decays there under the controller.
     ``C_lqr`` and ``C_sontag`` are each law's largest sampled sublevel
-    constant on the grid.
+    constant on the grid. ``points`` is (N, dim), one row per point.
     """
 
     C: float
@@ -96,7 +98,7 @@ class GlobalClfReport:
     """Sampled check of the transformed-coordinates CLF condition."""
 
     n_checked: int
-    violations: np.ndarray
+    violations: np.ndarray   # the violating points, one per row
     ok: bool
 
 
@@ -199,7 +201,7 @@ def roa_certify(sys: SystemModel, clf, *, lqr, sontag, grid: GridSpec,
     mem_lqr = in_level & decays_lqr
     mem_sontag = in_level & decays_sontag
     subset = bool(np.all(mem_sontag | ~mem_lqr))
-    return RoaCertificate(C=float(C), C_lqr=C_lqr, C_sontag=C_sontag, grid=grid, points=pts,
+    return RoaCertificate(C=float(C), C_lqr=C_lqr, C_sontag=C_sontag, grid=grid, points=pts.T,
                           values=V, members_lqr=mem_lqr, members_sontag=mem_sontag,
                           subset_holds=subset)
 
@@ -218,13 +220,13 @@ def global_clf_sample_check(fbl: FeedbackLinearization, P_tilde, grid: GridSpec)
     Z = grid.points()
     nonzero = _row_max_abs(Z) > 0.0
     M = symmetrize(A.T @ P + P @ A)
-    alpha = 0.5 * _row_dot(Z @ M, Z)
-    beta = Z @ (P @ B)
+    alpha = 0.5 * _row_dot(_stack_matmul(Z, M), Z)
+    beta = _stack_matmul(Z, P @ B)
     z_norm = np.sqrt(_row_dot(Z, Z))
     has_input = _row_max_abs(beta) > BETA_TOL * z_norm
     violating = nonzero & ~(alpha < 0.0) & ~has_input
     return GlobalClfReport(n_checked=int(nonzero.sum()),
-                           violations=Z[violating],
+                           violations=Z[:, violating].T,
                            ok=not bool(violating.any()))
 
 
@@ -295,7 +297,7 @@ def sweep_initial_angles(sys: SystemModel, designs: Mapping[str, object], Q, R,
         raise ValueError("the angle sweep expects a (angle, rate) state")
     lo, hi = theta_range_deg
     thetas = np.linspace(lo, hi, n_angles)
-    X0 = np.stack([np.radians(thetas), np.zeros(n_angles)], axis=-1)
+    X0 = np.stack([np.radians(thetas), np.zeros(n_angles)])
 
     jobs = tuple(partial(rollout_costs, sys, designs[name], X0, Q, R, cfg.h, cfg.n_steps,
                          zoh=cfg.zoh) for name in _SWEEP_DESIGNS)

@@ -3,8 +3,8 @@
 Two families are provided: plain quadratic functions built from a
 Riccati solution, and quadratic-in-transformed-coordinates functions
 for feedback-linearizable models. Both expose batch-capable ``value``
-and ``grad``; states outside a transformed CLF's domain evaluate to
-NaN, and so do the Lie terms computed from them.
+and ``grad`` on (n,) states or (n, ...) stacks; states outside a
+transformed CLF's domain evaluate to NaN, and so do their Lie terms.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, as_square, cholesky_pd,
-                     max_abs, solve_many, symmetrize)
+from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, _stack_matmul, as_square,
+                     cholesky_pd, max_abs, solve_many, symmetrize)
 from .model import FeedbackLinearization, SystemModel, fd_jacobian, identity_coordinates
 
 #: Base absolute tolerance for treating the input-direction derivative as zero.
@@ -34,10 +34,10 @@ class QuadraticClf:
 
     def value(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return 0.5 * _row_dot(X @ self.P, X)
+        return 0.5 * _row_dot(_stack_matmul(X, self.P), X)
 
     def grad(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.P
+        return _stack_matmul(np.asarray(X, dtype=float), self.P)
 
 
 class TransformedClf:
@@ -54,7 +54,7 @@ class TransformedClf:
         X = np.asarray(X, dtype=float)
         Z = np.asarray(self.fbl.T(X), dtype=float)
         ok = self.fbl.domain(Z)
-        v = 0.5 * _row_dot(Z @ self.P_tilde, Z)
+        v = 0.5 * _row_dot(_stack_matmul(Z, self.P_tilde), Z)
         return np.where(ok, v, np.nan)
 
     def grad(self, X) -> np.ndarray:
@@ -64,7 +64,7 @@ class TransformedClf:
         X = np.asarray(X, dtype=float)
         if self.fbl.T is identity_coordinates:
             ok = self.fbl.domain(X)
-            g = X @ self.P_tilde + 0.0
+            g = _stack_matmul(X, self.P_tilde) + 0.0
         else:
             Z = np.asarray(self.fbl.T(X), dtype=float)
             ok = self.fbl.domain(Z)
@@ -72,27 +72,27 @@ class TransformedClf:
                 J = np.asarray(self.fbl.T_jac(X), dtype=float)
             else:
                 J = fd_jacobian(self.fbl.T, X)
-            g = _row_dot(J.swapaxes(-1, -2), (Z @ self.P_tilde)[..., None, :])
+            g = _row_dot(J, _stack_matmul(Z, self.P_tilde)[:, None])
         if _all_rows(ok):
             return g
-        return np.where(ok[..., None], g, np.nan)
+        return np.where(ok, g, np.nan)
 
 
 class LieTerms(NamedTuple):
     """CLF gradient, model terms and Lie derivatives at stacked states."""
 
-    grad: np.ndarray     # (..., n)
-    f: np.ndarray        # (..., n)
-    G: np.ndarray        # (..., n, m)
-    a: np.ndarray        # (...,)   grad V . f
-    b: np.ndarray        # (..., m) grad V . G
-    x_norm: np.ndarray   # (...,)   |x|
-    nonzero: np.ndarray  # (...,)   b beyond the zero-direction threshold
-    ok: np.ndarray       # (...,)   finite gradient: inside the CLF domain
+    grad: np.ndarray     # (n, ...)
+    f: np.ndarray        # (n, ...)
+    G: np.ndarray        # (n, m, ...)
+    a: np.ndarray        # (...)    grad V . f
+    b: np.ndarray        # (m, ...) grad V . G
+    x_norm: np.ndarray   # (...)    |x|
+    nonzero: np.ndarray  # (...)    b beyond the zero-direction threshold
+    ok: np.ndarray       # (...)    finite gradient: inside the CLF domain
 
 
 def lie_terms(clf, sys: SystemModel, X) -> LieTerms:
-    """a = grad V . f(x) and b = grad V . G(x) at (n,) or (..., n)
+    """a = grad V . f(x) and b = grad V . G(x) at (n,) or (n, ...)
     states, with the gradient and model evaluations they came from.
     Entries are NaN outside the CLF domain.
 
@@ -104,7 +104,7 @@ def lie_terms(clf, sys: SystemModel, X) -> LieTerms:
     fX = np.asarray(sys.f(X), dtype=float)
     GX = np.asarray(sys.G(X), dtype=float)
     a = _row_dot(grad, fX)
-    b = _row_dot(grad[..., None, :], GX.swapaxes(-1, -2))
+    b = _row_dot(grad[:, None], GX)
     x_norm = np.sqrt(_row_dot(X, X))
     nonzero = _row_max_abs(b) > B_TOL_BASE + (B_TOL_BASE * clf.p_norm) * x_norm
     # positional: building a NamedTuple from keywords costs ~0.8 us more a call
@@ -123,7 +123,7 @@ def transform_P(P, J_T0) -> np.ndarray:
 
 
 def clf_condition_at(clf, sys: SystemModel, X) -> np.ndarray:
-    """Pointwise CLF decrease condition at (n,) or stacked (..., n)
+    """Pointwise CLF decrease condition at (n,) or stacked (n, ...)
     nonzero states, as a row mask.
 
     True where some input direction is available (``nonzero`` of

@@ -14,9 +14,10 @@ sign of a. Where b(x) vanishes the control is zero, the factor is
 undefined, and a flag records whether the CLF decrease condition broke
 down there.
 
-All controllers evaluate on (n,) or stacked (..., n) states and return
-(m,) or (..., m) inputs; states outside a CLF or linearization domain,
-or with singular gamma, get NaN inputs.
+All controllers evaluate on (n,) states or (n, ...) stacks and return
+(m,) or (m, ...) inputs, with state products by ``linalg._stack_matmul``;
+states outside a CLF or linearization domain, or with singular gamma,
+get NaN inputs.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .clf import build_global_clf, build_lqr_clf, lie_terms
-from .linalg import (_all_rows, _row_dot, _select, as_matrix, as_square, cholesky_pd, max_abs,
-                     solve_many, symmetrize)
+from .linalg import (_all_rows, _row_dot, _select, _stack_matmul, as_matrix, as_square,
+                     cholesky_pd, max_abs, solve_many, symmetrize)
 from .model import FeedbackLinearization, SystemModel, fd_jacobian, linearize
 from .riccati import LqrDesign, solve_care
 
@@ -97,15 +98,16 @@ class SontagController:
     def _parts(self, X) -> _Parts:
         X = np.asarray(X, dtype=float)
         lt = lie_terms(self.clf, self.sys, X)
-        Rb = lt.b @ self.R_inv
+        Rb = _stack_matmul(lt.b, self.R_inv)
         beta = _row_dot(lt.b, Rb)
-        q = _row_dot(X @ self.Q, X)
-        lam = _lambda_array(lt.a, q, _select(lt.nonzero, beta, 1.0))
-        U = (Rb.T * -lam.T).T
-        if not _all_rows(lt.nonzero):
-            U = np.where(lt.nonzero[..., None], U, 0.0)
+        q = _row_dot(_stack_matmul(X, self.Q), X)
+        all_nonzero = _all_rows(lt.nonzero)
+        lam = _lambda_array(lt.a, q, beta if all_nonzero else _select(lt.nonzero, beta, 1.0))
+        U = Rb * -lam
+        if not all_nonzero:
+            U = np.where(lt.nonzero, U, 0.0)
         if not _all_rows(lt.ok):
-            U = np.where(lt.ok[..., None], U, np.nan)
+            U = np.where(lt.ok, U, np.nan)
         # positional, as in lie_terms
         return _Parts(U, lam, lt.nonzero, lt.ok, lt.a, beta, q, lt.x_norm, lt.f, lt.G)
 
@@ -121,7 +123,7 @@ class LqrController:
         self.K = as_matrix(K, "K")
 
     def u(self, X) -> np.ndarray:
-        return -(np.asarray(X, dtype=float) @ self.K.T)
+        return -_stack_matmul(np.asarray(X, dtype=float), self.K.T)
 
 
 class FblController:
@@ -137,22 +139,26 @@ class FblController:
         or the state left the linearization domain."""
         X = np.asarray(X, dtype=float)
         Z = np.asarray(self.fbl.T(X), dtype=float)
-        rhs = -(np.asarray(self.fbl.psi(Z), dtype=float) + Z @ self.K_fbl.T)
+        rhs = -(np.asarray(self.fbl.psi(Z), dtype=float) + _stack_matmul(Z, self.K_fbl.T))
         gam = np.asarray(self.fbl.gamma(Z), dtype=float)
         ok = self.fbl.domain(Z)
         m = self.K_fbl.shape[0]
         if m == 1:
-            g = gam.T[0, 0].T
+            g = gam[0, 0]
             ok = ok & (np.abs(g) > GAMMA_PIVOT_TOL)
-            U = rhs / (g if _all_rows(ok) else np.where(ok, g, 1.0))[..., None]
-        else:
+            if _all_rows(ok):
+                return rhs / g
+            U = rhs / np.where(ok, g, 1.0)
+        else:  # numpy's batched solvers want the matrix axes last
+            gam = np.moveaxis(gam, (0, 1), (-2, -1))
             det = np.linalg.det(gam)
             ok = ok & (np.abs(det) > GAMMA_PIVOT_TOL)
             safe = np.where(ok[..., None, None], gam, np.eye(m))
-            U = np.linalg.solve(safe, rhs[..., None])[..., 0]
+            U = np.linalg.solve(safe, np.moveaxis(rhs, 0, -1)[..., None])[..., 0]
+            U = np.moveaxis(U, -1, 0)
         if _all_rows(ok):
             return U
-        return np.where(ok[..., None], U, np.nan)
+        return np.where(ok, U, np.nan)
 
 
 def fbl_gain_design(fbl: FeedbackLinearization, design: LqrDesign) -> np.ndarray:
@@ -183,7 +189,7 @@ def fbl_gain_design(fbl: FeedbackLinearization, design: LqrDesign) -> np.ndarray
 
 def hjb_residual(clf, sys: SystemModel, Q, R, X) -> np.ndarray:
     """Residual of the Hamilton-Jacobi-Bellman equation at (n,) or
-    stacked (..., n) states: x'Qx/2 + a(x) - b(x) R^{-1} b(x)'/2. Zero
+    stacked (n, ...) states: x'Qx/2 + a(x) - b(x) R^{-1} b(x)'/2. Zero
     exactly where the CLF agrees with the optimal value function; NaN
     outside the CLF domain."""
     p = SontagController(clf, sys, Q, R)._parts(X)

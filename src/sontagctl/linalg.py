@@ -75,19 +75,38 @@ def max_abs(a) -> float:
 
 
 def _row_dot(A: np.ndarray, B: np.ndarray):
-    """sum_k A[..., k] * B[..., k] over the last axis, for broadcastable
-    float arrays. Adds the products column by column in index order from
-    +0.0, which is numpy's order for sums of fewer than 8 terms, so the
-    result is bitwise ``(A * B).sum(axis=-1)`` there (numpy sums 8 or
-    more terms pairwise). Column arithmetic avoids numpy's per-row
-    reduction loop over a short axis; indexing the columns on the
-    leading axis of the transposed product makes them numpy scalars,
-    not 0-d arrays, when there is a single row."""
-    columns = (A * B).T
-    s = columns[0] + 0.0
-    for k in range(1, len(columns)):
-        s += columns[k]
-    return s.T
+    """sum_k A[k] * B[k] over the leading (coordinate) axis of (n, ...)
+    float arrays. Adds the contiguous rows in index order from +0.0,
+    numpy's order for sums of fewer than 8 terms, so the result is
+    bitwise ``(A * B).sum(axis=0)`` there, without numpy's reduction
+    loop over a short axis; on one (n,) state the rows are numpy
+    scalars, not 0-d arrays."""
+    rows = A * B
+    s = rows[0] + 0.0
+    for k in range(1, len(rows)):
+        s += rows[k]
+    return s
+
+
+def _stack_matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x' M for each state of an (n,) or (n, ...) stack, as (k,) or
+    (k, ...), with the bits of ``X_rows @ M`` on the (N, n) row-major
+    array of the states. For k > 1 that is a gemm, whose entries sum in
+    one order in any layout, so ``M' X`` has them; a gemv (k = 1) rounds
+    differently as ``M' X`` for some N, so it runs on the rows copied out."""
+    if X.ndim == 1:
+        return X @ M
+    if X.ndim > 2:
+        return _stack_matmul(X.reshape(len(X), -1), M).reshape(M.shape[1:] + X.shape[1:])
+    if M.shape[1] > 1:
+        return M.T @ X
+    rows = X.T
+    if not rows.flags.c_contiguous:
+        # strided row copies take half as long as one transposing copy
+        rows = np.empty(rows.shape)
+        for k, x in enumerate(X):
+            rows[:, k] = x
+    return (rows @ M).T
 
 
 def _select(mask, a, b):
@@ -101,30 +120,28 @@ def _select(mask, a, b):
 
 def _all_rows(mask) -> bool:
     """Whether a row mask holds on every row: ``bool`` on a row scalar,
-    where ``.all()`` would cost as much as the mask it lets a caller
-    skip."""
-    return bool(mask) if mask.ndim == 0 else bool(mask.all())
+    and on a stack a count, which takes half as long as ``.all()``."""
+    return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) == mask.size
 
 
 def _row_max_abs(A: np.ndarray):
-    """``np.abs(A).max(axis=-1)`` by column arithmetic, on the leading
-    axis of the transpose as ``_row_dot``; NaN propagates."""
-    columns = np.abs(A).T
-    m = columns[0]
-    for k in range(1, len(columns)):
-        m = np.maximum(m, columns[k])
-    return m.T
+    """``np.abs(A).max(axis=0)`` by row arithmetic as ``_row_dot``; NaN
+    propagates."""
+    rows = np.abs(A)
+    m = rows[0]
+    for k in range(1, len(rows)):
+        m = np.maximum(m, rows[k])
+    return m
 
 
 def _row_all_finite(A: np.ndarray):
-    """``np.isfinite(A).all(axis=-1)``: one ``isfinite`` over A, then
-    its columns combined on the leading axis of the transpose as
-    ``_row_dot``."""
-    columns = np.isfinite(A).T
-    ok = columns[0]
-    for k in range(1, len(columns)):
-        ok = ok & columns[k]
-    return ok.T
+    """``np.isfinite(A).all(axis=0)``: one ``isfinite`` over A, its rows
+    combined as ``_row_dot``."""
+    rows = np.isfinite(A)
+    ok = rows[0]
+    for k in range(1, len(rows)):
+        ok = ok & rows[k]
+    return ok
 
 
 def symmetrize(M) -> np.ndarray:

@@ -1,15 +1,12 @@
 """Input-affine system models, linearization, and the inverted pendulum.
 
-Dynamics callables follow a stacked convention: states may carry
-arbitrary leading batch axes with the state coordinates on the last
-axis. ``f`` maps (..., n) -> (..., n) and ``G`` maps (..., n) ->
-(..., n, m), so simulation and grid code can evaluate a model on many
-states at once without special cases. The shipped models read and write
-coordinate k through the transpose (``X.T[k]``, ``out.T[k] = ...``): on
-a stack that is the same strided view as ``X[..., k]``, and on a single
-(n,) state it is a numpy scalar, where ``X[..., k]`` would be a 0-d
-array whose ``sin`` or ``abs`` pays array dispatch. All models are
-immutable after construction and safe to share across workers.
+Dynamics callables follow a coordinates-first stacked convention: a
+state is (n,), and a stack (n, ...) carries its batch axes after the
+coordinates. ``f`` maps (n, ...) -> (n, ...) and ``G`` maps (n, ...) ->
+(n, m, ...), so simulation and grid code evaluate a model on many states
+at once without special cases. Coordinate k is ``X[k]``: a contiguous
+row of a stack, a numpy scalar (not a 0-d array) of one state. All
+models are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import SingularMatrix, _certified_inverse, as_matrix, as_square, max_abs
+from .linalg import SingularMatrix, _certified_inverse, _stack_matmul, as_matrix, as_square, max_abs
 
 EQUILIBRIUM_TOL = 1e-12
 #: Default relative step for central finite differences.
@@ -32,7 +29,7 @@ class NonFiniteJacobian(Exception):
 
 def _whole_space(Z) -> np.ndarray:
     """The domain predicate that holds on every state."""
-    return np.ones(np.shape(Z)[:-1], dtype=bool)[()]
+    return np.ones(np.shape(Z)[1:], dtype=bool)[()]
 
 
 @dataclass(frozen=True)
@@ -62,8 +59,8 @@ class SystemModel:
 class FeedbackLinearization:
     """Coordinates z = T(x) in which the dynamics read
     zdot = A_tilde z + B_tilde (psi(z) + gamma(z) u) with gamma
-    nonsingular on ``domain``, a predicate that maps stacked (..., n)
-    z to a (...,) mask (all of state space by default).
+    nonsingular on ``domain``, a predicate that maps stacked (n, ...)
+    z to a (...) mask (all of state space by default).
     ``T = identity_coordinates`` declares z = x; ``T_jac`` (finite
     differences when None) is then never used."""
 
@@ -130,32 +127,29 @@ def fd_jacobian(fn, x, step_scale: float = FD_STEP_SCALE) -> np.ndarray:
     """Central-difference Jacobian of ``fn`` at ``x``.
 
     The per-coordinate step is ``step_scale * (1 + |x_i|)``. Accepts
-    stacked states; the result has shape (..., k, n) for fn mapping
-    (..., n) -> (..., k).
+    stacked states; the result has shape (k, n, ...) for fn mapping
+    (n, ...) -> (k, ...).
     """
     X = np.asarray(x, dtype=float)
-    n = X.shape[-1]
     cols = []
-    for i in range(n):
-        h = np.asarray(step_scale * (1.0 + np.abs(X[..., i])))
+    for i in range(len(X)):
+        h = step_scale * (1.0 + np.abs(X[i]))
         E = np.zeros_like(X)
-        E[..., i] = h
-        hi = np.asarray(2.0 * h)[..., None]
-        cols.append((np.asarray(fn(X + E), float) - np.asarray(fn(X - E), float)) / hi)
-    return np.stack(cols, axis=-1)
+        E[i] = h
+        cols.append((np.asarray(fn(X + E), float) - np.asarray(fn(X - E), float)) / (2.0 * h))
+    return np.stack(cols, axis=1)
 
 
 def apply_input(Gx, u) -> np.ndarray:
-    """Contract an (..., n, m) input matrix with (..., m) inputs, adding
-    the input columns in index order from +0.0 as ``_row_dot`` does.
-    The columns are ``Gx.T[k] * u.T[k]``: on a single state, input k
-    is a numpy scalar, not a 0-d array."""
-    GT = np.asarray(Gx, dtype=float).T
-    uT = np.asarray(u, dtype=float).T
-    s = GT[0] * uT[0] + 0.0
-    for k in range(1, len(GT)):
-        s += GT[k] * uT[k]
-    return s.T
+    """Contract an (n, m, ...) input matrix with (m, ...) inputs, adding
+    the columns ``Gx[:, k] * u[k]`` in index order from +0.0 as
+    ``_row_dot`` does; one state's inputs are numpy scalars."""
+    Gx = np.asarray(Gx, dtype=float)
+    u = np.asarray(u, dtype=float)
+    s = Gx[:, 0] * u[0] + 0.0
+    for k in range(1, len(u)):
+        s += Gx[:, k] * u[k]
+    return s
 
 
 def linearize(sys: SystemModel) -> tuple[np.ndarray, np.ndarray]:
@@ -202,42 +196,34 @@ def pendulum_system(params: PendulumParams | None = None):
     def f(X):
         X = np.asarray(X, dtype=float)
         out = np.empty_like(X)
-        XT, outT = X.T, out.T
-        outT[0] = XT[1]
-        outT[1] = drift_gain * np.sin(XT[0])
+        out[0] = X[1]
+        out[1] = drift_gain * np.sin(X[0])
         return out
 
     def G(X):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape + (1,))
-        out.T[0, 1] = -input_gain * np.cos(X.T[0])
+        out = np.zeros((2, 1) + np.shape(X)[1:])
+        out[1, 0] = -input_gain * np.cos(X[0])
         return out
 
     def f_jac(X):
-        X = np.asarray(X, dtype=float)
-        J = np.zeros(X.shape[:-1] + (2, 2))
-        J[..., 0, 1] = 1.0
-        J[..., 1, 0] = drift_gain * np.cos(X[..., 0])
+        J = np.zeros((2, 2) + np.shape(X)[1:])
+        J[0, 1] = 1.0
+        J[1, 0] = drift_gain * np.cos(X[0])
         return J
 
     def psi(Z):
-        Z = np.asarray(Z, dtype=float)
-        return drift_gain * np.sin(Z[..., :1])
+        return drift_gain * np.sin(np.asarray(Z, dtype=float)[:1])
 
     def psi_jac(Z):
-        Z = np.asarray(Z, dtype=float)
-        J = np.zeros(Z.shape[:-1] + (1, 2))
-        J[..., 0, 0] = drift_gain * np.cos(Z[..., 0])
+        J = np.zeros((1, 2) + np.shape(Z)[1:])
+        J[0, 0] = drift_gain * np.cos(Z[0])
         return J
 
     def gamma(Z):
-        Z = np.asarray(Z, dtype=float)
-        out = np.zeros(Z.shape[:-1] + (1, 1))
-        out.T[0, 0] = -input_gain * np.cos(Z.T[0])
-        return out
+        return (-input_gain * np.cos(Z[0]))[None, None]
 
     def domain(Z):
-        return (np.abs(Z.T[0]) < np.pi / 2).T
+        return np.abs(Z[0]) < np.pi / 2
 
     system = SystemModel(n=2, m=1, f=f, G=G, f_jac=f_jac, name="pendulum")
     fbl = FeedbackLinearization(
@@ -263,28 +249,28 @@ def lti_system(A, B, name: str = "lti"):
         raise ValueError("B must have as many rows as A")
     n, m = B.shape
 
+    def stacked(M, X):
+        """The matrix M repeated over the batch axes of X."""
+        batch = np.shape(X)[1:]
+        return np.broadcast_to(M.reshape(M.shape + (1,) * len(batch)), M.shape + batch)
+
     def f(X):
-        return np.asarray(X, dtype=float) @ A.T
+        return _stack_matmul(np.asarray(X, dtype=float), A.T)
 
     def G(X):
-        X = np.asarray(X, dtype=float)
-        return np.broadcast_to(B, X.shape[:-1] + (n, m))
+        return stacked(B, X)
 
     def f_jac(X):
-        X = np.asarray(X, dtype=float)
-        return np.broadcast_to(A, X.shape[:-1] + (n, n))
+        return stacked(A, X)
 
     def psi(Z):
-        Z = np.asarray(Z, dtype=float)
-        return np.zeros(Z.shape[:-1] + (m,))
+        return np.zeros((m,) + np.shape(Z)[1:])
 
     def psi_jac(Z):
-        Z = np.asarray(Z, dtype=float)
-        return np.zeros(Z.shape[:-1] + (m, n))
+        return np.zeros((m, n) + np.shape(Z)[1:])
 
     def gamma(Z):
-        Z = np.asarray(Z, dtype=float)
-        return np.broadcast_to(np.eye(m), Z.shape[:-1] + (m, m))
+        return stacked(np.eye(m), Z)
 
     system = SystemModel(n=n, m=m, f=f, G=G, f_jac=f_jac, name=name)
     fbl = FeedbackLinearization(

@@ -14,18 +14,19 @@ first stage, so a step evaluates the model four times, with or
 without a zero-order hold. One stepping loop on that kernel serves
 both ``simulate`` (a batch of one, recorded step by step) and
 ``rollout_costs`` (many rows, costs only), so both share one halt
-policy. On the batch of one every row quantity (the Lie terms, the
-Sontag factor, the state norm and the row masks) is a numpy scalar,
-not a 0-d array: the kernels index coordinates on the leading axis of
-a transpose, as ``linalg._row_dot`` does. All pathologies become
-per-step flags rather than exceptions: a state beyond the divergence
-guard, a non-finite state, or a control evaluation that comes back
-non-finite halts the run with the corresponding flag, and a halted run
-carries an infinite cost so sweep rows stay comparable.
+policy. Stacked states are coordinates-first, (n, N); on the batch of
+one, an (n,) state, every row quantity (the Lie terms, the Sontag
+factor, the state norm and the row masks) is a numpy scalar, not a 0-d
+array. All pathologies become per-step flags rather than exceptions: a
+state beyond the divergence guard, a non-finite state, or a control
+evaluation that comes back non-finite halts the run with the
+corresponding flag, and a halted run carries an infinite cost so sweep
+rows stay comparable.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from itertools import chain
@@ -34,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .control import SontagController, _clf_violations, _Parts
-from .linalg import _all_rows, _row_all_finite, _row_dot, _row_max_abs, as_square, as_vector
+from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, _stack_matmul, as_square,
+                     as_vector)
 from .model import SystemModel, apply_input
 
 #: A run halts once the state norm passes this bound.
@@ -77,11 +79,11 @@ class SimConfig:
 class Trajectory:
     """A recorded closed-loop run.
 
-    For a completed run of N steps there are N+1 states and N inputs
-    with times[k] = k*h; a halted run is truncated at the offending
-    step, whose state row carries the halt flag. ``lambdas`` holds the
-    Sontag scaling factor at step starts with NaN where undefined, and
-    is None for controllers without one.
+    For a completed run of N steps there are N+1 states (rows of an
+    (N+1, n) array) and N inputs with times[k] = k*h; a halted run is
+    truncated at the offending step, whose state row carries the halt
+    flag. ``lambdas`` holds the Sontag scaling factor at step starts
+    with NaN where undefined, and is None for controllers without one.
     """
 
     times: np.ndarray
@@ -161,7 +163,7 @@ class _Step(NamedTuple):
 
 def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool, on_step):
     """The closed-loop stepping loop behind ``simulate`` and
-    ``rollout_costs``, on (n,) or stacked (..., n) states.
+    ``rollout_costs``, on (n,) or stacked (n, ...) states.
 
     The closed loop is evaluated once per step start, and that
     evaluation also supplies RK4's k1. ``on_step`` sees every step as a
@@ -171,13 +173,13 @@ def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool,
     Returns the (stabilized, halted) row masks.
     """
     X = np.asarray(X, dtype=float)
-    running = np.ones(X.shape[:-1], dtype=bool)[()]
+    running = np.ones(X.shape[1:], dtype=bool)[()]
     with np.errstate(**_HALT_ERRSTATE):
         for _ in range(n_steps):
             U, fX, GX, parts = _closed_loop(sys, controller, X)
             u_ok = _row_all_finite(U)
             if not _all_rows(u_ok):
-                U = np.where(u_ok[..., None], U, 0.0)
+                U = np.where(u_ok, U, 0.0)
             X_new = _rk4(sys, controller, X, h, zoh, U, fX, GX)
             x_max = _row_max_abs(X_new)
             on_step(_Step(X, U, parts, running, u_ok, X_new, x_max))
@@ -186,7 +188,7 @@ def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool,
                 X = X_new
                 continue
             running = ok
-            X = np.where(ok[..., None], X_new, X)
+            X = np.where(ok, X_new, X)
             if not ok.any():
                 break
     stabilized = running & (_row_max_abs(X) < STABILIZATION_TOL)
@@ -222,7 +224,7 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
         inputs.append(s.U)
         if is_sontag:
             lams.append(float(s.parts.lam) if s.parts.nonzero else np.nan)
-        if not np.isfinite(s.x_max):
+        if not math.isfinite(s.x_max):
             flags[-1].append(FLAG_DIVERGENCE)
             return
         states.append(s.X_new)
@@ -231,7 +233,7 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
     stabilized, halted = _rollout(sys, controller, x0, cfg.h, cfg.n_steps, cfg.zoh, record)
     X = np.array(states)
     with np.errstate(**_HALT_ERRSTATE):  # x0 is recorded even beyond the divergence guard
-        V = None if clf is None else np.asarray(clf.value(X), dtype=float)
+        V = None if clf is None else np.asarray(clf.value(X.T), dtype=float)
     return Trajectory(
         times=cfg.h * np.arange(len(states)),
         states=X,
@@ -247,7 +249,7 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
 
 def _running_cost(X, U, Q, R) -> np.ndarray:
     """The quadratic running cost x'Qx + u'Ru per row."""
-    return _row_dot(X @ Q, X) + _row_dot(U @ R, U)
+    return _row_dot(_stack_matmul(X, Q), X) + _row_dot(_stack_matmul(U, R), U)
 
 
 def cost_index(traj: Trajectory, Q, R) -> float:
@@ -258,7 +260,7 @@ def cost_index(traj: Trajectory, Q, R) -> float:
     R = as_square(R, "R")
     if traj.diverged:
         return float("inf")
-    return float(0.5 * traj.h * np.sum(_running_cost(traj.states[:-1], traj.inputs, Q, R)))
+    return float(0.5 * traj.h * np.sum(_running_cost(traj.states[:-1].T, traj.inputs.T, Q, R)))
 
 
 def distorted_cost(traj: Trajectory, Q, R) -> tuple[float, int]:
@@ -282,7 +284,7 @@ def distorted_cost(traj: Trajectory, Q, R) -> tuple[float, int]:
     if traj.diverged:
         return float("inf"), fallback
     w = np.where(undefined, 1.0, lam)
-    cost = _running_cost(traj.states[:-1], traj.inputs, Q, R)
+    cost = _running_cost(traj.states[:-1].T, traj.inputs.T, Q, R)
     return float(0.5 * traj.h * np.sum(cost / w)), fallback
 
 
@@ -309,7 +311,7 @@ def lyap_decay_check(traj: Trajectory, clf, sys: SystemModel, Q, R) -> float:
         raise ValueError("trajectory was recorded without CLF values")
     if traj.states.shape[0] < 3:
         return 0.0
-    p = SontagController(clf, sys, Q, R)._parts(traj.states[1:-1])
+    p = SontagController(clf, sys, Q, R)._parts(traj.states[1:-1].T)
     rhs = np.where(p.nonzero, -np.sqrt(p.a * p.a + p.q * p.beta), p.a)
     V = traj.clf_values
     fd = (V[2:] - V[:-2]) / (2.0 * traj.h)
@@ -321,15 +323,15 @@ def rollout_costs(sys: SystemModel, controller, X0, Q, R, h: float, n_steps: int
                   *, zoh: bool = False):
     """Quadratic costs of many closed-loop runs at once.
 
-    X0 has one initial state per row. Rows whose run diverges (state
-    guard exceeded, non-finite state, or non-finite control) are frozen
-    and reported with infinite cost. Returns (costs, stabilized,
+    X0 is an (n, N) stack of initial states. Rows whose run diverges
+    (state guard exceeded, non-finite state, or non-finite control) are
+    frozen and reported with infinite cost. Returns (costs, stabilized,
     diverged) arrays over rows.
     """
     Q = as_square(Q, "Q")
     R = as_square(R, "R")
     X0 = np.asarray(X0, dtype=float)
-    costs = np.zeros(X0.shape[:-1])
+    costs = np.zeros(X0.shape[1:])
 
     def add_cost(s: _Step) -> None:
         nonlocal costs

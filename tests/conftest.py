@@ -45,6 +45,15 @@ def format_cell(v) -> str:
     return f"{v:.17g}"
 
 
+def stacked(M, X) -> np.ndarray:
+    """The matrix M repeated over the batch axes of the coordinates-first
+    state stack X: (p, q) for a single (n,) state, (p, q, ...) for an
+    (n, ...) stack."""
+    M = np.asarray(M, dtype=float)
+    batch = np.shape(X)[1:]
+    return np.broadcast_to(M.reshape(M.shape + (1,) * len(batch)), M.shape + batch)
+
+
 def counted(fn, calls: list):
     """``fn`` wrapped so that each call appends the shape of its first
     argument to ``calls``: ``len(calls)`` counts the calls, and one log

@@ -59,11 +59,11 @@ def test_criterion_1_lqr_recovery():
             design = solve_care(A, B, Q, R)
             sys_m, _ = lti_system(A, B)
             ctrl = SontagController(build_lqr_clf(design), sys_m, Q, R)
-            X = rng.normal(size=(100, A.shape[0]))
+            X = rng.normal(size=(100, A.shape[0])).T
             parts = ctrl._parts(X)
-            U_lqr = -(X @ design.K.T)
-            u_err = np.abs(parts.U - U_lqr).max(axis=-1)
-            assert np.all(u_err <= 1e-9 * (1.0 + np.abs(U_lqr).max(axis=-1)))
+            U_lqr = -(design.K @ X)
+            u_err = np.abs(parts.U - U_lqr).max(axis=0)
+            assert np.all(u_err <= 1e-9 * (1.0 + np.abs(U_lqr).max(axis=0)))
             assert np.all(np.abs(parts.lam[parts.nonzero] - 1.0) <= 1e-10)
 
 
@@ -110,9 +110,9 @@ def test_criterion_4_hjb_identity():
             design = solve_care(A, B, Q, R)
             sys_m, _ = lti_system(A, B)
             clf = build_lqr_clf(design)
-            X = rng.normal(size=(100, A.shape[0]))
+            X = rng.normal(size=(100, A.shape[0])).T
             res = hjb_residual(clf, sys_m, Q, R, X)
-            assert np.all(np.abs(res) <= 1e-9 * (1.0 + np.sum(X * X, axis=-1)))
+            assert np.all(np.abs(res) <= 1e-9 * (1.0 + np.sum(X * X, axis=0)))
             ctrl = SontagController(clf, sys_m, Q, R)
             cfg = SimConfig(h=0.01, n_steps=1500, x0=rng.normal(size=A.shape[0]))
             traj = simulate(sys_m, ctrl, cfg, clf=clf)

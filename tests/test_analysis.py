@@ -33,9 +33,10 @@ class TestGridSpec:
     def test_points_shape_and_order(self):
         grid = GridSpec(lower=[0.0, 0.0], upper=[1.0, 2.0], points_per_axis=(2, 3))
         pts = grid.points()
-        assert pts.shape == (6, 2)
-        np.testing.assert_allclose(pts[0], [0.0, 0.0])
-        np.testing.assert_allclose(pts[-1], [1.0, 2.0])
+        assert pts.shape == (2, 6)
+        np.testing.assert_allclose(pts[:, 0], [0.0, 0.0])
+        np.testing.assert_allclose(pts[:, 1], [0.0, 1.0])  # the last axis varies fastest
+        np.testing.assert_allclose(pts[:, -1], [1.0, 2.0])
         np.testing.assert_array_equal(pts, grid.points())  # deterministic
 
     def test_validation(self):
@@ -136,7 +137,7 @@ class TestRoaCertify:
         assert {name: len(log) for name, log in calls.items()} == {
             "points": 1, "value": 1, "grad": 3, "f": 2, "G": 2}
         for name in ("value", "grad", "f", "G"):
-            assert all(shape == (121, 2) for shape in calls[name]), name
+            assert all(shape == (2, 121) for shape in calls[name]), name
 
 
 class TestLargestSublevel:
@@ -346,7 +347,7 @@ class TestSweep:
             pooled[cpus] = sweep()
         assert pools == [(2, "fork"), (3, "fork")]  # one worker per design at most
         result = pooled[8]
-        X0 = np.stack([np.radians(result.theta0_deg), np.zeros(12)], axis=-1)
+        X0 = np.stack([np.radians(result.theta0_deg), np.zeros(12)])
         for name in ("sontag", "lqr", "fbl"):
             costs, stabilized, _ = rollout_costs(sys_m, sweep_designs[name], X0, Q, R,
                                                  cfg.h, cfg.n_steps, zoh=zoh)

@@ -16,6 +16,7 @@ from sontagctl.control import SontagController
 from sontagctl.linalg import NotPositiveDefinite, SingularMatrix
 from sontagctl.model import FeedbackLinearization, SystemModel
 from sontagctl.riccati import solve_care
+from conftest import stacked
 
 
 def _const_input_system(n, G_mat, drift_scale=0.0):
@@ -24,7 +25,7 @@ def _const_input_system(n, G_mat, drift_scale=0.0):
     return SystemModel(
         n=n, m=G_mat.shape[1],
         f=lambda X: drift_scale * np.asarray(X, dtype=float),
-        G=lambda X: np.broadcast_to(G_mat, np.asarray(X).shape[:-1] + G_mat.shape),
+        G=lambda X: stacked(G_mat, X),
     )
 
 
@@ -47,7 +48,7 @@ class TestQuadraticClf:
 
     def test_positive_away_from_origin(self, dbl_int_clf):
         rng = np.random.default_rng(4001)
-        X = rng.normal(size=(100, 2))
+        X = rng.normal(size=(100, 2)).T
         assert np.all(dbl_int_clf.value(X) > 0)
 
     def test_gradient_matches_finite_differences(self, dbl_int_clf):
@@ -68,7 +69,7 @@ class TestTransformedClf:
         quad = QuadraticClf(dbl_int_design.P)
         trans = TransformedClf(dbl_int_design.P, fbl)
         rng = np.random.default_rng(4003)
-        X = np.stack([rng.uniform(-1.5, 1.5, 100), rng.uniform(-3, 3, 100)], axis=-1)
+        X = np.stack([rng.uniform(-1.5, 1.5, 100), rng.uniform(-3, 3, 100)])
         np.testing.assert_allclose(trans.value(X), quad.value(X), rtol=1e-14)
         np.testing.assert_allclose(trans.grad(X), quad.grad(X), rtol=1e-14)
 
@@ -82,7 +83,7 @@ class TestTransformedClf:
     def test_batch_value_nan_outside_domain(self, pendulum, dbl_int_design):
         _, fbl = pendulum
         trans = TransformedClf(dbl_int_design.P, fbl)
-        v = trans.value(np.array([[0.1, 0.0], [2.0, 0.0]]))
+        v = trans.value(np.array([[0.1, 2.0], [0.0, 0.0]]))
         assert np.isfinite(v[0]) and np.isnan(v[1])
 
     def test_gradient_matches_finite_differences(self, pendulum, dbl_int_design):
@@ -114,28 +115,28 @@ class TestDeclaredIdentity:
         fbl = dataclasses.replace(
             declared.fbl,
             T=lambda X: np.asarray(X, float),
-            T_jac=lambda X: np.broadcast_to(np.eye(2), np.asarray(X).shape[:-1] + (2, 2)))
+            T_jac=lambda X: stacked(np.eye(2), X))
         return declared, TransformedClf(declared.P_tilde, fbl)
 
     @staticmethod
     def _states():
         rng = np.random.default_rng(4010)
-        X = np.stack([rng.uniform(-2.5, 2.5, 1200), rng.uniform(-4, 4, 1200)], axis=-1)
+        X = np.stack([rng.uniform(-2.5, 2.5, 1200), rng.uniform(-4, 4, 1200)])
         special = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, 0.7],
                    [0.4, -0.0], [np.pi / 2, 0.0], [-np.pi / 2, -0.0], [2.0, 1.0],
                    [np.nextafter(np.pi / 2, 0.0), -1.0]]
-        return np.concatenate([np.array(special), X])
+        return np.concatenate([np.array(special).T, X], axis=1)
 
     def test_value_and_grad_bitwise(self, clfs):
         declared, generic = clfs
         X = self._states()
-        outside = np.abs(X[:, 0]) >= np.pi / 2
+        outside = np.abs(X[0]) >= np.pi / 2
         assert outside.sum() > 100
         for method in ("value", "grad"):
             got = getattr(declared, method)(X)
             _assert_bitwise_equal(got, getattr(generic, method)(X))
-            assert np.isnan(got[outside]).all() and not np.isnan(got[~outside]).any()
-        for x in X[:10]:
+            assert np.isnan(got[..., outside]).all() and not np.isnan(got[..., ~outside]).any()
+        for x in X.T[:10]:
             _assert_bitwise_equal(declared.grad(x), generic.grad(x))
             _assert_bitwise_equal(declared.value(x), generic.value(x))
 
@@ -235,11 +236,11 @@ class TestClfCondition:
         sys_m, fbl = pendulum
         trans = TransformedClf(dbl_int_design.P, fbl)
         rng = np.random.default_rng(4007)
-        X = np.stack([rng.uniform(-1.4, 1.4, 50), rng.uniform(-4, 4, 50)], axis=-1)
-        X[0] = [2.0, 0.0]
+        X = np.stack([rng.uniform(-1.4, 1.4, 50), rng.uniform(-4, 4, 50)])
+        X[:, 0] = [2.0, 0.0]
         mask = clf_condition_at(trans, sys_m, X)
         assert mask.shape == (50,) and not mask[0]
-        np.testing.assert_array_equal(mask, [clf_condition_at(trans, sys_m, x) for x in X])
+        np.testing.assert_array_equal(mask, [clf_condition_at(trans, sys_m, x) for x in X.T])
 
 
 def _quadratic_transform_fbl():
@@ -247,21 +248,20 @@ def _quadratic_transform_fbl():
 
     def T(X):
         X = np.asarray(X, dtype=float)
-        return np.stack([2.0 * X[..., 0] + X[..., 0] ** 2,
-                         2.0 * X[..., 1] + X[..., 0] * X[..., 1]], axis=-1)
+        return np.stack([2.0 * X[0] + X[0] ** 2, 2.0 * X[1] + X[0] * X[1]])
 
     def T_jac(X):
         X = np.asarray(X, dtype=float)
-        J = np.zeros(X.shape[:-1] + (2, 2))
-        J[..., 0, 0] = 2.0 + 2.0 * X[..., 0]
-        J[..., 1, 0] = X[..., 1]
-        J[..., 1, 1] = 2.0 + X[..., 0]
+        J = np.zeros((2, 2) + X.shape[1:])
+        J[0, 0] = 2.0 + 2.0 * X[0]
+        J[1, 0] = X[1]
+        J[1, 1] = 2.0 + X[0]
         return J
 
     return FeedbackLinearization(
         T=T, T_jac=T_jac,
-        psi=lambda Z: np.zeros(np.asarray(Z).shape[:-1] + (1,)),
-        gamma=lambda Z: np.broadcast_to(np.eye(1), np.asarray(Z).shape[:-1] + (1, 1)),
+        psi=lambda Z: np.zeros((1,) + np.shape(Z)[1:]),
+        gamma=lambda Z: stacked(np.eye(1), Z),
         A_tilde=np.array([[0.0, 1.0], [0.0, 0.0]]),
         B_tilde=np.array([[0.0], [1.0]]),
         J_T0=2.0 * np.eye(2),
@@ -283,7 +283,7 @@ class TestBuildClfs:
         np.testing.assert_allclose(gclf.P_tilde, design.P, rtol=1e-14)
         qclf = build_lqr_clf(design)
         rng = np.random.default_rng(4007)
-        X = np.stack([rng.uniform(-1.5, 1.5, 50), rng.uniform(-3, 3, 50)], axis=-1)
+        X = np.stack([rng.uniform(-1.5, 1.5, 50), rng.uniform(-3, 3, 50)])
         np.testing.assert_allclose(gclf.value(X), qclf.value(X), rtol=1e-14)
 
     def test_value_zero_at_origin(self, dbl_int_design):

@@ -19,7 +19,7 @@ from sontagctl.model import FeedbackLinearization, SystemModel, apply_input, lti
 from sontagctl.riccati import solve_care
 from sontagctl.sim import rk4_step
 
-from conftest import random_lti, random_spd
+from conftest import random_lti, random_spd, stacked
 
 
 def lambda_reference(a, q, beta):
@@ -104,11 +104,11 @@ class TestSontagControl:
             d = solve_care(A, B, Q, R)
             sys_m, _ = lti_system(A, B)
             ctrl = SontagController(build_lqr_clf(d), sys_m, Q, R)
-            X = rng.normal(size=(100, A.shape[0]))
+            X = rng.normal(size=(100, A.shape[0])).T
             U_sontag = ctrl.u(X)
-            U_lqr = -(X @ d.K.T)
-            err = np.abs(U_sontag - U_lqr).max(axis=-1)
-            assert np.all(err <= 1e-9 * (1.0 + np.abs(U_lqr).max(axis=-1)))
+            U_lqr = -(d.K @ X)
+            err = np.abs(U_sontag - U_lqr).max(axis=0)
+            assert np.all(err <= 1e-9 * (1.0 + np.abs(U_lqr).max(axis=0)))
 
     def test_lambda_one_on_lti(self, double_integrator, dbl_int_design, dbl_int_clf):
         sys_m, _ = double_integrator
@@ -204,7 +204,7 @@ class TestLqrControl:
     def test_controller_batch(self):
         ctrl = LqrController([[1.0, 0.5]])
         X = np.array([[1.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_allclose(ctrl.u(X), [[-1.0], [-1.0]])
+        np.testing.assert_allclose(ctrl.u(X), [[-1.0, -1.0]])
 
 
 class TestFblDesign:
@@ -224,10 +224,9 @@ class TestFblDesign:
     def test_scaled_coordinates(self, dbl_int_design):
         fbl = FeedbackLinearization(
             T=lambda X: 2.0 * np.asarray(X, dtype=float),
-            T_jac=lambda X: np.broadcast_to(2.0 * np.eye(2),
-                                            np.asarray(X).shape[:-1] + (2, 2)),
-            psi=lambda Z: np.zeros(np.asarray(Z).shape[:-1] + (1,)),
-            gamma=lambda Z: np.broadcast_to(np.eye(1), np.asarray(Z).shape[:-1] + (1, 1)),
+            T_jac=lambda X: stacked(2.0 * np.eye(2), X),
+            psi=lambda Z: np.zeros((1,) + np.shape(Z)[1:]),
+            gamma=lambda Z: stacked(np.eye(1), Z),
             A_tilde=np.array([[0.0, 0.5], [0.0, 0.0]]),
             B_tilde=np.array([[0.0], [0.5]]),
             J_T0=2.0 * np.eye(2),
@@ -240,12 +239,12 @@ class TestFblDesign:
         # singular to the controller, whose law is NaN at every state
         A = np.array([[0.0, 1.0], [2.0, 0.0]])
         sys_m = SystemModel(
-            n=2, m=1, f=lambda X: np.asarray(X, dtype=float) @ A.T,
-            G=lambda X: np.broadcast_to([[0.0], [1e-13]], np.shape(X)[:-1] + (2, 1)))
+            n=2, m=1, f=lambda X: A @ np.asarray(X, dtype=float),
+            G=lambda X: stacked([[0.0], [1e-13]], X))
         fbl = FeedbackLinearization(
             T=lambda X: np.asarray(X, dtype=float),
-            psi=lambda Z: 2.0 * np.asarray(Z, dtype=float)[..., :1],
-            gamma=lambda Z: np.full(np.shape(Z)[:-1] + (1, 1), 1e-13),
+            psi=lambda Z: 2.0 * np.asarray(Z, dtype=float)[:1],
+            gamma=lambda Z: np.full((1, 1) + np.shape(Z)[1:], 1e-13),
             A_tilde=np.array([[0.0, 1.0], [0.0, 0.0]]),
             B_tilde=np.array([[0.0], [1.0]]),
             J_T0=np.eye(2),
@@ -294,8 +293,8 @@ class TestFblControl:
 
     def test_batch_nan_outside_domain(self, pendulum, pendulum_designs):
         ctrl = pendulum_designs["iii"].controller
-        U = ctrl.u(np.array([[0.1, 0.0], [2.0, 0.0]]))
-        assert np.isfinite(U[0]).all() and np.isnan(U[1]).all()
+        U = ctrl.u(np.array([[0.1, 2.0], [0.0, 0.0]]))
+        assert np.isfinite(U[:, 0]).all() and np.isnan(U[:, 1]).all()
 
 
 class TestHjbResidual:
@@ -335,16 +334,21 @@ class TestHjbResidual:
         sys_m, _ = pendulum
         res = pendulum_designs["ii"]
         rng = np.random.default_rng(5015)
-        X = np.stack([rng.uniform(-1.4, 1.4, 200), rng.uniform(-4, 4, 200)], axis=-1)
-        X[0] = [2.0, 0.0]   # outside the transformed CLF's domain
+        X = np.stack([rng.uniform(-1.4, 1.4, 200), rng.uniform(-4, 4, 200)])
+        X[:, 0] = [2.0, 0.0]   # outside the transformed CLF's domain
         batch = hjb_residual(res.clf, sys_m, res.lqr.Q, res.lqr.R, X)
-        rows = [hjb_residual(res.clf, sys_m, res.lqr.Q, res.lqr.R, x) for x in X]
+        rows = [hjb_residual(res.clf, sys_m, res.lqr.Q, res.lqr.R, x) for x in X.T]
         assert batch.shape == (200,) and np.isnan(batch[0])
         np.testing.assert_allclose(batch, rows, rtol=1e-12)
 
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
+
+
+def _stack(rows) -> np.ndarray:
+    """Per-state results as a coordinates-first stack, states last."""
+    return np.stack([np.asarray(r, dtype=float) for r in rows], axis=-1)
 
 
 class TestBatchOfOne:
@@ -354,47 +358,49 @@ class TestBatchOfOne:
 
     @pytest.fixture(scope="class")
     def states(self):
-        return np.random.default_rng(5013).uniform(-1.4, 1.4, size=(2000, 2))
+        return np.random.default_rng(5013).uniform(-1.4, 1.4, size=(2000, 2)).T
 
     @pytest.mark.parametrize("selector", ["i", "ii"])
     def test_sontag_parts(self, pendulum_designs, states, selector):
         ctrl = pendulum_designs[selector].controller
         stacked = ctrl._parts(states)
-        rows = [ctrl._parts(x) for x in states]
+        rows = [ctrl._parts(x) for x in states.T]
         for name in ("U", "lam", "a", "beta", "q", "x_norm"):
-            assert _bits(getattr(stacked, name)) == _bits([getattr(r, name) for r in rows]), name
+            want = _stack(getattr(r, name) for r in rows)
+            assert _bits(getattr(stacked, name)) == _bits(want), name
 
     def test_apply_input(self, pendulum, states):
         sys_m, _ = pendulum
         G = sys_m.G(states)
-        U = np.random.default_rng(5014).normal(size=(states.shape[0], 1))
-        assert _bits(apply_input(G, U)) == _bits([apply_input(g, u) for g, u in zip(G, U)])
+        U = np.random.default_rng(5014).normal(size=(states.shape[1], 1)).T
+        rows = [apply_input(g, u) for g, u in zip(np.moveaxis(G, -1, 0), U.T)]
+        assert _bits(apply_input(G, U)) == _bits(_stack(rows))
         # stacks of 3-d and more, and several inputs, keep the batch axes in order
         rng = np.random.default_rng(5015)
         for batch in ((40, 50), (4, 5, 6)):
             for m in (1, 3):
-                G = rng.normal(size=batch + (2, m))
-                U = rng.normal(size=batch + (m,))
-                rows = np.array([apply_input(g, u) for g, u in zip(G.reshape(-1, 2, m),
-                                                                   U.reshape(-1, m))])
+                G = np.moveaxis(rng.normal(size=batch + (2, m)), (-2, -1), (0, 1))
+                U = np.moveaxis(rng.normal(size=batch + (m,)), -1, 0)
+                rows = _stack(apply_input(G[(slice(None),) * 2 + i], U[(slice(None),) + i])
+                              for i in np.ndindex(batch))
                 out = apply_input(G, U)
-                assert out.shape == batch + (2,)
-                assert _bits(out) == _bits(rows.reshape(batch + (2,)))
+                assert out.shape == (2,) + batch
+                assert _bits(out) == _bits(rows.reshape((2,) + batch))
 
     @pytest.mark.parametrize("selector", ["i", "ii", "iii", "iv"])
     def test_stack_axes(self, pendulum_designs, states, selector):
-        # a (40, 50, 2) stack evaluates like the (2000, 2) one, so no
-        # kernel mixes up the batch axes it indexes through a transpose;
-        # the matrix products may round differently on a 3-d stack
+        # a (2, 40, 50) stack evaluates like the (2, 2000) one, bit for
+        # bit, so no kernel mixes up the batch axes it indexes: a matrix
+        # product runs on the flattened stack
         ctrl = pendulum_designs[selector].controller
-        U = ctrl.u(states.reshape(40, 50, 2))
-        assert U.shape == (40, 50, 1)
-        np.testing.assert_allclose(U.reshape(-1, 1), ctrl.u(states), rtol=1e-12, atol=1e-12)
+        U = ctrl.u(states.reshape(2, 40, 50))
+        assert U.shape == (1, 40, 50)
+        assert _bits(U.reshape(1, -1)) == _bits(ctrl.u(states))
 
     @pytest.mark.parametrize("selector", ["i", "ii"])
     def test_clf_value(self, pendulum_designs, states, selector):
         clf = pendulum_designs[selector].clf
-        assert _bits(clf.value(states)) == _bits([clf.value(x) for x in states])
+        assert _bits(clf.value(states)) == _bits([clf.value(x) for x in states.T])
 
 
 def _nan_bits(x) -> bytes:
@@ -425,25 +431,25 @@ class TestBatchOfOneEdges:
         outside[:4, 0] = [edge, -edge, np.nextafter(edge, 0.0), np.nextafter(-edge, 0.0)]
         wide = np.stack([rng.uniform(-1.5, 1.5, 400), rng.uniform(-5.0, 5.0, 400)], axis=-1)
         zeros = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
-        return np.concatenate([zeros, on_line, *near_line, outside, wide])
+        return np.concatenate([zeros, on_line, *near_line, outside, wide]).T
 
     @pytest.mark.parametrize("selector", ["i", "ii"])
     def test_sontag_parts(self, pendulum_designs, states, selector):
         ctrl = pendulum_designs[selector].controller
         stacked = ctrl._parts(states)
-        rows = [ctrl._parts(x) for x in states]
+        rows = [ctrl._parts(x) for x in states.T]
         for name in ("nonzero", "ok", "lam", "a", "beta", "q", "x_norm"):
             assert all(np.ndim(getattr(r, name)) == 0
                        and not isinstance(getattr(r, name), np.ndarray) for r in rows), name
         for name in stacked._fields:
             assert _nan_bits(getattr(stacked, name)) == _nan_bits(
-                [getattr(r, name) for r in rows]), name
+                _stack(getattr(r, name) for r in rows)), name
         # every branch occurs on both paths
         nonzero, ok, a = stacked.nonzero, stacked.ok, stacked.a
         assert nonzero.any() and (ok & ~nonzero).sum() >= 8
         assert (ok & (a < 0.0)).any() and (ok & (a >= 0.0)).any()
         assert (ok & nonzero & (a < 0.0)).any() and (ok & nonzero & (a >= 0.0)).any()
-        outside = np.abs(states[:, 0]) >= np.pi / 2
+        outside = np.abs(states[0]) >= np.pi / 2
         assert outside.sum() >= 30
         np.testing.assert_array_equal(~ok, outside if selector == "ii" else False)
 
@@ -454,7 +460,7 @@ class TestBatchOfOneEdges:
         sys_m, _ = pendulum
         res = pendulum_designs[selector]
         lt = lie_terms(res.clf, sys_m, states)
-        x_sq = np.sum(states * states, axis=-1)
+        x_sq = np.sum(states * states, axis=0)
         expected = lt.nonzero | (lt.a < -A_TOL * x_sq)
         np.testing.assert_array_equal(clf_condition_at(res.clf, sys_m, states), expected)
         np.testing.assert_array_equal(res.controller._parts(states).nonzero, lt.nonzero)
@@ -466,8 +472,8 @@ class TestBatchOfOneEdges:
     def test_fbl_input(self, pendulum_designs, states):
         ctrl = pendulum_designs["iii"].controller
         stacked = ctrl.u(states)
-        rows = np.array([ctrl.u(x) for x in states])
-        assert np.isnan(stacked[np.abs(states[:, 0]) >= np.pi / 2]).all()
+        rows = _stack(ctrl.u(x) for x in states.T)
+        assert np.isnan(stacked[:, np.abs(states[0]) >= np.pi / 2]).all()
         np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=1e-12)   # NaNs by position
 
     @pytest.mark.parametrize("selector", ["i", "ii"])
@@ -475,15 +481,15 @@ class TestBatchOfOneEdges:
         sys_m, _ = pendulum
         ctrl = pendulum_designs[selector].controller
         stacked = rk4_step(sys_m, ctrl, states, 0.01)
-        rows = [rk4_step(sys_m, ctrl, x, 0.01) for x in states]
-        assert _nan_bits(stacked) == _nan_bits(rows)
+        rows = [rk4_step(sys_m, ctrl, x, 0.01) for x in states.T]
+        assert _nan_bits(stacked) == _nan_bits(_stack(rows))
 
     @pytest.mark.parametrize("selector", ["iii", "iv"])
     def test_rk4_step_linear_gains(self, pendulum, pendulum_designs, states, selector):
         sys_m, _ = pendulum
         ctrl = pendulum_designs[selector].controller
         stacked = rk4_step(sys_m, ctrl, states, 0.01)
-        rows = np.array([rk4_step(sys_m, ctrl, x, 0.01) for x in states])
+        rows = _stack(rk4_step(sys_m, ctrl, x, 0.01) for x in states.T)
         np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=1e-12)
 
 
@@ -499,7 +505,7 @@ class TestSynthesizeDesign:
         # identity coordinates make the two CLFs, and so the two
         # controllers, coincide
         rng = np.random.default_rng(5012)
-        X = np.stack([rng.uniform(-1.4, 1.4, 50), rng.uniform(-4, 4, 50)], axis=-1)
+        X = np.stack([rng.uniform(-1.4, 1.4, 50), rng.uniform(-4, 4, 50)])
         np.testing.assert_allclose(pendulum_designs["i"].controller.u(X),
                                    pendulum_designs["ii"].controller.u(X), rtol=1e-12)
 

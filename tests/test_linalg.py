@@ -13,6 +13,7 @@ from sontagctl.linalg import (
     _replay_lyapunov,
     _norm1,
     _row_max_abs,
+    _stack_matmul,
     cholesky_pd,
     is_hurwitz,
     matrix_sign,
@@ -23,7 +24,7 @@ from sontagctl.linalg import (
 )
 from sontagctl.model import FeedbackLinearization
 
-from conftest import counted, random_spd
+from conftest import counted, random_spd, stacked
 
 
 class TestSolveLinear:
@@ -124,9 +125,9 @@ class TestConditionCertificate:
     def _fbl(J_T0, gamma0):
         return FeedbackLinearization(
             T=lambda X: np.asarray(X, dtype=float),
-            T_jac=lambda X: np.broadcast_to(np.eye(2), np.asarray(X).shape + (2,)),
-            psi=lambda Z: np.zeros(np.asarray(Z).shape[:-1] + (1,)),
-            gamma=lambda Z: np.broadcast_to(gamma0, np.asarray(Z).shape[:-1] + (1, 1)),
+            T_jac=lambda X: stacked(np.eye(2), X),
+            psi=lambda Z: np.zeros((1,) + np.shape(Z)[1:]),
+            gamma=lambda Z: stacked(gamma0, Z),
             A_tilde=np.array([[0.0, 1.0], [0.0, 0.0]]),
             B_tilde=np.array([[0.0], [1.0]]),
             J_T0=J_T0,
@@ -400,13 +401,14 @@ class TestRowKernels:
 
     def _draw(self, rng, shape):
         """Finite entries over six decades mixed with NaN, +-inf and
-        +-0.0; on stacked shapes the first row is all -0.0."""
+        +-0.0, drawn as (..., n) and returned coordinates-first, (n, ...);
+        on stacked shapes the first state is all -0.0."""
         A = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
         pick = rng.random(shape) < 0.3
         A[pick] = rng.choice(self.SPECIALS, size=int(pick.sum()))
         if len(shape) > 1:
             A[(0,) * (len(shape) - 1)] = -0.0
-        return A
+        return np.moveaxis(A, -1, 0)
 
     def _cases(self, seed):
         rng = np.random.default_rng(seed)
@@ -418,41 +420,67 @@ class TestRowKernels:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_dot_bitwise_below_eight_terms(self):
         for A, B in self._cases(1101):
-            assert _same_bits(_row_dot(A, B), (A * B).sum(axis=-1))
+            assert _same_bits(_row_dot(A, B), (A * B).sum(axis=0))
             # all products -0.0: numpy's sum is +0.0, and so is the kernel's
-            assert _same_bits(_row_dot(A, np.abs(B) + 1.0), (A * (np.abs(B) + 1.0)).sum(axis=-1))
+            assert _same_bits(_row_dot(A, np.abs(B) + 1.0), (A * (np.abs(B) + 1.0)).sum(axis=0))
 
     def test_dot_negative_zero_products(self):
         for n in range(1, 8):
-            for A, B in ((np.full(n, -0.0), np.ones(n)), (np.zeros((4, n)), -np.ones((4, n)))):
-                assert _same_bits(_row_dot(A, B), (A * B).sum(axis=-1))
+            for A, B in ((np.full(n, -0.0), np.ones(n)), (np.zeros((n, 4)), -np.ones((n, 4)))):
+                assert _same_bits(_row_dot(A, B), (A * B).sum(axis=0))
                 assert not np.signbit(_row_dot(A, B)).any()
 
     def test_dot_broadcasts(self):
         rng = np.random.default_rng(1102)
-        A = rng.normal(size=(6, 1, 3))
-        for B in (rng.normal(size=(6, 4, 3)), rng.normal(size=(4, 3)), rng.normal(size=3)):
-            assert _same_bits(_row_dot(A, B), (A * B).sum(axis=-1))
+        # a batch axis broadcasts where it has length 1
+        A = np.moveaxis(rng.normal(size=(6, 1, 3)), -1, 0)
+        for B in (rng.normal(size=(6, 4, 3)), rng.normal(size=(4, 3))[None],
+                  rng.normal(size=3)[None, None]):
+            B = np.moveaxis(B, -1, 0)
+            assert _same_bits(_row_dot(A, B), (A * B).sum(axis=0))
 
     def test_dot_close_from_eight_terms(self):
         # numpy sums 8 or more terms pairwise, the kernel in index order
         rng = np.random.default_rng(1103)
         for n in (8, 9, 12, 16):
-            A, B = rng.uniform(0.5, 2.0, size=(200, n)), rng.uniform(0.5, 2.0, size=(200, n))
-            np.testing.assert_allclose(_row_dot(A, B), (A * B).sum(axis=-1), rtol=1e-15, atol=0)
+            A, B = rng.uniform(0.5, 2.0, size=(200, n)).T, rng.uniform(0.5, 2.0, size=(200, n)).T
+            np.testing.assert_allclose(_row_dot(A, B), (A * B).sum(axis=0), rtol=1e-15, atol=0)
 
     # One state (n,) gives a numpy scalar, not a 0-d array: the rollout
     # of a single state stays on scalars from these kernels on.
     def test_max_abs_bitwise(self):
         for A, _ in self._cases(1104):
             m = _row_max_abs(A)
-            assert _same_bits(m, np.abs(A).max(axis=-1))
+            assert _same_bits(m, np.abs(A).max(axis=0))
             if A.ndim == 1:
                 assert type(m) is np.float64
 
     def test_all_finite_bitwise(self):
         for A, _ in self._cases(1105):
             ok = _row_all_finite(A)
-            assert _same_bits(ok, np.isfinite(A).all(axis=-1))
+            assert _same_bits(ok, np.isfinite(A).all(axis=0))
             if A.ndim == 1:
                 assert type(ok) is np.bool_
+
+    def test_stack_matmul_is_the_row_major_product(self):
+        # A single-column product rounds differently as M' X or on a
+        # strided view for some row counts (N = 2, 3, 13, ... on the
+        # default kernel); the helper has the bits of the row-major call
+        # at every N, for one and two columns and either stack layout.
+        rng = np.random.default_rng(1106)
+        for n in (2, 3):
+            for k in (1, 2):
+                M = rng.normal(size=(n, k))
+                for N in range(1, 65):
+                    rows = rng.normal(size=(N, n)) * 3.0
+                    want = rows @ M
+                    for X in (np.ascontiguousarray(rows.T), rows.T):
+                        got = _stack_matmul(X, M)
+                        assert got.shape == (k, N)
+                        assert _same_bits(got, (np.ascontiguousarray(X.T) @ M).T), (n, k, N)
+                        assert _same_bits(got, want.T), (n, k, N)
+                    assert _same_bits(_stack_matmul(rows[0], M), rows[0] @ M)
+                # a 3-d stack is the product of its states in row-major order
+                rows = rng.normal(size=(4, 5, n))
+                assert _same_bits(_stack_matmul(np.moveaxis(rows, -1, 0), M),
+                                  np.moveaxis((rows.reshape(-1, n) @ M).reshape(4, 5, k), -1, 0))

@@ -11,6 +11,8 @@ from sontagctl.model import (
     pendulum_system,
 )
 
+from conftest import stacked
+
 
 class TestPendulumDynamics:
     def test_equilibrium(self, pendulum):
@@ -46,22 +48,23 @@ class TestPendulumDynamics:
         # f(x) + G(x)u == A~ x + B~ (psi(x) + gamma(x) u) pointwise
         sys_m, fbl = pendulum
         rng = np.random.default_rng(3001)
-        X = np.stack([rng.uniform(-1.4, 1.4, size=100), rng.uniform(-4, 4, size=100)], axis=-1)
-        U = rng.normal(size=(100, 1))
+        X = np.stack([rng.uniform(-1.4, 1.4, size=100), rng.uniform(-4, 4, size=100)])
+        U = rng.normal(size=(100, 1)).T
         lhs = np.asarray(sys_m.f(X)) + apply_input(sys_m.G(X), U)
         Z = np.asarray(fbl.T(X))
-        inner = np.asarray(fbl.psi(Z)) + (np.asarray(fbl.gamma(Z)) * U[..., None, :]).sum(-1)
-        rhs = Z @ np.asarray(fbl.A_tilde).T + inner @ np.asarray(fbl.B_tilde).T
+        inner = np.asarray(fbl.psi(Z)) + (np.asarray(fbl.gamma(Z)) * U[None]).sum(1)
+        rhs = np.asarray(fbl.A_tilde) @ Z + np.asarray(fbl.B_tilde) @ inner
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_stacks_match_rows(self, pendulum):
-        # the model reads and writes coordinates on the leading axis of
-        # the transpose; a (3, 4, 2) stack must still equal its rows
+        # the model reads and writes coordinates on the leading axis; a
+        # (2, 3, 4) stack must still equal its states one by one
         sys_m, fbl = pendulum
-        X = np.random.default_rng(3002).uniform(-3.0, 3.0, size=(3, 4, 2))
+        X = np.moveaxis(np.random.default_rng(3002).uniform(-3.0, 3.0, size=(3, 4, 2)), -1, 0)
         for fn in (sys_m.f, sys_m.G, fbl.psi, fbl.gamma, fbl.domain):
             stacked = np.asarray(fn(X))
-            rows = np.array([[fn(x) for x in row] for row in X])
+            rows = np.array([[fn(X[:, i, j]) for j in range(4)] for i in range(3)])
+            rows = np.moveaxis(rows, (0, 1), (-2, -1))
             assert stacked.shape == rows.shape and stacked.dtype == rows.dtype
             assert stacked.tobytes() == rows.tobytes()
 
@@ -93,9 +96,8 @@ class TestLinearize:
     def test_sine_drift(self):
         sys_m = SystemModel(
             n=2, m=1,
-            f=lambda X: np.stack([X[..., 1], -np.sin(X[..., 0])], axis=-1),
-            G=lambda X: np.broadcast_to(np.array([[0.0], [1.0]]),
-                                        np.asarray(X).shape[:-1] + (2, 1)),
+            f=lambda X: np.stack([X[1], -np.sin(X[0])]),
+            G=lambda X: stacked([[0.0], [1.0]], X),
         )
         A, B = linearize(sys_m)
         np.testing.assert_allclose(A, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-9)
@@ -104,8 +106,7 @@ class TestLinearize:
     def test_fd_second_order(self):
         # halving the step shrinks the Jacobian error about fourfold
         def f(X):
-            return np.stack([np.sin(X[..., 0]) * np.exp(X[..., 1]),
-                             X[..., 0] ** 3 + np.cos(X[..., 1])], axis=-1)
+            return np.stack([np.sin(X[0]) * np.exp(X[1]), X[0] ** 3 + np.cos(X[1])])
 
         x = np.array([0.4, -0.3])
         exact = np.array([

@@ -29,19 +29,19 @@ from conftest import EXTREMES, counting_drift, format_cell
 def _frozen_system():
     return SystemModel(n=1, m=1,
                        f=lambda X: np.zeros_like(np.asarray(X, dtype=float)),
-                       G=lambda X: np.zeros(np.asarray(X).shape + (1,)))
+                       G=lambda X: np.zeros((1, 1) + np.shape(X)[1:]))
 
 
 def _scalar_decay():
     return SystemModel(n=1, m=1,
                        f=lambda X: -np.asarray(X, dtype=float),
-                       G=lambda X: np.zeros(np.asarray(X).shape + (1,)))
+                       G=lambda X: np.zeros((1, 1) + np.shape(X)[1:]))
 
 
 class _ZeroController:
     def u(self, X):
         X = np.asarray(X, dtype=float)
-        return np.zeros(X.shape[:-1] + (1,))
+        return np.zeros((1,) + X.shape[1:])
 
 
 class TestRk4Step:
@@ -70,10 +70,10 @@ class TestRk4Step:
     def test_batched_states(self, double_integrator, dbl_int_design):
         sys_m, _ = double_integrator
         ctrl = LqrController(dbl_int_design.K)
-        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]]).T
         out = rk4_step(sys_m, ctrl, X, 0.01)
-        rows = [rk4_step(sys_m, ctrl, x, 0.01) for x in X]
-        np.testing.assert_allclose(out, np.stack(rows), rtol=1e-14)
+        rows = [rk4_step(sys_m, ctrl, x, 0.01) for x in X.T]
+        np.testing.assert_allclose(out, np.stack(rows, axis=-1), rtol=1e-14)
 
     @pytest.mark.parametrize("zoh", [False, True])
     @pytest.mark.parametrize("selector", ["i", "ii", "iii", "iv"])
@@ -139,7 +139,7 @@ class TestSimulate:
         # unstable scalar plant with no control authority
         sys_m = SystemModel(n=1, m=1,
                             f=lambda X: 30.0 * np.asarray(X, dtype=float),
-                            G=lambda X: np.zeros(np.asarray(X).shape + (1,)))
+                            G=lambda X: np.zeros((1, 1) + np.shape(X)[1:]))
         traj = simulate(sys_m, _ZeroController(), SimConfig(h=0.1, n_steps=50, x0=np.array([1.0])))
         assert traj.diverged and not traj.stabilized
         assert FLAG_DIVERGENCE in traj.flags[-1]
@@ -316,7 +316,7 @@ class TestBatchRollout:
         Q = pendulum_designs["i"].lqr.Q
         R = pendulum_designs["i"].lqr.R
         thetas = np.radians([5.0, 15.0, 30.0, 45.0, 60.0])
-        X0 = np.stack([thetas, np.zeros_like(thetas)], axis=-1)
+        X0 = np.stack([thetas, np.zeros_like(thetas)])
         for sel in ("i", "iii", "iv"):
             ctrl = pendulum_designs[sel].controller
             J, stab, div = rollout_costs(sys_m, ctrl, X0, Q, R, 0.01, 1500)
@@ -329,8 +329,8 @@ class TestBatchRollout:
     def test_diverged_rows_frozen(self):
         sys_m = SystemModel(n=1, m=1,
                             f=lambda X: 30.0 * np.asarray(X, dtype=float),
-                            G=lambda X: np.zeros(np.asarray(X).shape + (1,)))
-        X0 = np.array([[0.0], [1.0]])
+                            G=lambda X: np.zeros((1, 1) + np.shape(X)[1:]))
+        X0 = np.array([[0.0, 1.0]])
         J, stab, div = rollout_costs(sys_m, _ZeroController(), X0, np.eye(1), np.eye(1),
                                      0.1, 50)
         assert J[0] == 0.0 and stab[0] and not div[0]
@@ -358,7 +358,7 @@ class TestModelCalls:
             traj = simulate(counted, ctrl, cfg, clf=res.clf)
             assert traj.inputs.shape[0] == n
         elif entry == "rollout_costs":
-            X0 = np.array([[0.3, 0.0], [-0.5, 1.0], [1.0, 0.0]])
+            X0 = np.array([[0.3, 0.0], [-0.5, 1.0], [1.0, 0.0]]).T
             _, _, diverged = rollout_costs(counted, ctrl, X0, res.lqr.Q, res.lqr.R, 0.01, n,
                                            zoh=zoh)
             assert not diverged.any()
