@@ -7,11 +7,9 @@ closed-loop simulation and grid certification.
 """
 
 from .analysis import (
-    GlobalClfReport,
     GridSpec,
     RoaCertificate,
     SweepResult,
-    global_clf_sample_check,
     roa_certify,
     sweep_initial_angles,
 )
@@ -21,6 +19,7 @@ from .clf import (
     build_global_clf,
     build_lqr_clf,
     clf_condition_at,
+    global_clf_margin,
     lie_terms,
     transform_P,
 )

@@ -1,9 +1,9 @@
 """Grid certification of attraction regions and the initial-angle sweep.
 
-Grid checks here are sampling, not formal certificates: membership and
-violation reports are exact at the sampled points and say nothing in
-between. Sublevel constants come from a bisection over the sampled
-CLF values, and sweep rows are produced in deterministic angle order.
+Grid checks here are sampling, not formal certificates: membership is
+exact at the sampled points and says nothing in between. Sublevel
+constants come from a bisection over the sampled CLF values, and sweep
+rows are produced in deterministic angle order.
 The sweep's three design rollouts run at the same time in forked worker
 processes, at most one per design; each rollout is computed whole by one
 process, so the results do not depend on the worker count.
@@ -19,15 +19,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import (_row_dot, _row_max_abs, _stack_matmul, as_matrix, as_square, as_vector,
-                     symmetrize)
-from .model import FeedbackLinearization, SystemModel, apply_input
+from .linalg import _row_dot, _row_max_abs, as_vector
+from .model import SystemModel, apply_input
 from .sim import SimConfig, _closed_loop, rollout_costs
 
 #: Grid membership requires the CLF derivative below this margin.
 VDOT_TOL = 1e-12
-#: Scale-aware threshold for treating the input direction as zero.
-BETA_TOL = 1e-9
 #: Bisection iterations for the largest certified sublevel constant.
 BISECTION_ITERS = 40
 #: The designs an angle sweep compares, in the order their rollouts
@@ -91,15 +88,6 @@ class RoaCertificate:
     members_lqr: np.ndarray
     members_sontag: np.ndarray
     subset_holds: bool
-
-
-@dataclass(frozen=True)
-class GlobalClfReport:
-    """Sampled check of the transformed-coordinates CLF condition."""
-
-    n_checked: int
-    violations: np.ndarray   # the violating points, one per row
-    ok: bool
 
 
 @dataclass
@@ -204,30 +192,6 @@ def roa_certify(sys: SystemModel, clf, *, lqr, sontag, grid: GridSpec,
     return RoaCertificate(C=float(C), C_lqr=C_lqr, C_sontag=C_sontag, grid=grid, points=pts.T,
                           values=V, members_lqr=mem_lqr, members_sontag=mem_sontag,
                           subset_holds=subset)
-
-
-def global_clf_sample_check(fbl: FeedbackLinearization, P_tilde, grid: GridSpec) -> GlobalClfReport:
-    """Sample the transformed-coordinates CLF condition on a grid.
-
-    At each nonzero point z the check requires either a strictly
-    negative drift quadratic form z'(A'P + PA)z / 2 or an input
-    direction z'P B above BETA_TOL |z|. Reports the violating points
-    (expected: none for a valid construction).
-    """
-    P = symmetrize(as_square(P_tilde, "P_tilde"))
-    A = as_square(fbl.A_tilde, "A_tilde")
-    B = as_matrix(fbl.B_tilde, "B_tilde")
-    Z = grid.points()
-    nonzero = _row_max_abs(Z) > 0.0
-    M = symmetrize(A.T @ P + P @ A)
-    alpha = 0.5 * _row_dot(_stack_matmul(Z, M), Z)
-    beta = _stack_matmul(Z, P @ B)
-    z_norm = np.sqrt(_row_dot(Z, Z))
-    has_input = _row_max_abs(beta) > BETA_TOL * z_norm
-    violating = nonzero & ~(alpha < 0.0) & ~has_input
-    return GlobalClfReport(n_checked=int(nonzero.sum()),
-                           violations=Z[:, violating].T,
-                           ok=not bool(violating.any()))
 
 
 #: A worker's jobs. Set only in forked workers, by their pool initializer.
@@ -360,14 +324,11 @@ def write_roa_csv(cert: RoaCertificate, path) -> None:
 
 
 __all__ = [
-    "BETA_TOL",
     "BISECTION_ITERS",
-    "GlobalClfReport",
     "GridSpec",
     "RoaCertificate",
     "SweepResult",
     "VDOT_TOL",
-    "global_clf_sample_check",
     "roa_certify",
     "sweep_initial_angles",
     "write_roa_csv",

@@ -9,18 +9,14 @@ transformed CLF's domain evaluate to NaN, and so do their Lie terms.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, _stack_matmul, as_square,
-                     cholesky_pd, max_abs, solve_many, symmetrize)
+from .linalg import (NotPositiveDefinite, _all_rows, _row_all_finite, _row_dot, _row_max_abs,
+                     _stack_matmul, as_matrix, as_square, cholesky_pd, solve_many, symmetrize)
 from .model import FeedbackLinearization, SystemModel, fd_jacobian, identity_coordinates
-
-#: Base absolute tolerance for treating the input-direction derivative as zero.
-B_TOL_BASE = 1e-9
-#: Tolerance scale for the drift-decay test in the CLF condition.
-A_TOL = 1e-9
 
 
 class QuadraticClf:
@@ -30,7 +26,6 @@ class QuadraticClf:
         P = as_square(P, "P")
         cholesky_pd(P)
         self.P = symmetrize(P)
-        self.p_norm = max_abs(self.P)
 
     def value(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -48,7 +43,6 @@ class TransformedClf:
         cholesky_pd(P_tilde)
         self.P_tilde = symmetrize(P_tilde)
         self.fbl = fbl
-        self.p_norm = max_abs(self.P_tilde)
 
     def value(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -86,29 +80,21 @@ class LieTerms(NamedTuple):
     G: np.ndarray        # (n, m, ...)
     a: np.ndarray        # (...)    grad V . f
     b: np.ndarray        # (m, ...) grad V . G
-    x_norm: np.ndarray   # (...)    |x|
-    nonzero: np.ndarray  # (...)    b beyond the zero-direction threshold
     ok: np.ndarray       # (...)    finite gradient: inside the CLF domain
 
 
 def lie_terms(clf, sys: SystemModel, X) -> LieTerms:
     """a = grad V . f(x) and b = grad V . G(x) at (n,) or (n, ...)
     states, with the gradient and model evaluations they came from.
-    Entries are NaN outside the CLF domain.
-
-    ``nonzero`` is the one test for an available input direction: b
-    counts as zero up to the scale-aware threshold
-    B_TOL_BASE (1 + |P| |x|)."""
+    Entries are NaN outside the CLF domain."""
     X = np.asarray(X, dtype=float)
     grad = np.asarray(clf.grad(X), dtype=float)
     fX = np.asarray(sys.f(X), dtype=float)
     GX = np.asarray(sys.G(X), dtype=float)
     a = _row_dot(grad, fX)
     b = _row_dot(grad[:, None], GX)
-    x_norm = np.sqrt(_row_dot(X, X))
-    nonzero = _row_max_abs(b) > B_TOL_BASE + (B_TOL_BASE * clf.p_norm) * x_norm
     # positional: building a NamedTuple from keywords costs ~0.8 us more a call
-    return LieTerms(grad, fX, GX, a, b, x_norm, nonzero, _row_all_finite(grad))
+    return LieTerms(grad, fX, GX, a, b, _row_all_finite(grad))
 
 
 def transform_P(P, J_T0) -> np.ndarray:
@@ -126,13 +112,38 @@ def clf_condition_at(clf, sys: SystemModel, X) -> np.ndarray:
     """Pointwise CLF decrease condition at (n,) or stacked (n, ...)
     nonzero states, as a row mask.
 
-    True where some input direction is available (``nonzero`` of
-    ``lie_terms``) or the drift alone decays V (a below -A_TOL |x|^2);
+    True where b(x) != 0 or a(x) < 0, both compared exactly with 0;
     False outside the CLF domain.
     """
-    X = np.asarray(X, dtype=float)
     lt = lie_terms(clf, sys, X)
-    return lt.nonzero | (lt.a < -A_TOL * _row_dot(X, X))
+    return (_row_max_abs(lt.b) > 0.0) | (lt.a < 0.0)
+
+
+def global_clf_margin(fbl: FeedbackLinearization, P_tilde) -> float:
+    """Exact certificate that V = z' P_tilde z / 2 meets the CLF
+    condition at every nonzero z where gamma is nonsingular.
+
+    There b = 0 exactly on ker(B_tilde' P_tilde), which the columns of
+    N = P_tilde^{-1} B_perp span (B_perp from a complete QR of B_tilde),
+    and on it a = z'Mz / 2 with M = A_tilde' P_tilde + P_tilde A_tilde.
+    So the condition holds iff -N'MN is positive definite (Finsler's
+    lemma). Returns the smallest Cholesky pivot of -N'MN, 0.0 when the
+    Cholesky fails, and +inf when m = n, where b = 0 only at z = 0.
+    """
+    P = as_square(P_tilde, "P_tilde")
+    cholesky_pd(P)
+    P = symmetrize(P)
+    A = as_square(fbl.A_tilde, "A_tilde")
+    B = as_matrix(fbl.B_tilde, "B_tilde")
+    n, m = B.shape
+    if m == n:
+        return math.inf
+    N = solve_many(P, np.linalg.qr(B, mode="complete")[0][:, m:])
+    try:
+        L = cholesky_pd(symmetrize(-(N.T @ (A.T @ P + P @ A) @ N)))
+    except NotPositiveDefinite:
+        return 0.0
+    return float(L.diagonal().min())
 
 
 def build_lqr_clf(design) -> QuadraticClf:
@@ -151,14 +162,13 @@ def build_global_clf(design, fbl: FeedbackLinearization) -> TransformedClf:
 
 
 __all__ = [
-    "A_TOL",
-    "B_TOL_BASE",
     "LieTerms",
     "QuadraticClf",
     "TransformedClf",
     "build_global_clf",
     "build_lqr_clf",
     "clf_condition_at",
+    "global_clf_margin",
     "lie_terms",
     "transform_P",
 ]

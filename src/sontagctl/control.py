@@ -10,9 +10,9 @@ reproduces the optimal feedback exactly. The factor
 
 admits the algebraically equal form q / (sqrt(a^2 + q*beta) - a); the
 implementation picks the branch that avoids cancellation based on the
-sign of a. Where b(x) vanishes the control is zero, the factor is
-undefined, and a flag records whether the CLF decrease condition broke
-down there.
+sign of a. Where beta is exactly 0, the quantity the factor divides
+by, the control is zero, the factor is undefined, and a flag records
+whether the CLF decrease condition broke down there.
 
 All controllers evaluate on (n,) states or (n, ...) stacks and return
 (m,) or (m, ...) inputs, with state products by ``linalg._stack_matmul``;
@@ -59,7 +59,8 @@ def _lambda_array(a, q, beta):
 
 class _Parts(NamedTuple):
     """One Sontag-type evaluation at (n,) or stacked states, with the
-    terms it was built from. ``lam`` is meaningful only where ``nonzero``."""
+    terms it was built from. ``nonzero`` is beta > 0, and ``lam`` is
+    meaningful only there."""
 
     U: np.ndarray
     lam: np.ndarray
@@ -68,15 +69,14 @@ class _Parts(NamedTuple):
     a: np.ndarray
     beta: np.ndarray
     q: np.ndarray
-    x_norm: np.ndarray
     f: np.ndarray
     G: np.ndarray
 
 
 def _clf_violations(p: _Parts) -> np.ndarray:
-    """Zero-branch states where the drift does not decay V: the CLF
-    decrease condition failed there."""
-    return p.ok & ~p.nonzero & (p.a >= 0.0) & (p.x_norm > 0.0)
+    """Nonzero zero-branch states (q > 0) where the drift does not decay
+    V: the CLF decrease condition failed there."""
+    return p.ok & ~p.nonzero & (p.a >= 0.0) & (p.q > 0.0)
 
 
 class SontagController:
@@ -101,15 +101,16 @@ class SontagController:
         Rb = _stack_matmul(lt.b, self.R_inv)
         beta = _row_dot(lt.b, Rb)
         q = _row_dot(_stack_matmul(X, self.Q), X)
-        all_nonzero = _all_rows(lt.nonzero)
-        lam = _lambda_array(lt.a, q, beta if all_nonzero else _select(lt.nonzero, beta, 1.0))
+        nonzero = beta > 0.0
+        all_nonzero = _all_rows(nonzero)
+        lam = _lambda_array(lt.a, q, beta if all_nonzero else _select(nonzero, beta, 1.0))
         U = Rb * -lam
         if not all_nonzero:
-            U = np.where(lt.nonzero, U, 0.0)
+            U = np.where(nonzero, U, 0.0)
         if not _all_rows(lt.ok):
             U = np.where(lt.ok, U, np.nan)
         # positional, as in lie_terms
-        return _Parts(U, lam, lt.nonzero, lt.ok, lt.a, beta, q, lt.x_norm, lt.f, lt.G)
+        return _Parts(U, lam, nonzero, lt.ok, lt.a, beta, q, lt.f, lt.G)
 
     def u(self, X) -> np.ndarray:
         """Control input for stacked states; NaN outside the CLF domain."""

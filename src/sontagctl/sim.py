@@ -2,9 +2,11 @@
 
 Integration is classical 4th-order Runge-Kutta with the controller
 re-evaluated at every stage state (continuous feedback); an optional
-zero-order hold freezes the input over each step instead. Costs use
-the step-start samples only, matching a zero-order-hold discretization
-of the running quadratic cost.
+zero-order hold freezes the input over each step instead. Costs are a
+left Riemann sum of the running quadratic cost over the step-start
+samples: under the default continuous feedback they are first order in
+h while the states are fourth order (ROADMAP item 10 replaces the sum
+with the RK4 stage quadrature).
 
 One private kernel, ``_closed_loop``, decides how a controller's
 closed loop is evaluated at given states: a Sontag law answers from

@@ -14,13 +14,8 @@ import pytest
 import scipy.linalg
 import yaml
 
-from sontagctl.analysis import (
-    GridSpec,
-    global_clf_sample_check,
-    roa_certify,
-    sweep_initial_angles,
-)
-from sontagctl.clf import build_lqr_clf
+from sontagctl.analysis import GridSpec, roa_certify, sweep_initial_angles
+from sontagctl.clf import build_lqr_clf, global_clf_margin
 from sontagctl.control import LqrController, SontagController, hjb_residual, synthesize_design
 from sontagctl.linalg import cholesky_pd, is_hurwitz, max_abs
 from sontagctl.model import lti_system, pendulum_system
@@ -134,14 +129,11 @@ def test_criterion_5_roa_grid(pendulum_setup):
         assert cert.members_lqr.sum() > 0
 
 
-def test_criterion_6_global_clf_grid(pendulum_setup):
-    with criterion(6, "transformed CLF condition sampled without violations"):
+def test_criterion_6_global_clf_certificate(pendulum_setup):
+    with criterion(6, "transformed CLF condition certified on the whole domain"):
         _, fbl, _, _, designs = pendulum_setup
-        grid = GridSpec(lower=[-10.0, -10.0], upper=[10.0, 10.0], points_per_axis=(101, 101))
-        good = global_clf_sample_check(fbl, designs["ii"].clf.P_tilde, grid)
-        assert good.ok and good.violations.shape[0] == 0
-        broken = global_clf_sample_check(fbl, np.eye(2), grid)
-        assert not broken.ok and broken.violations.shape[0] >= 1
+        assert global_clf_margin(fbl, designs["ii"].clf.P_tilde) > 0.0
+        assert global_clf_margin(fbl, np.eye(2)) == 0.0
 
 
 def test_criterion_7_qualitative_sweep(pendulum_setup):

@@ -11,13 +11,15 @@ from sontagctl.analysis import (
     GridSpec,
     RoaCertificate,
     SweepResult,
-    global_clf_sample_check,
     roa_certify,
     sweep_initial_angles,
     write_roa_csv,
     write_sweep_csv,
 )
-from sontagctl.control import LqrController, SontagController
+from sontagctl.clf import TransformedClf, clf_condition_at, global_clf_margin
+from sontagctl.control import LqrController, SontagController, synthesize_design
+from sontagctl.linalg import solve_lyapunov
+from sontagctl.model import lti_system
 from sontagctl.sim import SimConfig, cost_index, rollout_costs, simulate
 
 import csv_reference
@@ -126,8 +128,7 @@ class TestRoaCertify:
         model = dataclasses.replace(sys_m, f=counted(sys_m.f, calls["f"]),
                                     G=counted(sys_m.G, calls["G"]))
         clf = types.SimpleNamespace(value=counted(res.clf.value, calls["value"]),
-                                    grad=counted(res.clf.grad, calls["grad"]),
-                                    p_norm=res.clf.p_norm)
+                                    grad=counted(res.clf.grad, calls["grad"]))
         monkeypatch.setattr(GridSpec, "points", counted(GridSpec.points, calls["points"]))
         for log in calls.values():
             log.clear()
@@ -187,44 +188,75 @@ class TestLargestSublevel:
         assert cert.C_lqr == 0.0
 
 
+def _integer_kernel(C):
+    """Integer basis of ker C, as columns, for a 2x4 integer C whose
+    first two columns are independent: each column expands a 3x3
+    determinant with a repeated row of C along its first row."""
+    def minor(i, j):
+        return C[0, i] * C[1, j] - C[0, j] * C[1, i]
+    return np.array([[minor(1, 2), -minor(0, 2), minor(0, 1), 0],
+                     [minor(1, 3), -minor(0, 3), 0, minor(0, 1)]]).T
+
+
 class TestGlobalClfCheck:
     def test_pendulum_construction_passes(self, pendulum, pendulum_designs):
+        # ker(B'P) is spanned by v = P^{-1} e1, so the one pivot squared
+        # is -v'(A'P + PA)v
         _, fbl = pendulum
-        grid = GridSpec(lower=[-10.0, -10.0], upper=[10.0, 10.0], points_per_axis=(101, 101))
-        report = global_clf_sample_check(fbl, pendulum_designs["ii"].clf.P_tilde, grid)
-        assert report.ok
-        assert report.n_checked == 101 * 101 - 1
-        assert report.violations.shape[0] == 0
-
-    def test_pendulum_construction_passes_other_resolutions(self, pendulum,
-                                                            pendulum_designs):
-        _, fbl = pendulum
-        for k in (31, 64, 145):
-            grid = GridSpec(lower=[-10.0, -10.0], upper=[10.0, 10.0],
-                            points_per_axis=(k, k))
-            assert global_clf_sample_check(fbl, pendulum_designs["ii"].clf.P_tilde,
-                                           grid).ok
+        P = pendulum_designs["ii"].clf.P_tilde
+        v = np.linalg.solve(P, [1.0, 0.0])
+        margin = global_clf_margin(fbl, P)
+        assert margin ** 2 == pytest.approx(-(v @ (fbl.A_tilde.T @ P + P @ fbl.A_tilde) @ v),
+                                            rel=1e-12)
+        assert margin ** 2 == pytest.approx(3.622, rel=1e-3)
 
     def test_identity_matrix_fails(self, pendulum):
-        # alpha(z) = z1 z2 and beta(z) = z2 both vanish on the z1 axis
-        _, fbl = pendulum
-        grid = GridSpec(lower=[-10.0, -10.0], upper=[10.0, 10.0], points_per_axis=(101, 101))
-        report = global_clf_sample_check(fbl, np.eye(2), grid)
-        assert not report.ok
-        assert report.violations.shape[0] >= 1
-        assert np.all(report.violations[:, 1] == 0.0)
-        assert any(np.allclose(v, [1.0, 0.0]) for v in report.violations)
+        # a(z) and b(z) both vanish on the z1 axis
+        sys_m, fbl = pendulum
+        assert global_clf_margin(fbl, np.eye(2)) == 0.0
+        assert not clf_condition_at(TransformedClf(np.eye(2), fbl), sys_m, np.array([1.0, 0.0]))
 
     def test_hurwitz_drift_always_passes(self):
         # strictly negative drift form never needs the input direction
-        from sontagctl.model import lti_system
         A = np.array([[-1.0, 0.2], [0.0, -2.0]])
         _, fbl = lti_system(A, np.array([[0.0], [1.0]]))
-        grid = GridSpec(lower=[-5.0, -5.0], upper=[5.0, 5.0], points_per_axis=(31, 31))
-        from sontagctl.linalg import solve_lyapunov
-        P = solve_lyapunov(A, np.eye(2))
-        report = global_clf_sample_check(fbl, P, grid)
-        assert report.ok
+        assert global_clf_margin(fbl, solve_lyapunov(A, np.eye(2))) > 0.0
+
+    def test_square_input_matrix_passes(self):
+        # with m = n, b = 0 only at the origin, whatever the drift
+        _, fbl = lti_system(np.eye(2), np.eye(2))
+        assert global_clf_margin(fbl, np.eye(2)) == np.inf
+
+    def test_random_systems_against_witnesses(self):
+        # Integer draws make every a and b exact: B'PN = 0 by
+        # construction, so N spans ker(B'P), and the condition fails there
+        # iff K = N'(A'P + PA)N is not negative definite, which one of the
+        # witnesses N e1, N e2, N (-K12, K11) then shows with a >= 0, b = 0.
+        rng = np.random.default_rng(7001)
+        rejected = draws = 0
+        while draws < 200:
+            A = rng.integers(-2, 3, size=(4, 4))
+            L = np.tril(rng.integers(-2, 3, size=(4, 4)), -1) + np.diag(rng.integers(1, 3, 4))
+            P = L @ L.T
+            N = rng.integers(-2, 3, size=(4, 2))
+            W = P @ N
+            if W[0, 0] * W[1, 1] == W[0, 1] * W[1, 0]:
+                continue
+            B = _integer_kernel(W.T)
+            B //= np.gcd.reduce(B, axis=0)
+            if np.linalg.matrix_rank(np.hstack([np.linalg.matrix_power(A, k) @ B
+                                                for k in range(4)])) < 4:
+                continue   # no design ii without a stabilizing Riccati solution
+            draws += 1
+            K = N.T @ (A.T @ P + P @ A) @ N
+            Z = N @ np.array([[1, 0, -K[0, 1]], [0, 1, K[0, 0]]])
+            sys_m, fbl = lti_system(A, B)
+            fails = not clf_condition_at(TransformedClf(P, fbl), sys_m, Z.astype(float)).all()
+            assert (global_clf_margin(fbl, P) == 0.0) == fails
+            rejected += fails
+            design = synthesize_design("ii", sys_m, fbl, np.eye(4), np.eye(2))
+            assert global_clf_margin(fbl, design.clf.P_tilde) > 0.0
+        assert 0 < rejected < draws
 
 
 @pytest.fixture(scope="module")

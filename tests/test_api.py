@@ -11,12 +11,11 @@ import sontagctl
 
 PUBLIC_NAMES = {
     # analysis
-    "GlobalClfReport", "GridSpec", "RoaCertificate", "SweepResult",
-    "global_clf_sample_check", "roa_certify",
+    "GridSpec", "RoaCertificate", "SweepResult", "roa_certify",
     "sweep_initial_angles",
     # clf
     "QuadraticClf", "TransformedClf", "build_global_clf", "build_lqr_clf",
-    "clf_condition_at", "lie_terms", "transform_P",
+    "clf_condition_at", "global_clf_margin", "lie_terms", "transform_P",
     # control
     "FblController", "LqrController", "SontagController", "SynthesisResult",
     "fbl_gain_design", "hjb_residual", "synthesize_design",

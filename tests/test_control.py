@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sontagctl.clf import A_TOL, build_lqr_clf, clf_condition_at, lie_terms
+from sontagctl.clf import build_lqr_clf, clf_condition_at, lie_terms
 from sontagctl.control import (
     FblController,
     LqrController,
@@ -94,6 +94,19 @@ class TestSontagControl:
         np.testing.assert_array_equal(p.U, np.zeros(1))
         assert not p.nonzero
         assert not _clf_violations(p)
+
+    @pytest.mark.parametrize("selector", ["i", "ii"])
+    def test_finite_where_beta_underflows(self, pendulum_designs, selector):
+        # from |x| = 1e-160 down to 1e-170, beta, a and q go subnormal
+        # and then underflow to 0 while b stays nonzero: the law divides
+        # by beta wherever beta > 0 and takes its zero branch elsewhere
+        rng = np.random.default_rng(5019)
+        angle = rng.uniform(0.0, 2.0 * np.pi, 400)
+        X = 10.0 ** rng.uniform(-170.0, -160.0, 400) * np.stack([np.cos(angle), np.sin(angle)])
+        p = pendulum_designs[selector].controller._parts(X)
+        assert np.isfinite(p.U).all()
+        np.testing.assert_array_equal(p.nonzero, p.beta > 0.0)
+        assert p.nonzero.any() and not p.nonzero.all()
 
     def test_lqr_recovery_random_systems(self):
         rng = np.random.default_rng(5003)
@@ -365,7 +378,7 @@ class TestBatchOfOne:
         ctrl = pendulum_designs[selector].controller
         stacked = ctrl._parts(states)
         rows = [ctrl._parts(x) for x in states.T]
-        for name in ("U", "lam", "a", "beta", "q", "x_norm"):
+        for name in ("U", "lam", "a", "beta", "q"):
             want = _stack(getattr(r, name) for r in rows)
             assert _bits(getattr(stacked, name)) == _bits(want), name
 
@@ -413,10 +426,11 @@ def _nan_bits(x) -> bytes:
 
 class TestBatchOfOneEdges:
     """The rows a random box misses, stacked against row by row: the
-    origin, the zero-input line b = 0 and its edge, drift that decays V
-    and drift that does not, and states beyond the pendulum's
-    linearization domain. A single state runs on numpy scalars, a stack
-    on arrays, so both sides of every row mask are compared."""
+    origin, the zero-input line b = 0 and its edge, states so small that
+    beta underflows to 0, drift that decays V and drift that does not,
+    and states beyond the pendulum's linearization domain. A single
+    state runs on numpy scalars, a stack on arrays, so both sides of
+    every row mask are compared."""
 
     @pytest.fixture(scope="class")
     def states(self, pendulum_designs):
@@ -431,14 +445,17 @@ class TestBatchOfOneEdges:
         outside[:4, 0] = [edge, -edge, np.nextafter(edge, 0.0), np.nextafter(-edge, 0.0)]
         wide = np.stack([rng.uniform(-1.5, 1.5, 400), rng.uniform(-5.0, 5.0, 400)], axis=-1)
         zeros = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
-        return np.concatenate([zeros, on_line, *near_line, outside, wide]).T
+        # beta ~ |x|^2 ~ 1e-340 underflows to exactly 0 on every BLAS
+        # kernel, with or without FMA, while b stays nonzero
+        tiny = 1e-170 * wide[:8]
+        return np.concatenate([zeros, on_line, *near_line, outside, wide, tiny]).T
 
     @pytest.mark.parametrize("selector", ["i", "ii"])
     def test_sontag_parts(self, pendulum_designs, states, selector):
         ctrl = pendulum_designs[selector].controller
         stacked = ctrl._parts(states)
         rows = [ctrl._parts(x) for x in states.T]
-        for name in ("nonzero", "ok", "lam", "a", "beta", "q", "x_norm"):
+        for name in ("nonzero", "ok", "lam", "a", "beta", "q"):
             assert all(np.ndim(getattr(r, name)) == 0
                        and not isinstance(getattr(r, name), np.ndarray) for r in rows), name
         for name in stacked._fields:
@@ -455,16 +472,19 @@ class TestBatchOfOneEdges:
 
     @pytest.mark.parametrize("selector", ["i", "ii"])
     def test_zero_direction_from_lie_terms(self, pendulum, pendulum_designs, states, selector):
-        # the b-counts-as-zero test is made once, in lie_terms, and both
-        # the controller and the CLF condition read it from there
+        # both zero tests compare the Lie terms with 0 exactly: the CLF
+        # condition is b != 0 or a < 0, and the law's zero branch is
+        # beta = 0, the quantity it divides by; where beta underflows,
+        # b != 0 and the law still takes the zero branch
         sys_m, _ = pendulum
         res = pendulum_designs[selector]
         lt = lie_terms(res.clf, sys_m, states)
-        x_sq = np.sum(states * states, axis=0)
-        expected = lt.nonzero | (lt.a < -A_TOL * x_sq)
-        np.testing.assert_array_equal(clf_condition_at(res.clf, sys_m, states), expected)
-        np.testing.assert_array_equal(res.controller._parts(states).nonzero, lt.nonzero)
-        assert lt.nonzero.any() and not lt.nonzero.all()
+        b_nonzero = np.abs(lt.b).max(axis=0) > 0.0
+        np.testing.assert_array_equal(clf_condition_at(res.clf, sys_m, states),
+                                      b_nonzero | (lt.a < 0.0))
+        p = res.controller._parts(states)
+        np.testing.assert_array_equal(p.nonzero, p.beta > 0.0)
+        assert p.nonzero.any() and (b_nonzero & ~p.nonzero).any()
 
     # The linear part Z @ K' of the FBL and LQR laws is a matrix product
     # on a stack and a vector product on one state, whose last bits can

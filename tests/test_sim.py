@@ -181,6 +181,17 @@ class TestSimulate:
         j2 = cost_index(traj2, res.lqr.Q, res.lqr.R)
         assert j1 != j2 and abs(j1 - j2) / j2 < 0.05
 
+    @pytest.mark.parametrize("selector", ["i", "ii"])
+    def test_sontag_run_converges_past_any_dead_band(self, pendulum, pendulum_designs, selector):
+        # the law acts down to the smallest states: no band of zero
+        # input around the origin lets the unstable drift take over
+        sys_m, _ = pendulum
+        res = pendulum_designs[selector]
+        cfg = SimConfig(h=0.01, n_steps=6000, x0=np.array([np.radians(25.0), 0.0]))
+        traj = simulate(sys_m, res.controller, cfg, clf=res.clf)
+        assert np.linalg.norm(traj.states[-1]) <= 1e-12
+        assert sum(f.count(FLAG_CLF_VIOLATION) for f in traj.flags) == 0
+
     def test_clf_decreases_along_sontag_run(self, pendulum, pendulum_designs):
         sys_m, _ = pendulum
         res = pendulum_designs["i"]
@@ -248,9 +259,9 @@ class TestCosts:
         assert fallback == 50
 
     def test_pendulum_run_fallbacks_only_in_converged_tail(self, pendulum, pendulum_designs):
-        # the factor is defined wherever b is nonzero; numerically b
-        # drops below tolerance only once the state has collapsed to
-        # the origin
+        # the factor is defined wherever beta = b R^{-1} b' is nonzero;
+        # numerically beta underflows to 0 only once the state has
+        # collapsed to the origin
         sys_m, _ = pendulum
         res = pendulum_designs["i"]
         cfg = SimConfig(x0=np.array([np.radians(25.0), 0.0]))
