@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import (NotPositiveDefinite, _all_rows, _row_all_finite, _row_dot, _row_max_abs,
                      _stack_matmul, as_matrix, as_square, cholesky_pd, solve_many, symmetrize)
-from .model import FeedbackLinearization, SystemModel, fd_jacobian, identity_coordinates
+from .model import FeedbackLinearization, SystemModel, _model_at, fd_jacobian, identity_coordinates
 
 
 class QuadraticClf:
@@ -62,10 +62,8 @@ class TransformedClf:
         else:
             Z = np.asarray(self.fbl.T(X), dtype=float)
             ok = self.fbl.domain(Z)
-            if self.fbl.T_jac is not None:
-                J = np.asarray(self.fbl.T_jac(X), dtype=float)
-            else:
-                J = fd_jacobian(self.fbl.T, X)
+            J = (fd_jacobian(self.fbl.T, X) if self.fbl.T_jac is None
+                 else np.asarray(self.fbl.T_jac(X), dtype=float))
             g = _row_dot(J, _stack_matmul(Z, self.P_tilde)[:, None])
         if _all_rows(ok):
             return g
@@ -73,11 +71,9 @@ class TransformedClf:
 
 
 class LieTerms(NamedTuple):
-    """CLF gradient, model terms and Lie derivatives at stacked states."""
+    """CLF gradient and Lie derivatives at stacked states."""
 
     grad: np.ndarray     # (n, ...)
-    f: np.ndarray        # (n, ...)
-    G: np.ndarray        # (n, m, ...)
     a: np.ndarray        # (...)    grad V . f
     b: np.ndarray        # (m, ...) grad V . G
     ok: np.ndarray       # (...)    finite gradient: inside the CLF domain
@@ -85,16 +81,17 @@ class LieTerms(NamedTuple):
 
 def lie_terms(clf, sys: SystemModel, X) -> LieTerms:
     """a = grad V . f(x) and b = grad V . G(x) at (n,) or (n, ...)
-    states, with the gradient and model evaluations they came from.
-    Entries are NaN outside the CLF domain."""
-    X = np.asarray(X, dtype=float)
+    states, with the gradient; NaN outside the CLF domain."""
+    return _lie_terms(clf, *_model_at(sys, X))
+
+
+def _lie_terms(clf, X: np.ndarray, fX: np.ndarray, GX: np.ndarray) -> LieTerms:
+    """``lie_terms`` from f(X) and G(X) evaluated by the caller."""
     grad = np.asarray(clf.grad(X), dtype=float)
-    fX = np.asarray(sys.f(X), dtype=float)
-    GX = np.asarray(sys.G(X), dtype=float)
     a = _row_dot(grad, fX)
     b = _row_dot(grad[:, None], GX)
     # positional: building a NamedTuple from keywords costs ~0.8 us more a call
-    return LieTerms(grad, fX, GX, a, b, _row_all_finite(grad))
+    return LieTerms(grad, a, b, _row_all_finite(grad))
 
 
 def transform_P(P, J_T0) -> np.ndarray:

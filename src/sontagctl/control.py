@@ -27,14 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clf import build_global_clf, build_lqr_clf, lie_terms
-from .linalg import (_all_rows, _row_dot, _select, _stack_matmul, as_matrix, as_square,
-                     cholesky_pd, max_abs, solve_many, symmetrize)
-from .model import FeedbackLinearization, SystemModel, fd_jacobian, linearize
+from .clf import _lie_terms, build_global_clf, build_lqr_clf
+from .linalg import (PIVOT_RTOL, SingularMatrix, _all_rows, _certified_inverse, _row_dot, _select,
+                     _stack_matmul, as_matrix, as_square, cholesky_pd, max_abs, solve_many,
+                     symmetrize)
+from .model import (FeedbackLinearization, SystemModel, _model_at, apply_input, fd_jacobian,
+                    identity_coordinates, linearize, lti_system)
 from .riccati import LqrDesign, solve_care
-
-#: Below this pivot magnitude the input transformation counts as singular.
-GAMMA_PIVOT_TOL = 1e-12
 
 
 def _lambda_array(a, q, beta):
@@ -69,8 +68,6 @@ class _Parts(NamedTuple):
     a: np.ndarray
     beta: np.ndarray
     q: np.ndarray
-    f: np.ndarray
-    G: np.ndarray
 
 
 def _clf_violations(p: _Parts) -> np.ndarray:
@@ -96,8 +93,11 @@ class SontagController:
         self.R_inv = symmetrize(solve_many(self.R, np.eye(sys.m)))
 
     def _parts(self, X) -> _Parts:
-        X = np.asarray(X, dtype=float)
-        lt = lie_terms(self.clf, self.sys, X)
+        return self._law(*_model_at(self.sys, X))[1]
+
+    def _law(self, X, fX, GX) -> tuple[np.ndarray, _Parts]:
+        """(U, parts) at states X from the model's f(X) and G(X)."""
+        lt = _lie_terms(self.clf, X, fX, GX)
         Rb = _stack_matmul(lt.b, self.R_inv)
         beta = _row_dot(lt.b, Rb)
         q = _row_dot(_stack_matmul(X, self.Q), X)
@@ -110,7 +110,7 @@ class SontagController:
         if not _all_rows(lt.ok):
             U = np.where(lt.ok, U, np.nan)
         # positional, as in lie_terms
-        return _Parts(U, lam, nonzero, lt.ok, lt.a, beta, q, lt.f, lt.G)
+        return U, _Parts(U, lam, nonzero, lt.ok, lt.a, beta, q)
 
     def u(self, X) -> np.ndarray:
         """Control input for stacked states; NaN outside the CLF domain."""
@@ -124,68 +124,113 @@ class LqrController:
         self.K = as_matrix(K, "K")
 
     def u(self, X) -> np.ndarray:
-        return -_stack_matmul(np.asarray(X, dtype=float), self.K.T)
+        return self._law(np.asarray(X, dtype=float), None, None)[0]
+
+    def _law(self, X, fX, GX) -> tuple[np.ndarray, None]:
+        return -_stack_matmul(X, self.K.T), None
+
+
+def _in_z(fbl: FeedbackLinearization, X, v, GX, rows=slice(None)):
+    """Rows ``rows`` of J_T v and J_T G(X) at states X, with no Jacobian
+    (``T_jac``, or finite differences) under ``identity_coordinates``."""
+    if fbl.T is identity_coordinates:
+        return v[rows], GX[rows]
+    J = np.asarray(fd_jacobian(fbl.T, X) if fbl.T_jac is None else fbl.T_jac(X), dtype=float)[rows]
+    return apply_input(J, v), apply_input(J[:, :, None], GX[:, None])
+
+
+def _input_rows(fbl: FeedbackLinearization, B) -> tuple[slice | np.ndarray, np.ndarray]:
+    """(idx, gamma(0)): the rows whose unit vectors are B_tilde's columns,
+    as a slice (a view) when consecutive, and (J_T0 B)[idx] for B = G(0)."""
+    Bt = as_matrix(fbl.B_tilde, "B_tilde")
+    idx = np.argmax(Bt, axis=0)
+    if not np.array_equal(Bt, np.eye(len(Bt))[:, idx]):
+        raise ValueError("feedback linearization needs unit-vector columns in B_tilde")
+    idx = slice(idx[0], idx[0] + len(idx)) if np.all(np.diff(idx) == 1) else idx
+    gamma0 = (np.asarray(fbl.J_T0, dtype=float) @ B)[idx]
+    try:
+        _certified_inverse(gamma0)
+    except SingularMatrix as exc:
+        raise ValueError("gamma must be nonsingular at the origin") from exc
+    return idx, gamma0
 
 
 class FblController:
-    """Cancels the model nonlinearity through the input transformation
-    and applies a linear gain in the transformed coordinates."""
+    """Feedback linearization: u solves psi + gamma u = -K_fbl z, with
+    psi = (J_T f - A_tilde T)[idx] and gamma = (J_T G)[idx] read off f and
+    G (``_input_rows``); gamma is singular where |det gamma| <=
+    PIVOT_RTOL |det gamma(0)|."""
 
-    def __init__(self, fbl: FeedbackLinearization, K_fbl):
+    def __init__(self, fbl: FeedbackLinearization, sys: SystemModel, K_fbl):
         self.fbl = fbl
+        self.sys = sys
         self.K_fbl = as_matrix(K_fbl, "K_fbl")
+        self._idx, gamma0 = _input_rows(fbl, np.asarray(sys.G(np.zeros(sys.n)), dtype=float))
+        self._K_eff = self.K_fbl - np.asarray(fbl.A_tilde, dtype=float)[self._idx]
+        self._pivot = PIVOT_RTOL * abs(np.linalg.det(gamma0))
 
     def u(self, X) -> np.ndarray:
-        """Control input for stacked states; NaN where gamma is singular
-        or the state left the linearization domain."""
-        X = np.asarray(X, dtype=float)
-        Z = np.asarray(self.fbl.T(X), dtype=float)
-        rhs = -(np.asarray(self.fbl.psi(Z), dtype=float) + _stack_matmul(Z, self.K_fbl.T))
-        gam = np.asarray(self.fbl.gamma(Z), dtype=float)
+        """Control input; NaN where gamma is singular or outside the domain."""
+        return self._law(*_model_at(self.sys, X))[0]
+
+    def _law(self, X, fX, GX) -> tuple[np.ndarray, None]:
+        Z = X if self.fbl.T is identity_coordinates else np.asarray(self.fbl.T(X), dtype=float)
+        Jf, gam = _in_z(self.fbl, X, fX, GX, self._idx)
+        rhs = -(Jf + _stack_matmul(Z, self._K_eff.T))
         ok = self.fbl.domain(Z)
         m = self.K_fbl.shape[0]
         if m == 1:
             g = gam[0, 0]
-            ok = ok & (np.abs(g) > GAMMA_PIVOT_TOL)
-            if _all_rows(ok):
-                return rhs / g
-            U = rhs / np.where(ok, g, 1.0)
+            ok = ok & (np.abs(g) > self._pivot)
+            U = rhs / (g if _all_rows(ok) else np.where(ok, g, 1.0))
         else:  # numpy's batched solvers want the matrix axes last
             gam = np.moveaxis(gam, (0, 1), (-2, -1))
-            det = np.linalg.det(gam)
-            ok = ok & (np.abs(det) > GAMMA_PIVOT_TOL)
+            ok = ok & (np.abs(np.linalg.det(gam)) > self._pivot)
             safe = np.where(ok[..., None, None], gam, np.eye(m))
             U = np.linalg.solve(safe, np.moveaxis(rhs, 0, -1)[..., None])[..., 0]
             U = np.moveaxis(U, -1, 0)
-        if _all_rows(ok):
-            return U
-        return np.where(ok, U, np.nan)
+        return (U if _all_rows(ok) else np.where(ok, U, np.nan)), None
 
 
 def fbl_gain_design(fbl: FeedbackLinearization, design: LqrDesign) -> np.ndarray:
     """Gain on the transformed coordinates that makes the full
     feedback-linearizing law match the LQR gain to first order at the
-    origin: K = gamma(0) K_lqr J_T0^{-1} - dpsi/dz(0).
-
-    The returned gain is verified by finite-differencing the assembled
-    control law at the origin against -R^{-1} B' P.
-    """
-    n = design.A.shape[0]
-    zero = np.zeros(n)
-    gamma0 = np.asarray(fbl.gamma(zero), dtype=float)
-    if fbl.psi_jac is not None:
-        dpsi0 = np.asarray(fbl.psi_jac(zero), dtype=float)
-    else:
-        dpsi0 = fd_jacobian(fbl.psi, zero)
-    KJ = solve_many(fbl.J_T0.T, design.K.T).T   # K_lqr J_T0^{-1}
-    K_fbl = gamma0 @ KJ - dpsi0
-    ctrl = FblController(fbl, K_fbl)
-    jac = fd_jacobian(ctrl.u, zero)
+    origin: K = gamma(0) K_lqr J_T0^{-1} - dpsi/dz(0), with gamma(0) =
+    (J_T0 B)[idx] and dpsi/dz(0) = (J_T0 A J_T0^{-1} - A_tilde)[idx].
+    Verified by finite-differencing the assembled law at the origin against
+    -R^{-1} B' P on the linear model (A, B), all its first order needs."""
+    idx, gamma0 = _input_rows(fbl, design.B)
+    J = np.asarray(fbl.J_T0, dtype=float)
+    K_fbl = (solve_many(J.T, (gamma0 @ design.K - (J @ design.A)[idx]).T).T
+             + np.asarray(fbl.A_tilde, dtype=float)[idx])
+    ctrl = FblController(fbl, lti_system(design.A, design.B)[0], K_fbl)
+    jac = fd_jacobian(ctrl.u, np.zeros(len(J)))
     target = -design.K
     # Written so that a NaN Jacobian (gamma singular at run time) fails.
     if not max_abs(jac - target) <= 1e-6 * (1.0 + max_abs(target)):
         raise ValueError("feedback-linearizing gain failed its local-optimality check")
     return K_fbl
+
+
+def _check_normal_form(sys: SystemModel, fbl: FeedbackLinearization) -> None:
+    """ValueError unless J_T(f + G u) - A_tilde T and J_T G vanish off the
+    range of B_tilde, relative to their terms (1e-6 admits a finite-
+    difference J_T), at eight domain points and inputs of size ~1 to ~1e-3
+    from a seeded LCG (Knuth's MMIX constants; numpy.random costs ~6 MB)."""
+    s, W = 1, []
+    for _ in range(8 * (sys.n + sys.m)):
+        s = (6364136223846793005 * s + 1442695040888963407) % 2**64
+        W.append(s / 2.0**63 - 1.0)
+    X, U = np.split(np.reshape(W, (sys.n + sys.m, 8)) * np.logspace(0.0, -3.0, 8), [sys.n])
+    inside = np.asarray(fbl.domain(np.asarray(fbl.T(X), dtype=float)), dtype=bool)
+    X, fX, GX = _model_at(sys, X[:, inside])
+    zdot, JG = _in_z(fbl, X, fX + apply_input(GX, U[:, inside]), GX)
+    AT = _stack_matmul(np.asarray(fbl.T(X), dtype=float), np.asarray(fbl.A_tilde, dtype=float).T)
+    Bt = as_matrix(fbl.B_tilde, "B_tilde")
+    off = np.eye(len(Bt)) - Bt @ solve_many(Bt.T @ Bt, Bt.T)   # projector off range(B_tilde)
+    if not (max_abs(_stack_matmul(zdot - AT, off)) <= 1e-6 * (max_abs(zdot) + max_abs(AT))
+            and max_abs(_stack_matmul(JG, off)) <= 1e-6 * max_abs(JG)):
+        raise ValueError("the model does not have the declared normal form")
 
 
 def hjb_residual(clf, sys: SystemModel, Q, R, X) -> np.ndarray:
@@ -222,8 +267,10 @@ def synthesize_design(selector: str, sys: SystemModel,
                       fbl: FeedbackLinearization | None, Q, R) -> SynthesisResult:
     """Run the synthesis pipeline for one benchmark design.
 
-    Linearizes the model, gates on stabilizability through the Riccati
-    solve, and assembles the selected controller:
+    Checks a design ii or iii structure against the model
+    (``_check_normal_form``), linearizes the model, gates on
+    stabilizability through the Riccati solve, and assembles the
+    selected controller:
 
     - i:   Sontag-type law with the quadratic LQR-value-function CLF;
     - ii:  Sontag-type law with the transformed-coordinates CLF;
@@ -232,8 +279,10 @@ def synthesize_design(selector: str, sys: SystemModel,
     """
     if selector not in DESIGN_SELECTORS:
         raise ValueError(f"unknown design selector {selector!r}")
-    if selector in ("ii", "iii") and fbl is None:
-        raise ValueError(f"design {selector} needs a feedback-linearization structure")
+    if selector in ("ii", "iii"):
+        if fbl is None:
+            raise ValueError(f"design {selector} needs a feedback-linearization structure")
+        _check_normal_form(sys, fbl)
     A, B = linearize(sys)
     design = solve_care(A, B, Q, R)
     if selector == "i":
@@ -244,7 +293,7 @@ def synthesize_design(selector: str, sys: SystemModel,
         controller = SontagController(clf, sys, design.Q, design.R)
     elif selector == "iii":
         clf = None
-        controller = FblController(fbl, fbl_gain_design(fbl, design))
+        controller = FblController(fbl, sys, fbl_gain_design(fbl, design))
     else:
         clf = None
         controller = LqrController(design.K)
@@ -256,7 +305,6 @@ __all__ = [
     "DESIGN_LABELS",
     "DESIGN_SELECTORS",
     "FblController",
-    "GAMMA_PIVOT_TOL",
     "LqrController",
     "SontagController",
     "SynthesisResult",

@@ -57,52 +57,38 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class FeedbackLinearization:
-    """Coordinates z = T(x) in which the dynamics read
-    zdot = A_tilde z + B_tilde (psi(z) + gamma(z) u) with gamma
-    nonsingular on ``domain``, a predicate that maps stacked (n, ...)
-    z to a (...) mask (all of state space by default).
-    ``T = identity_coordinates`` declares z = x; ``T_jac`` (finite
-    differences when None) is then never used."""
+    """Coordinates z = T(x) in which the model takes the normal form
+    J_T(f + G u) = A_tilde T + B_tilde (psi + gamma u) on ``domain``, a
+    predicate from stacked (n, ...) z to a (...) mask (all of state space
+    by default). ``T = identity_coordinates`` declares z = x; ``T_jac``
+    (finite differences when None) is then never used."""
 
     T: Callable[[np.ndarray], np.ndarray]
-    psi: Callable[[np.ndarray], np.ndarray]
-    gamma: Callable[[np.ndarray], np.ndarray]
     A_tilde: np.ndarray
     B_tilde: np.ndarray
     J_T0: np.ndarray
     T_jac: Callable[[np.ndarray], np.ndarray] | None = None
-    psi_jac: Callable[[np.ndarray], np.ndarray] | None = None
     domain: Callable[[np.ndarray], np.ndarray] = _whole_space
     name: str = ""
 
     def __post_init__(self):
         A = as_square(self.A_tilde, "A_tilde")
         B = as_matrix(self.B_tilde, "B_tilde")
-        n, m = B.shape
-        if A.shape[0] != n:
-            raise ValueError("A_tilde and B_tilde dimensions disagree")
         J = as_square(self.J_T0, "J_T0")
-        if J.shape[0] != n:
-            raise ValueError("J_T0 must be n-by-n")
+        if not A.shape[0] == J.shape[0] == B.shape[0]:
+            raise ValueError("A_tilde, B_tilde and J_T0 dimensions disagree")
         try:
             _certified_inverse(J)
         except SingularMatrix as exc:
             raise ValueError("J_T0 must be invertible") from exc
-        zero = np.zeros(n)
-        if max_abs(np.asarray(self.T(zero), dtype=float)) > EQUILIBRIUM_TOL:
+        if max_abs(np.asarray(self.T(np.zeros(B.shape[0])), dtype=float)) > EQUILIBRIUM_TOL:
             raise ValueError("T must map the origin to the origin")
-        psi0 = np.asarray(self.psi(zero), dtype=float)
-        if psi0.shape != (m,):
-            raise ValueError("psi must map (n,) to (m,)")
-        if max_abs(psi0) > EQUILIBRIUM_TOL:
-            raise ValueError("psi must vanish at the origin")
-        gamma0 = np.asarray(self.gamma(zero), dtype=float)
-        if gamma0.shape != (m, m):
-            raise ValueError("gamma must map (n,) to (m, m)")
-        try:
-            _certified_inverse(gamma0)
-        except SingularMatrix as exc:
-            raise ValueError("gamma must be nonsingular at the origin") from exc
+
+
+def _model_at(sys: SystemModel, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, f(X), G(X)) as float arrays: one model evaluation."""
+    X = np.asarray(X, dtype=float)
+    return X, np.asarray(sys.f(X), dtype=float), np.asarray(sys.G(X), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -185,8 +171,8 @@ def pendulum_system(params: PendulumParams | None = None):
 
     Returns ``(SystemModel, FeedbackLinearization)``. The transformed
     coordinates are the original ones (T = ``identity_coordinates``);
-    gamma is singular at an angle of +-pi/2, which bounds the
-    linearization domain.
+    gamma, the rate row's input gain, is singular at an angle of +-pi/2,
+    which bounds the linearization domain.
     """
     p = params if params is not None else PendulumParams()
     denom = p.inertia + p.mass * p.length**2
@@ -211,29 +197,15 @@ def pendulum_system(params: PendulumParams | None = None):
         J[1, 0] = drift_gain * np.cos(X[0])
         return J
 
-    def psi(Z):
-        return drift_gain * np.sin(np.asarray(Z, dtype=float)[:1])
-
-    def psi_jac(Z):
-        J = np.zeros((1, 2) + np.shape(Z)[1:])
-        J[0, 0] = drift_gain * np.cos(Z[0])
-        return J
-
-    def gamma(Z):
-        return (-input_gain * np.cos(Z[0]))[None, None]
-
     def domain(Z):
         return np.abs(Z[0]) < np.pi / 2
 
     system = SystemModel(n=2, m=1, f=f, G=G, f_jac=f_jac, name="pendulum")
     fbl = FeedbackLinearization(
         T=identity_coordinates,
-        psi=psi,
-        gamma=gamma,
         A_tilde=np.array([[0.0, 1.0], [0.0, 0.0]]),
         B_tilde=np.array([[0.0], [1.0]]),
         J_T0=np.eye(2),
-        psi_jac=psi_jac,
         domain=domain,
         name="pendulum",
     )
@@ -242,12 +214,11 @@ def pendulum_system(params: PendulumParams | None = None):
 
 def lti_system(A, B, name: str = "lti"):
     """Linear time-invariant model plus its trivial feedback
-    linearization (identity coordinates, zero psi, identity gamma)."""
+    linearization (identity coordinates, A_tilde = A, B_tilde = B)."""
     A = as_square(A, "A")
     B = as_matrix(B, "B")
     if B.shape[0] != A.shape[0]:
         raise ValueError("B must have as many rows as A")
-    n, m = B.shape
 
     def stacked(M, X):
         """The matrix M repeated over the batch axes of X."""
@@ -263,24 +234,12 @@ def lti_system(A, B, name: str = "lti"):
     def f_jac(X):
         return stacked(A, X)
 
-    def psi(Z):
-        return np.zeros((m,) + np.shape(Z)[1:])
-
-    def psi_jac(Z):
-        return np.zeros((m, n) + np.shape(Z)[1:])
-
-    def gamma(Z):
-        return stacked(np.eye(m), Z)
-
-    system = SystemModel(n=n, m=m, f=f, G=G, f_jac=f_jac, name=name)
+    system = SystemModel(n=A.shape[0], m=B.shape[1], f=f, G=G, f_jac=f_jac, name=name)
     fbl = FeedbackLinearization(
         T=identity_coordinates,
-        psi=psi,
-        gamma=gamma,
         A_tilde=A,
         B_tilde=B,
-        J_T0=np.eye(n),
-        psi_jac=psi_jac,
+        J_T0=np.eye(A.shape[0]),
         name=name,
     )
     return system, fbl

@@ -8,22 +8,20 @@ samples: under the default continuous feedback they are first order in
 h while the states are fourth order (ROADMAP item 10 replaces the sum
 with the RK4 stage quadrature).
 
-One private kernel, ``_closed_loop``, decides how a controller's
-closed loop is evaluated at given states: a Sontag law answers from
-its Lie-term evaluation, which already holds f and G, and any other
-law from u, f and G. The step-start evaluation also supplies RK4's
-first stage, so a step evaluates the model four times, with or
-without a zero-order hold. One stepping loop on that kernel serves
-both ``simulate`` (a batch of one, recorded step by step) and
-``rollout_costs`` (many rows, costs only), so both share one halt
-policy. Stacked states are coordinates-first, (n, N); on the batch of
-one, an (n,) state, every row quantity (the Lie terms, the Sontag
-factor, the state norm and the row masks) is a numpy scalar, not a 0-d
-array. All pathologies become per-step flags rather than exceptions: a
-state beyond the divergence guard, a non-finite state, or a control
-evaluation that comes back non-finite halts the run with the
-corresponding flag, and a halted run carries an infinite cost so sweep
-rows stay comparable.
+One private kernel, ``_closed_loop``, evaluates f and G once at given
+states and hands (X, f, G) to the law, which answers from them. The
+step-start evaluation also supplies RK4's first stage, so a step
+evaluates the model four times, with or without a zero-order hold. One
+stepping loop on that kernel serves both ``simulate`` (a batch of one,
+recorded step by step) and ``rollout_costs`` (many rows, costs only),
+so both share one halt policy. Stacked states are coordinates-first,
+(n, N); on the batch of one, an (n,) state, every row quantity (the
+Lie terms, the Sontag factor, the state norm and the row masks) is a
+numpy scalar, not a 0-d array. All pathologies become per-step flags
+rather than exceptions: a state beyond the divergence guard, a non-
+finite state, or a control evaluation that comes back non-finite halts
+the run with the corresponding flag, and a halted run carries an
+infinite cost so sweep rows stay comparable.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import numpy as np
 from .control import SontagController, _clf_violations, _Parts
 from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, _stack_matmul, as_square,
                      as_vector)
-from .model import SystemModel, apply_input
+from .model import SystemModel, _model_at, apply_input
 
 #: A run halts once the state norm passes this bound.
 DIVERGENCE_GUARD = 1e6
@@ -110,15 +108,12 @@ class CostReport:
 
 
 def _closed_loop(sys: SystemModel, controller, X):
-    """The closed loop evaluated at X: (U, f, G, parts). A Sontag law
-    answers from its own evaluation, which already holds f and G, and
-    returns it as ``parts``; any other law answers with u(X), f(X) and
-    G(X) and no parts."""
-    if isinstance(controller, SontagController):
-        p = controller._parts(X)
-        return p.U, p.f, p.G, p
-    U = np.asarray(controller.u(X), dtype=float)
-    return U, np.asarray(sys.f(X), dtype=float), np.asarray(sys.G(X), dtype=float), None
+    """(U, f, G, parts) at X from one model evaluation, which ``_law``
+    answers from; an object with only ``u(X)`` is called on X."""
+    X, fX, GX = _model_at(sys, X)
+    law = getattr(controller, "_law", None)
+    U, parts = law(X, fX, GX) if law else (np.asarray(controller.u(X), dtype=float), None)
+    return U, fX, GX, parts
 
 
 def _rk4(sys: SystemModel, controller, x, h: float, zoh: bool, U, fx, Gx) -> np.ndarray:

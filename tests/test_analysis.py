@@ -164,16 +164,17 @@ class TestLargestSublevel:
         assert c_sontag >= c_lqr
 
     def test_one_drift_call_for_sontag_law(self, pendulum, pendulum_designs):
-        # the Sontag law's own model evaluation supplies f + G u, so the
-        # decay test evaluates the batched drift once
+        # the decay test's one model evaluation supplies both f + G u and
+        # the Sontag law's Lie terms, so each law's decay test evaluates
+        # the batched drift once and the law's own model is not called
         sys_m, _ = pendulum
         res = pendulum_designs["i"]
         lqr = pendulum_designs["iv"].controller
         model, calls = counting_drift(sys_m)
         ctrl = SontagController(res.clf, model, res.lqr.Q, res.lqr.R)
         grid = GridSpec(lower=[-1.4, -4.0], upper=[1.4, 4.0], points_per_axis=(11, 11))
-        c = roa_certify(sys_m, res.clf, lqr=lqr, sontag=ctrl, grid=grid).C_sontag
-        assert len(calls) == 1
+        c = roa_certify(model, res.clf, lqr=lqr, sontag=ctrl, grid=grid).C_sontag
+        assert calls == [(2, 121), (2, 121)]
         assert c == roa_certify(sys_m, res.clf, lqr=lqr, sontag=res.controller,
                                 grid=grid).C_sontag
 

@@ -259,8 +259,6 @@ def _quadratic_transform_fbl():
 
     return FeedbackLinearization(
         T=T, T_jac=T_jac,
-        psi=lambda Z: np.zeros((1,) + np.shape(Z)[1:]),
-        gamma=lambda Z: stacked(np.eye(1), Z),
         A_tilde=np.array([[0.0, 1.0], [0.0, 0.0]]),
         B_tilde=np.array([[0.0], [1.0]]),
         J_T0=2.0 * np.eye(2),

@@ -15,6 +15,7 @@ from sontagctl.control import (
     hjb_residual,
     synthesize_design,
 )
+from sontagctl.linalg import _stack_matmul
 from sontagctl.model import FeedbackLinearization, SystemModel, apply_input, lti_system
 from sontagctl.riccati import solve_care
 from sontagctl.sim import rk4_step
@@ -234,40 +235,56 @@ class TestFblDesign:
         K_fbl = fbl_gain_design(fbl, dbl_int_design)
         np.testing.assert_allclose(K_fbl, dbl_int_design.K, rtol=1e-12)
 
-    def test_scaled_coordinates(self, dbl_int_design):
-        fbl = FeedbackLinearization(
-            T=lambda X: 2.0 * np.asarray(X, dtype=float),
-            T_jac=lambda X: stacked(2.0 * np.eye(2), X),
-            psi=lambda Z: np.zeros((1,) + np.shape(Z)[1:]),
-            gamma=lambda Z: stacked(np.eye(1), Z),
-            A_tilde=np.array([[0.0, 0.5], [0.0, 0.0]]),
-            B_tilde=np.array([[0.0], [0.5]]),
-            J_T0=2.0 * np.eye(2),
-        )
-        K_fbl = fbl_gain_design(fbl, dbl_int_design)
-        np.testing.assert_allclose(K_fbl, dbl_int_design.K / 2.0, rtol=1e-12)
+    def test_scaled_coordinates(self, double_integrator, dbl_int_design):
+        # z = T(x) = 2x on the double integrator: zdot = 2 xdot gives
+        # A_tilde = [[0, 1], [0, 0]], B_tilde = e2 and gamma = 2, so the
+        # gain is gamma K J_T0^{-1} = K and the law is u = -K x
+        sys_m, _ = double_integrator
+        Q, R = dbl_int_design.Q, dbl_int_design.R
 
-    def test_nan_control_fails_the_check(self):
-        # gamma = 1e-13 passes the model's scale-free certificate but is
-        # singular to the controller, whose law is NaN at every state
+        def scaled(A_tilde, B_tilde):
+            return FeedbackLinearization(
+                T=lambda X: 2.0 * np.asarray(X, dtype=float),
+                T_jac=lambda X: stacked(2.0 * np.eye(2), X),
+                A_tilde=np.array(A_tilde), B_tilde=np.array(B_tilde), J_T0=2.0 * np.eye(2))
+
+        fbl = scaled([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]])
+        K_fbl = fbl_gain_design(fbl, dbl_int_design)
+        np.testing.assert_allclose(K_fbl, dbl_int_design.K, rtol=1e-12)
+        ctrl = synthesize_design("iii", sys_m, fbl, Q, R).controller
+        np.testing.assert_array_equal(ctrl.K_fbl, K_fbl)
+        X = np.random.default_rng(5020).normal(size=(2, 100))
+        np.testing.assert_allclose(ctrl.u(X), -(dbl_int_design.K @ X), rtol=1e-12, atol=1e-12)
+        # A_tilde = [[0, 0.5], [0, 0]], B_tilde = [0; 0.5] is not this
+        # model's normal form: at x = (0.3, -0.7), u = 0.4, row 0 of
+        # J_T xdot is -1.4 and that of A_tilde T is -0.7
+        wrong = scaled([[0.0, 0.5], [0.0, 0.0]], [[0.0], [0.5]])
+        for selector in ("ii", "iii"):
+            with pytest.raises(ValueError, match="normal form"):
+                synthesize_design(selector, sys_m, wrong, Q, R)
+
+    def test_tiny_gamma_gets_a_working_design(self):
+        # gamma = 1e-13 at every state: the law's pivot test is relative
+        # to gamma(0), so design iii is finite everywhere and, on this
+        # linear model, is the LQR
         A = np.array([[0.0, 1.0], [2.0, 0.0]])
         sys_m = SystemModel(
             n=2, m=1, f=lambda X: A @ np.asarray(X, dtype=float),
             G=lambda X: stacked([[0.0], [1e-13]], X))
         fbl = FeedbackLinearization(
             T=lambda X: np.asarray(X, dtype=float),
-            psi=lambda Z: 2.0 * np.asarray(Z, dtype=float)[:1],
-            gamma=lambda Z: np.full((1, 1) + np.shape(Z)[1:], 1e-13),
             A_tilde=np.array([[0.0, 1.0], [0.0, 0.0]]),
             B_tilde=np.array([[0.0], [1.0]]),
             J_T0=np.eye(2),
         )
-        design = solve_care(A, [[0.0], [1e-13]], np.eye(2), [[1e-26]])
-        assert np.isfinite(design.K).all()
-        with pytest.raises(ValueError, match="local-optimality"):
-            fbl_gain_design(fbl, design)
-        with pytest.raises(ValueError, match="local-optimality"):
-            synthesize_design("iii", sys_m, fbl, np.eye(2), [[1e-26]])
+        res = synthesize_design("iii", sys_m, fbl, np.eye(2), [[1e-26]])
+        K = res.lqr.K
+        assert np.isfinite(K).all()
+        np.testing.assert_array_equal(fbl_gain_design(fbl, res.lqr), res.controller.K_fbl)
+        X = np.random.default_rng(5021).uniform(-2.0, 2.0, size=(2, 1000))
+        U = res.controller.u(X)
+        assert np.isfinite(U).all()
+        np.testing.assert_allclose(U, -(K @ X), rtol=1e-6, atol=1e-6 * np.abs(K @ X).max())
 
     def test_linearization_matches_lqr_gain(self, pendulum, pendulum_designs):
         from sontagctl.model import fd_jacobian
@@ -282,17 +299,33 @@ class TestFblControl:
         np.testing.assert_array_equal(u, np.zeros(1))
 
     def test_exact_cancellation(self, pendulum, pendulum_designs):
-        # psi + gamma u == -K z at sampled states: the transformed loop
-        # is exactly linear
-        _, fbl = pendulum
+        # f + G u == (A_tilde - B_tilde K) z at sampled states: the
+        # transformed loop is exactly linear
+        sys_m, fbl = pendulum
         ctrl = pendulum_designs["iii"].controller
         rng = np.random.default_rng(5009)
         for _ in range(50):
             x = np.array([rng.uniform(-1.4, 1.4), rng.uniform(-4, 4)])
-            u = ctrl.u(x)
+            zdot = sys_m.f(x) + apply_input(sys_m.G(x), ctrl.u(x))
             z = np.asarray(fbl.T(x))
-            lhs = np.asarray(fbl.psi(z)) + np.asarray(fbl.gamma(z))[..., 0] * u
-            np.testing.assert_allclose(lhs, -(ctrl.K_fbl @ z), atol=1e-12)
+            np.testing.assert_allclose(zdot, (fbl.A_tilde - fbl.B_tilde @ ctrl.K_fbl) @ z,
+                                       atol=1e-12)
+
+    def test_closed_forms_bitwise(self, pendulum_designs):
+        # psi and gamma read off f and G have the bits of the pendulum's
+        # closed forms psi = 9.81 sin x1 and gamma = -cos x1, the oracle
+        # here, stacked and on one state
+        ctrl = pendulum_designs["iii"].controller
+
+        def closed_form(X):
+            return (-(9.81 * np.sin(X[:1]) + _stack_matmul(X, ctrl.K_fbl.T))
+                    / (-1.0 * np.cos(X[0])))
+
+        rng = np.random.default_rng(5022)
+        X = np.stack([rng.uniform(-1.4, 1.4, 1000), rng.uniform(-4.0, 4.0, 1000)])
+        assert _bits(ctrl.u(X)) == _bits(closed_form(X))
+        x = X[:, 0]
+        assert _bits(ctrl.u(x)) == _bits(closed_form(x))
 
     def test_near_singular_gamma(self, pendulum, pendulum_designs):
         ctrl = pendulum_designs["iii"].controller

@@ -22,6 +22,7 @@ from sontagctl.linalg import (
     solve_many,
     symmetrize,
 )
+from sontagctl.control import _input_rows
 from sontagctl.model import FeedbackLinearization
 
 from conftest import counted, random_spd, stacked
@@ -122,25 +123,25 @@ class TestConditionCertificate:
         np.testing.assert_allclose(matrix_sign(A), np.eye(2), atol=1e-14)
 
     @staticmethod
-    def _fbl(J_T0, gamma0):
+    def _fbl(J_T0):
         return FeedbackLinearization(
             T=lambda X: np.asarray(X, dtype=float),
             T_jac=lambda X: stacked(np.eye(2), X),
-            psi=lambda Z: np.zeros((1,) + np.shape(Z)[1:]),
-            gamma=lambda Z: stacked(gamma0, Z),
             A_tilde=np.array([[0.0, 1.0], [0.0, 0.0]]),
             B_tilde=np.array([[0.0], [1.0]]),
             J_T0=J_T0,
         )
 
     def test_feedback_linearization_checks(self):
-        self._fbl(np.diag([1.0, 1e-11]), [[1e-11]])
+        # gamma(0) = (J_T0 B)[idx] is checked where the law is built
+        fbl = self._fbl(np.diag([1.0, 1e-11]))
+        np.testing.assert_array_equal(_input_rows(fbl, [[0.0], [1.0]])[1], [[1e-11]])
         for J_T0 in (np.diag([1.0, 1e-13]), [[1.0, 1.0], [1.0, 1.0]]):
             with pytest.raises(ValueError, match="J_T0 must be invertible"):
-                self._fbl(J_T0, [[1.0]])
-        for gamma0 in ([[0.0]], [[np.nan]]):
+                self._fbl(J_T0)
+        for B in ([[1.0], [0.0]], [[0.0], [np.nan]]):
             with pytest.raises(ValueError, match="gamma must be nonsingular"):
-                self._fbl(np.eye(2), gamma0)
+                _input_rows(self._fbl(np.eye(2)), B)
 
 
 class TestCholesky:

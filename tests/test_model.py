@@ -11,6 +11,8 @@ from sontagctl.model import (
     pendulum_system,
 )
 
+from sontagctl.control import _input_rows
+
 from conftest import stacked
 
 
@@ -38,21 +40,26 @@ class TestPendulumDynamics:
         np.testing.assert_allclose(out, [0.0, 9.81 * np.sqrt(2) / 2], rtol=1e-12)
 
     def test_fbl_structure(self, pendulum):
-        _, fbl = pendulum
-        np.testing.assert_allclose(fbl.gamma(np.zeros(2)), [[-1.0]], atol=1e-15)
+        sys_m, fbl = pendulum
+        # gamma(0) = (J_T0 G(0))[idx] for the rate row that B_tilde selects
+        idx, gamma0 = _input_rows(fbl, sys_m.G(np.zeros(2)))
+        assert idx == slice(1, 2)
+        np.testing.assert_array_equal(gamma0, [[-1.0]])
+        np.testing.assert_array_equal(fbl.B_tilde, [[0.0], [1.0]])
         np.testing.assert_array_equal(fbl.T(np.array([0.3, -0.2])), [0.3, -0.2])
         np.testing.assert_array_equal(fbl.J_T0, np.eye(2))
         np.testing.assert_array_equal(fbl.A_tilde, [[0.0, 1.0], [0.0, 0.0]])
 
     def test_representations_agree(self, pendulum):
-        # f(x) + G(x)u == A~ x + B~ (psi(x) + gamma(x) u) pointwise
+        # f(x) + G(x)u == A~ x + B~ (psi(x) + gamma(x) u) pointwise, with
+        # the pendulum's closed forms psi = 9.81 sin x1, gamma = -cos x1
         sys_m, fbl = pendulum
         rng = np.random.default_rng(3001)
         X = np.stack([rng.uniform(-1.4, 1.4, size=100), rng.uniform(-4, 4, size=100)])
         U = rng.normal(size=(100, 1)).T
         lhs = np.asarray(sys_m.f(X)) + apply_input(sys_m.G(X), U)
         Z = np.asarray(fbl.T(X))
-        inner = np.asarray(fbl.psi(Z)) + (np.asarray(fbl.gamma(Z)) * U[None]).sum(1)
+        inner = 9.81 * np.sin(Z[:1]) - np.cos(Z[0]) * U
         rhs = np.asarray(fbl.A_tilde) @ Z + np.asarray(fbl.B_tilde) @ inner
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -61,7 +68,7 @@ class TestPendulumDynamics:
         # (2, 3, 4) stack must still equal its states one by one
         sys_m, fbl = pendulum
         X = np.moveaxis(np.random.default_rng(3002).uniform(-3.0, 3.0, size=(3, 4, 2)), -1, 0)
-        for fn in (sys_m.f, sys_m.G, fbl.psi, fbl.gamma, fbl.domain):
+        for fn in (sys_m.f, sys_m.G, fbl.domain):
             stacked = np.asarray(fn(X))
             rows = np.array([[fn(X[:, i, j]) for j in range(4)] for i in range(3)])
             rows = np.moveaxis(rows, (0, 1), (-2, -1))
@@ -142,4 +149,5 @@ class TestValidation:
         denom = 0.5 + 2.0 * 0.25
         out = np.asarray(sys_m.f(np.array([0.1, 0.0])))
         np.testing.assert_allclose(out[1], 2.0 * 10.0 * 0.5 * np.sin(0.1) / denom, rtol=1e-12)
-        np.testing.assert_allclose(fbl.gamma(np.zeros(2))[0, 0], -2.0 * 0.5 / denom, rtol=1e-12)
+        gamma0 = _input_rows(fbl, sys_m.G(np.zeros(2)))[1]
+        np.testing.assert_allclose(gamma0[0, 0], -2.0 * 0.5 / denom, rtol=1e-12)

@@ -1,10 +1,11 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from sontagctl.control import LqrController, SontagController, synthesize_design
+from sontagctl.control import FblController, LqrController, SontagController, synthesize_design
 from sontagctl.model import SystemModel, lti_system
 from sontagctl.sim import (
     FLAG_CLF_VIOLATION,
@@ -23,7 +24,7 @@ from sontagctl.sim import (
 )
 
 import csv_reference
-from conftest import EXTREMES, counting_drift, format_cell
+from conftest import EXTREMES, counted, counting_drift, format_cell
 
 
 def _frozen_system():
@@ -377,6 +378,28 @@ class TestModelCalls:
             n = 1
             rk4_step(counted, ctrl, np.array([0.3, 0.0]), 0.01, zoh=zoh)
         assert len(calls) == 4 * n
+
+    @pytest.mark.parametrize("rows", [None, 1000])
+    @pytest.mark.parametrize("selector", ["i", "ii", "iii", "iv"])
+    def test_four_model_calls_per_rk4_step(self, pendulum, pendulum_designs, selector, rows):
+        # the closed loop evaluates f and G once per RK4 stage and hands
+        # them to the law, which never calls the model itself
+        sys_m, fbl = pendulum
+        res = pendulum_designs[selector]
+        f_calls, G_calls = [], []
+        model = dataclasses.replace(sys_m, f=counted(sys_m.f, f_calls),
+                                    G=counted(sys_m.G, G_calls))
+        if selector in ("i", "ii"):
+            ctrl = SontagController(res.clf, model, res.lqr.Q, res.lqr.R)
+        elif selector == "iii":
+            ctrl = FblController(fbl, model, res.controller.K_fbl)
+        else:
+            ctrl = res.controller
+        x = np.random.default_rng(4011).uniform(-1.4, 1.4, (2,) if rows is None else (2, rows))
+        f_calls.clear()
+        G_calls.clear()
+        rk4_step(model, ctrl, x, 0.01)
+        assert f_calls == [x.shape] * 4 and G_calls == [x.shape] * 4
 
     def test_design_ii_needs_no_finite_differences(self, pendulum, pendulum_designs,
                                                    monkeypatch):
