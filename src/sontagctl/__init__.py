@@ -50,13 +50,11 @@ from .model import (
 )
 from .riccati import BadWeights, LqrDesign, NotStabilizable, solve_care
 from .sim import (
-    CostReport,
     SimConfig,
     Trajectory,
     cost_index,
     distorted_cost,
     lyap_decay_check,
-    make_cost_report,
     rk4_step,
     simulate,
 )

@@ -1,8 +1,9 @@
 """Command-line interface: synthesize, simulate, sweep, roa.
 
 Exit codes: 0 on completion (including non-stabilized runs, whose
-outcome is data), 2 on configuration errors, 3 when the
-stabilizability gate of the synthesis pipeline fails.
+outcome is data), 2 on configuration errors, a design structure that
+the model does not have included, 3 when the stabilizability gate of
+the synthesis pipeline fails.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .clf import build_lqr_clf
 from .config import ConfigError, RunConfig, dump_effective, load_config
 from .control import synthesize_design
 from .riccati import BadWeights, NotStabilizable, _residual_and_scale
-from .sim import lyap_decay_check, make_cost_report, simulate, write_trajectory_csv
+from .sim import cost_index, distorted_cost, lyap_decay_check, simulate, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,9 +68,18 @@ def _prepare_out(cfg: RunConfig) -> Path:
     return out
 
 
+def _synthesize(selector: str, cfg: RunConfig):
+    """``synthesize_design`` on the configured system and weights; a
+    structure it rejects (ValueError) is a configuration error."""
+    try:
+        return synthesize_design(selector, cfg.system, cfg.fbl, cfg.Q, cfg.R)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_synthesize(cfg: RunConfig) -> int:
     system = cfg.system
-    result = synthesize_design(cfg.design, system, cfg.fbl, cfg.Q, cfg.R)
+    result = _synthesize(cfg.design, cfg)
     design = result.lqr
     _, scale = _residual_and_scale(design.A, design.B, design.Q, design.P, design.K)
     rel = design.are_residual / scale
@@ -87,22 +97,20 @@ def cmd_synthesize(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     system = cfg.system
-    result = synthesize_design(cfg.design, system, cfg.fbl, cfg.Q, cfg.R)
+    result = _synthesize(cfg.design, cfg)
     clf = result.clf if result.clf is not None else build_lqr_clf(result.lqr)
     traj = simulate(system, result.controller, cfg.sim, clf=clf)
     out = _prepare_out(cfg)
     csv_path = out / "trajectory.csv"
     write_trajectory_csv(traj, csv_path)
-    report = make_cost_report(traj, cfg.Q, cfg.R)
+    sontag = traj.vdot is not None  # designs i and ii
     print(f"design: {result.selector} ({result.label})")
     print(f"x0 = {_fmt_matrix(traj.states[0])}")
-    print(f"J_quadratic = {report.j_quadratic:.17g}")
-    print(f"J_distorted = {report.j_distorted:.17g}"
-          f" (lambda fallbacks = {report.lambda_fallback_count})")
-    print(f"stabilized = {report.stabilized}")
-    if result.selector in ("i", "ii") and not traj.diverged:
-        mismatch = lyap_decay_check(traj, result.clf, system, cfg.Q, cfg.R)
-        print(f"max_lyapunov_decay_mismatch = {mismatch:.6e}")
+    print(f"J_quadratic = {cost_index(traj, cfg.Q, cfg.R):.17g}")
+    print(f"J_distorted = {distorted_cost(traj):.17g}" if sontag else "J_distorted = n/a")
+    print(f"stabilized = {traj.stabilized}")
+    if sontag and not traj.diverged:
+        print(f"max_lyapunov_decay_mismatch = {lyap_decay_check(traj):.6e}")
     else:
         print("max_lyapunov_decay_mismatch = n/a")
     raised = sorted({f for row in traj.flags for f in row.split(";") if f})
@@ -112,13 +120,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    system, fbl = cfg.system, cfg.fbl
+    system = cfg.system
     if system.n != 2:
         raise ConfigError("sweep needs a two-state (angle, rate) system")
     designs = {
-        "sontag": synthesize_design("i", system, fbl, cfg.Q, cfg.R).controller,
-        "fbl": synthesize_design("iii", system, fbl, cfg.Q, cfg.R).controller,
-        "lqr": synthesize_design("iv", system, fbl, cfg.Q, cfg.R).controller,
+        "sontag": _synthesize("i", cfg).controller,
+        "fbl": _synthesize("iii", cfg).controller,
+        "lqr": _synthesize("iv", cfg).controller,
     }
     result = sweep_initial_angles(system, designs, cfg.Q, cfg.R, cfg.sim,
                                   n_angles=cfg.n_angles, theta_range_deg=cfg.theta_range_deg)
@@ -134,10 +142,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_roa(cfg: RunConfig) -> int:
-    system, fbl = cfg.system, cfg.fbl
-    sontag = synthesize_design("i", system, fbl, cfg.Q, cfg.R)
-    lqr = synthesize_design("iv", system, fbl, cfg.Q, cfg.R)
-    cert = roa_certify(system, sontag.clf, lqr=lqr.controller, sontag=sontag.controller,
+    sontag = _synthesize("i", cfg)
+    lqr = _synthesize("iv", cfg)
+    cert = roa_certify(cfg.system, sontag.clf, lqr=lqr.controller, sontag=sontag.controller,
                        grid=cfg.grid, C=cfg.sublevel)
     out = _prepare_out(cfg)
     csv_path = out / "roa.csv"

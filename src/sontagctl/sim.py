@@ -6,7 +6,10 @@ zero-order hold freezes the input over each step instead. Costs are a
 left Riemann sum of the running quadratic cost over the step-start
 samples: under the default continuous feedback they are first order in
 h while the states are fourth order (ROADMAP item 10 replaces the sum
-with the RK4 stage quadrature).
+with the RK4 stage quadrature). Along a Sontag law the running cost
+weighted by 1/lambda is exactly -2 Vdot, so the CLF-dependent cost
+(1/2) int (x'Qx + u'Ru)/lambda dt is -int Vdot dt, read off the
+closed-form rate that ``simulate`` records with the law.
 
 One private kernel, ``_closed_loop``, evaluates f and G once at given
 states and hands (X, f, G) to the law, which answers from them. The
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .control import SontagController, _clf_violations, _Parts
+from .control import _clf_violations, _Parts
 from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, _stack_matmul, as_square,
                      as_vector)
 from .model import SystemModel, _model_at, apply_input
@@ -49,11 +52,6 @@ _HALT_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 FLAG_CLF_VIOLATION = "clf_violation"
 FLAG_DOMAIN = "domain_violation"
 FLAG_DIVERGENCE = "divergence"
-
-
-class NonPositiveLambda(Exception):
-    """A recorded scaling factor was nonpositive, signalling a CLF
-    condition breach along the trajectory."""
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,10 @@ class Trajectory:
     (N+1, n) array) and N inputs with times[k] = k*h; a halted run is
     truncated at the offending step, whose state row carries the halt
     flag. ``lambdas`` holds the Sontag scaling factor at step starts
-    with NaN where undefined, and is None for controllers without one.
+    with NaN where undefined, and ``vdot`` the law's closed-form CLF rate
+    there: -sqrt(a^2 + x'Qx beta) where beta = b R^{-1} b' > 0, and a
+    where beta = 0. Both are None for controllers that are not Sontag
+    laws. The CLF-dependent cost of the run is -int Vdot dt.
     """
 
     times: np.ndarray
@@ -91,20 +92,11 @@ class Trajectory:
     inputs: np.ndarray
     clf_values: np.ndarray | None
     lambdas: np.ndarray | None
+    vdot: np.ndarray | None = None
     flags: list[str] = field(default_factory=list)
     diverged: bool = False
     stabilized: bool = False
     h: float = 0.01
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Quadratic and inverse-optimal cost of one run."""
-
-    j_quadratic: float
-    j_distorted: float
-    lambda_fallback_count: int
-    stabilized: bool
 
 
 def _closed_loop(sys: SystemModel, controller, X):
@@ -197,30 +189,35 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
 
     Inputs are sampled at step starts (these are the samples the costs
     integrate); the CLF value is recorded at every state when a CLF is
-    supplied, and the Sontag scaling factor at step starts when the
-    controller has one. A halting step leaves its flag on the state row
-    it started from, or, for a state beyond the divergence guard, on
-    that recorded state.
+    supplied, and a Sontag law's scaling factor and closed-form CLF rate
+    at step starts, from the evaluation that gave the input. A halting
+    step leaves its flag on the state row it started from, or, for a
+    state beyond the divergence guard, on that recorded state.
     """
     x0 = np.zeros(sys.n) if cfg.x0 is None else cfg.x0
     if x0.shape[0] != sys.n:
         raise ValueError("x0 dimension does not match the system")
-    is_sontag = isinstance(controller, SontagController)
 
     states = [x0]
     inputs: list[np.ndarray] = []
     lams: list[float] = []
+    vdots: list[float] = []
     flags: list[list[str]] = [[]]
+    is_sontag = False
 
     def record(s: _Step) -> None:
-        if is_sontag and _clf_violations(s.parts):
+        nonlocal is_sontag
+        p = s.parts
+        is_sontag = p is not None
+        if is_sontag and _clf_violations(p):
             flags[-1].append(FLAG_CLF_VIOLATION)
         if not s.u_ok:
             flags[-1].append(FLAG_DOMAIN)
             return
         inputs.append(s.U)
         if is_sontag:
-            lams.append(float(s.parts.lam) if s.parts.nonzero else np.nan)
+            lams.append(float(p.lam) if p.nonzero else np.nan)
+            vdots.append(-math.sqrt(p.a * p.a + p.q * p.beta) if p.nonzero else float(p.a))
         if not math.isfinite(s.x_max):
             flags[-1].append(FLAG_DIVERGENCE)
             return
@@ -237,6 +234,7 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
         inputs=np.array(inputs, dtype=float).reshape(len(inputs), sys.m),
         clf_values=V,
         lambdas=np.array(lams) if is_sontag else None,
+        vdot=np.array(vdots) if is_sontag else None,
         flags=[";".join(f) for f in flags],
         diverged=bool(halted),
         stabilized=bool(stabilized),
@@ -260,57 +258,34 @@ def cost_index(traj: Trajectory, Q, R) -> float:
     return float(0.5 * traj.h * np.sum(_running_cost(traj.states[:-1].T, traj.inputs.T, Q, R)))
 
 
-def distorted_cost(traj: Trajectory, Q, R) -> tuple[float, int]:
-    """Inverse-optimal cost: the quadratic running cost weighted by the
-    reciprocal scaling factor, with 1 substituted where the factor is
-    undefined. Returns the cost and the substitution count.
-
-    Raises NonPositiveLambda when a recorded factor is nonpositive.
-    """
-    Q = as_square(Q, "Q")
-    R = as_square(R, "R")
-    n_inputs = traj.inputs.shape[0]
-    if traj.lambdas is None:
-        lam = np.full(n_inputs, np.nan)
-    else:
-        lam = np.asarray(traj.lambdas, dtype=float)
-    undefined = ~np.isfinite(lam)
-    if np.any(lam[~undefined] <= 0.0):
-        raise NonPositiveLambda("recorded scaling factor is nonpositive")
-    fallback = int(undefined.sum())
+def distorted_cost(traj: Trajectory) -> float:
+    """CLF-dependent cost (1/2) int (x'Qx + u'Ru)/lambda dt of a Sontag-law
+    run, which the law minimizes. Its integrand is -2 Vdot along the law,
+    so this is -h sum of the recorded ``vdot`` over the step starts, the
+    samples ``cost_index`` sums. Diverged runs cost +inf; a run recorded
+    without ``vdot`` raises ValueError."""
+    if traj.vdot is None:
+        raise ValueError("trajectory was recorded without a Sontag law's CLF rate")
     if traj.diverged:
-        return float("inf"), fallback
-    w = np.where(undefined, 1.0, lam)
-    cost = _running_cost(traj.states[:-1].T, traj.inputs.T, Q, R)
-    return float(0.5 * traj.h * np.sum(cost / w)), fallback
+        return float("inf")
+    return float(-traj.h * np.sum(traj.vdot)) + 0.0  # a run at rest costs +0, not -0
 
 
-def make_cost_report(traj: Trajectory, Q, R) -> CostReport:
-    j_dist, fallback = distorted_cost(traj, Q, R)
-    return CostReport(
-        j_quadratic=cost_index(traj, Q, R),
-        j_distorted=j_dist,
-        lambda_fallback_count=fallback,
-        stabilized=traj.stabilized,
-    )
-
-
-def lyap_decay_check(traj: Trajectory, clf, sys: SystemModel, Q, R) -> float:
+def lyap_decay_check(traj: Trajectory) -> float:
     """Largest normalized mismatch between the finite-difference CLF
-    decay rate along the trajectory and the closed-form rate of the
-    Sontag-type law.
+    decay rate along a Sontag-law run and the closed-form rate recorded
+    with the law.
 
     At each interior step the central difference (V[k+1] - V[k-1]) /
-    (2h) is compared with -sqrt(a^2 + x'Qx * b R^{-1} b') (or a where b
-    vanishes); the mismatch is normalized by 1 + |closed form|.
+    (2h) is compared with ``vdot[k]``; the mismatch is normalized by
+    1 + |vdot[k]|.
     """
-    if traj.clf_values is None:
-        raise ValueError("trajectory was recorded without CLF values")
-    if traj.states.shape[0] < 3:
-        return 0.0
-    p = SontagController(clf, sys, Q, R)._parts(traj.states[1:-1].T)
-    rhs = np.where(p.nonzero, -np.sqrt(p.a * p.a + p.q * p.beta), p.a)
+    if traj.clf_values is None or traj.vdot is None:
+        raise ValueError("trajectory was recorded without CLF values or a Sontag law")
     V = traj.clf_values
+    if V.shape[0] < 3:
+        return 0.0
+    rhs = traj.vdot[1:V.shape[0] - 1]
     fd = (V[2:] - V[:-2]) / (2.0 * traj.h)
     mismatch = np.abs(fd - rhs) / (1.0 + np.abs(rhs))
     return float(mismatch.max())
@@ -379,19 +354,16 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 __all__ = [
-    "CostReport",
     "DIVERGENCE_GUARD",
     "FLAG_CLF_VIOLATION",
     "FLAG_DIVERGENCE",
     "FLAG_DOMAIN",
-    "NonPositiveLambda",
     "STABILIZATION_TOL",
     "SimConfig",
     "Trajectory",
     "cost_index",
     "distorted_cost",
     "lyap_decay_check",
-    "make_cost_report",
     "rk4_step",
     "rollout_costs",
     "simulate",

@@ -28,8 +28,8 @@ PUBLIC_NAMES = {
     # riccati
     "BadWeights", "LqrDesign", "NotStabilizable", "solve_care",
     # sim
-    "CostReport", "SimConfig", "Trajectory", "cost_index", "distorted_cost",
-    "lyap_decay_check", "make_cost_report", "rk4_step", "simulate",
+    "SimConfig", "Trajectory", "cost_index", "distorted_cost", "lyap_decay_check",
+    "rk4_step", "simulate",
 }
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(sontagctl.__path__)

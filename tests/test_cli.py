@@ -217,6 +217,8 @@ class TestSimulate:
                        "--out", str(out))
         assert proc.returncode == 0
         assert "stabilized = True" in proc.stdout
+        # the CLF-dependent cost is the Sontag law's
+        assert "J_distorted = n/a\n" in proc.stdout
         assert (out / "trajectory.csv").exists()
         assert (out / "config.yaml").exists()
 
@@ -242,6 +244,7 @@ class TestSimulate:
                        "--out", str(out))
         assert proc.returncode == 0
         assert "J_quadratic = 0" in proc.stdout
+        assert "J_distorted = 0\n" in proc.stdout  # +0, not -0
         rows = (out / "trajectory.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
@@ -281,6 +284,18 @@ class TestSimulate:
                        "--zoh", "--out", str(out))
         assert proc.returncode == 0
         assert "stabilized = True" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [("simulate", "--design", "iii"), ("synthesize", "--design", "iii"),
+                                  ("sweep",)], ids=["simulate", "synthesize", "sweep"])
+def test_rejected_structure_is_a_config_error(tmp_path, argv):
+    # B's column is not a unit vector, so the feedback-linearizing
+    # design (iii, which the sweep runs too) cannot be built
+    cfg = tmp_path / "lti.yaml"
+    cfg.write_text("system: {name: lti, lti: {A: [[0, 1], [0, 0]], B: [[1], [1]]}}\n")
+    proc = run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
 
 
 class TestSweep:

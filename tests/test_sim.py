@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -16,7 +17,6 @@ from sontagctl.sim import (
     cost_index,
     distorted_cost,
     lyap_decay_check,
-    make_cost_report,
     rk4_step,
     rollout_costs,
     simulate,
@@ -247,17 +247,18 @@ class TestCosts:
         cfg = SimConfig(x0=np.array([1.0, 0.5]))
         traj = simulate(sys_m, ctrl, cfg, clf=dbl_int_clf)
         jq = cost_index(traj, dbl_int_design.Q, dbl_int_design.R)
-        jd, fallback = distorted_cost(traj, dbl_int_design.Q, dbl_int_design.R)
-        assert jd == pytest.approx(jq, rel=1e-9)
+        assert distorted_cost(traj) == pytest.approx(jq, rel=1e-9)
 
-    def test_all_zero_run_counts_fallbacks(self, pendulum, pendulum_designs):
+    def test_all_zero_run_costs_positive_zero(self, pendulum, pendulum_designs):
+        # at the origin a = 0 and beta = 0, so every recorded rate is 0;
+        # the sum of their negatives must still read +0, not -0
         sys_m, _ = pendulum
         res = pendulum_designs["i"]
         cfg = SimConfig(n_steps=50, x0=np.zeros(2))
         traj = simulate(sys_m, res.controller, cfg, clf=res.clf)
-        jd, fallback = distorted_cost(traj, res.lqr.Q, res.lqr.R)
-        assert jd == 0.0
-        assert fallback == 50
+        assert np.all(np.isnan(traj.lambdas)) and np.all(traj.vdot == 0.0)
+        jd = distorted_cost(traj)
+        assert jd == 0.0 and math.copysign(1.0, jd) == 1.0
 
     def test_pendulum_run_fallbacks_only_in_converged_tail(self, pendulum, pendulum_designs):
         # the factor is defined wherever beta = b R^{-1} b' is nonzero;
@@ -267,31 +268,58 @@ class TestCosts:
         res = pendulum_designs["i"]
         cfg = SimConfig(x0=np.array([np.radians(25.0), 0.0]))
         traj = simulate(sys_m, res.controller, cfg, clf=res.clf)
-        jd, fallback = distorted_cost(traj, res.lqr.Q, res.lqr.R)
-        assert np.isfinite(jd)
+        assert np.isfinite(distorted_cost(traj))
         undefined = ~np.isfinite(traj.lambdas)
         norms = np.abs(traj.states[:-1]).max(axis=1)
         assert np.all(norms[undefined] < 1e-8)
         assert not undefined[: len(undefined) // 2].any()
 
-    def test_nonpositive_lambda_rejected(self):
-        from sontagctl.sim import NonPositiveLambda
-        traj = _constant_trajectory(n_steps=10)
-        bad = Trajectory(times=traj.times, states=traj.states, inputs=traj.inputs,
-                         clf_values=None, lambdas=np.full(10, -1.0),
-                         flags=traj.flags, h=traj.h)
-        with pytest.raises(NonPositiveLambda):
-            distorted_cost(bad, np.eye(2), np.eye(1))
+    @pytest.mark.parametrize("deg", [5.0, 25.0, 45.0, 67.0, 85.0])
+    @pytest.mark.parametrize("sel", ["i", "ii"])
+    def test_vdot_is_the_lambda_weighted_running_cost(self, pendulum, pendulum_designs,
+                                                      sel, deg):
+        # along the Sontag law (x'Qx + u'Ru)/(2 lambda) = sqrt(a^2 + x'Qx beta) = -Vdot
+        sys_m, _ = pendulum
+        res = pendulum_designs[sel]
+        Q, R = res.lqr.Q, res.lqr.R
+        traj = simulate(sys_m, res.controller, SimConfig(x0=np.array([np.radians(deg), 0.0])),
+                        clf=res.clf)
+        X, U = traj.states[:-1], traj.inputs
+        weighted = 0.5 * (np.einsum("ki,ij,kj->k", X, Q, X)
+                          + np.einsum("ki,ij,kj->k", U, R, U)) / traj.lambdas
+        defined = np.isfinite(traj.lambdas)
+        assert defined[:100].all()
+        np.testing.assert_allclose(weighted[defined], -traj.vdot[defined], rtol=1e-14, atol=0)
 
-    def test_cost_report(self, pendulum, pendulum_designs):
+    def test_distorted_cost_error_is_first_order(self, pendulum, pendulum_designs):
+        # the step-start sum of -Vdot misses V(x0) - V(xN) by O(h)
+        # (ROADMAP item 10 replaces the sum with the stage quadrature)
         sys_m, _ = pendulum
         res = pendulum_designs["i"]
-        cfg = SimConfig(x0=np.array([np.radians(25.0), 0.0]))
-        traj = simulate(sys_m, res.controller, cfg, clf=res.clf)
-        report = make_cost_report(traj, res.lqr.Q, res.lqr.R)
-        assert report.stabilized
-        assert report.j_quadratic > 0
-        assert np.isfinite(report.j_distorted)
+        gaps = []
+        for h, n in ((0.01, 1500), (0.005, 3000)):
+            cfg = SimConfig(h=h, n_steps=n, x0=np.array([np.radians(25.0), 0.0]))
+            traj = simulate(sys_m, res.controller, cfg, clf=res.clf)
+            gaps.append(abs(distorted_cost(traj) - (traj.clf_values[0] - traj.clf_values[-1])))
+        assert 1.7 <= gaps[0] / gaps[1] <= 2.3
+
+    def test_distorted_cost_needs_a_sontag_run(self, pendulum, pendulum_designs):
+        sys_m, _ = pendulum
+        res = pendulum_designs["iv"]
+        traj = simulate(sys_m, res.controller, SimConfig(n_steps=5, x0=np.array([0.3, 0.0])))
+        assert traj.vdot is None and traj.lambdas is None
+        with pytest.raises(ValueError):
+            distorted_cost(traj)
+        with pytest.raises(ValueError):
+            lyap_decay_check(traj)
+
+    def test_diverged_sontag_run_costs_inf(self, double_integrator, dbl_int_design,
+                                           dbl_int_clf):
+        sys_m, _ = double_integrator
+        ctrl = SontagController(dbl_int_clf, sys_m, dbl_int_design.Q, dbl_int_design.R)
+        traj = simulate(sys_m, ctrl, SimConfig(x0=np.array([2e6, 0.0])), clf=dbl_int_clf)
+        assert traj.diverged
+        assert distorted_cost(traj) == np.inf
 
 
 class TestLyapDecay:
@@ -300,15 +328,14 @@ class TestLyapDecay:
         ctrl = SontagController(dbl_int_clf, sys_m, dbl_int_design.Q, dbl_int_design.R)
         cfg = SimConfig(x0=np.array([1.0, 0.5]))
         traj = simulate(sys_m, ctrl, cfg, clf=dbl_int_clf)
-        assert lyap_decay_check(traj, dbl_int_clf, sys_m, dbl_int_design.Q,
-                                dbl_int_design.R) <= 5e-3
+        assert lyap_decay_check(traj) <= 5e-3
 
     def test_equilibrium_mismatch_zero(self, pendulum, pendulum_designs):
         sys_m, _ = pendulum
         res = pendulum_designs["i"]
         cfg = SimConfig(n_steps=20, x0=np.zeros(2))
         traj = simulate(sys_m, res.controller, cfg, clf=res.clf)
-        assert lyap_decay_check(traj, res.clf, sys_m, res.lqr.Q, res.lqr.R) == 0.0
+        assert lyap_decay_check(traj) == 0.0
 
     def test_halving_step_improves(self, pendulum, pendulum_designs):
         sys_m, _ = pendulum
@@ -317,8 +344,7 @@ class TestLyapDecay:
         for h, n in ((0.01, 1500), (0.005, 3000)):
             cfg = SimConfig(h=h, n_steps=n, x0=np.array([np.radians(25.0), 0.0]))
             traj = simulate(sys_m, res.controller, cfg, clf=res.clf)
-            mismatches.append(lyap_decay_check(traj, res.clf, sys_m,
-                                               res.lqr.Q, res.lqr.R))
+            mismatches.append(lyap_decay_check(traj))
         assert 3.0 <= mismatches[0] / mismatches[1] <= 6.0
 
 
