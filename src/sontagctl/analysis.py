@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .linalg import _row_dot, _row_max_abs, as_vector
-from .model import SystemModel, apply_input
+from .model import SystemModel
 from .sim import SimConfig, _closed_loop, rollout_costs
 
 #: Grid membership requires the CLF derivative below this margin.
@@ -125,8 +125,7 @@ class SweepResult:
 
 
 def _vdot_under(sys: SystemModel, clf, controller, pts: np.ndarray) -> np.ndarray:
-    U, fX, GX, _ = _closed_loop(sys, controller, pts)
-    xdot = fX + apply_input(GX, U)
+    xdot = _closed_loop(sys, controller)(pts)[0]
     return _row_dot(np.asarray(clf.grad(pts), dtype=float), xdot)
 
 

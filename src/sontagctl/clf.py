@@ -82,16 +82,28 @@ class LieTerms(NamedTuple):
 def lie_terms(clf, sys: SystemModel, X) -> LieTerms:
     """a = grad V . f(x) and b = grad V . G(x) at (n,) or (n, ...)
     states, with the gradient; NaN outside the CLF domain."""
-    return _lie_terms(clf, *_model_at(sys, X))
+    grad, a, b, ok = _lie_rows(clf, *_model_at(sys, X))
+    return LieTerms(grad, a, np.array(b), ok)  # positional: keywords cost ~0.8 us more
 
 
-def _lie_terms(clf, X: np.ndarray, fX: np.ndarray, GX: np.ndarray) -> LieTerms:
-    """``lie_terms`` from f(X) and G(X) evaluated by the caller."""
+def _lie_rows(clf, X: np.ndarray, fX: np.ndarray, GX: np.ndarray, R_inv=None, Q=None):
+    """(grad, a, b, ok) at X from f(X) and G(X), plus (Rb, beta, q = x'Qx)
+    given R_inv as nested lists, one input at a time: b_j = grad V . G[:, j],
+    Rb_j = (R^{-1} b')_j and beta = sum_j b_j Rb_j, sums in index order from
+    +0.0, with b and Rb lists of m rows (numpy scalars on one state)."""
     grad = np.asarray(clf.grad(X), dtype=float)
-    a = _row_dot(grad, fX)
-    b = _row_dot(grad[:, None], GX)
-    # positional: building a NamedTuple from keywords costs ~0.8 us more a call
-    return LieTerms(grad, a, b, _row_all_finite(grad))
+    b = [_row_dot(grad, GX[:, j]) for j in range(GX.shape[1])]
+    out = grad, _row_dot(grad, fX), b, _row_all_finite(grad)
+    if R_inv is None:
+        return out
+    Rb, beta = [], 0.0
+    for r, b_j in zip(R_inv, b):
+        s = 0.0
+        for r_k, b_k in zip(r, b):
+            s = s + r_k * b_k
+        Rb.append(s)
+        beta = beta + b_j * s
+    return (*out, Rb, beta, _row_dot(_stack_matmul(X, Q), X))
 
 
 def transform_P(P, J_T0) -> np.ndarray:

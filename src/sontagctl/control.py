@@ -14,10 +14,10 @@ sign of a. Where beta is exactly 0, the quantity the factor divides
 by, the control is zero, the factor is undefined, and a flag records
 whether the CLF decrease condition broke down there.
 
-All controllers evaluate on (n,) states or (n, ...) stacks and return
-(m,) or (m, ...) inputs, with state products by ``linalg._stack_matmul``;
-states outside a CLF or linearization domain, or with singular gamma,
-get NaN inputs.
+All controllers map (n,) states or (n, ...) stacks to (m,) or (m, ...)
+inputs, with state products by ``linalg._stack_matmul`` and R^{-1} b' a
+fixed-order sum over the inputs (``clf._lie_rows``); states outside a CLF
+or linearization domain, or with singular gamma, get NaN inputs.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clf import _lie_terms, build_global_clf, build_lqr_clf
-from .linalg import (PIVOT_RTOL, SingularMatrix, _all_rows, _certified_inverse, _row_dot, _select,
+from .clf import _lie_rows, build_global_clf, build_lqr_clf
+from .linalg import (PIVOT_RTOL, SingularMatrix, _all_rows, _certified_inverse, _select,
                      _stack_matmul, as_matrix, as_square, cholesky_pd, max_abs, solve_many,
                      symmetrize)
 from .model import (FeedbackLinearization, SystemModel, _model_at, apply_input, fd_jacobian,
@@ -38,9 +38,8 @@ from .riccati import LqrDesign, solve_care
 
 def _lambda_array(a, q, beta):
     """Scaling factor of the Sontag-type law, elementwise, on numpy
-    scalars or arrays (``beta`` may also be a Python float); callers
-    guard beta > 0 on used lanes. A single state's numpy scalars stay
-    scalars and go through no array conversion.
+    scalars or arrays, with no array conversion (``beta`` may also be a
+    Python float); callers guard beta > 0 on used lanes.
 
     With q >= 0 the result is nonnegative, strictly positive when q > 0,
     and equals 1 exactly when a = (beta - q) / 2, the relation the
@@ -91,26 +90,25 @@ class SontagController:
         self.Q = symmetrize(Q)
         self.R = symmetrize(R)
         self.R_inv = symmetrize(solve_many(self.R, np.eye(sys.m)))
+        self._R_inv_rows = self.R_inv.tolist()
 
     def _parts(self, X) -> _Parts:
         return self._law(*_model_at(self.sys, X))[1]
 
     def _law(self, X, fX, GX) -> tuple[np.ndarray, _Parts]:
-        """(U, parts) at states X from the model's f(X) and G(X)."""
-        lt = _lie_terms(self.clf, X, fX, GX)
-        Rb = _stack_matmul(lt.b, self.R_inv)
-        beta = _row_dot(lt.b, Rb)
-        q = _row_dot(_stack_matmul(X, self.Q), X)
+        """(U, parts) at states X from the model's f(X) and G(X), with U
+        assembled once from its rows u_j = Rb_j * -lam."""
+        _, a, _, ok, Rb, beta, q = _lie_rows(self.clf, X, fX, GX, self._R_inv_rows, self.Q)
         nonzero = beta > 0.0
         all_nonzero = _all_rows(nonzero)
-        lam = _lambda_array(lt.a, q, beta if all_nonzero else _select(nonzero, beta, 1.0))
-        U = Rb * -lam
+        lam = _lambda_array(a, q, beta if all_nonzero else _select(nonzero, beta, 1.0))
+        U = np.array([r * -lam for r in Rb])
         if not all_nonzero:
             U = np.where(nonzero, U, 0.0)
-        if not _all_rows(lt.ok):
-            U = np.where(lt.ok, U, np.nan)
+        if not _all_rows(ok):
+            U = np.where(ok, U, np.nan)
         # positional, as in lie_terms
-        return U, _Parts(U, lam, nonzero, lt.ok, lt.a, beta, q)
+        return U, _Parts(U, lam, nonzero, ok, a, beta, q)
 
     def u(self, X) -> np.ndarray:
         """Control input for stacked states; NaN outside the CLF domain."""

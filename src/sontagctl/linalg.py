@@ -125,12 +125,15 @@ def _all_rows(mask) -> bool:
 
 
 def _row_max_abs(A: np.ndarray):
-    """``np.abs(A).max(axis=0)`` by row arithmetic as ``_row_dot``; NaN
-    propagates."""
+    """``np.abs(A).max(axis=0)`` by row arithmetic, the first NaN kept as
+    ``np.maximum`` does, which one state's scalars skip (~1 us on them)."""
     rows = np.abs(A)
     m = rows[0]
-    for k in range(1, len(rows)):
-        m = np.maximum(m, rows[k])
+    for r in rows[1:]:
+        if m.ndim:
+            m = np.maximum(m, r)
+        elif not (m >= r or m != m):
+            m = r
     return m
 
 

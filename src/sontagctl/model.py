@@ -29,7 +29,7 @@ class NonFiniteJacobian(Exception):
 
 def _whole_space(Z) -> np.ndarray:
     """The domain predicate that holds on every state."""
-    return np.ones(np.shape(Z)[1:], dtype=bool)[()]
+    return np.ones(np.asarray(Z).shape[1:], dtype=bool)[()]
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,10 @@ def fd_jacobian(fn, x, step_scale: float = FD_STEP_SCALE) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def apply_input(Gx, u) -> np.ndarray:
-    """Contract an (n, m, ...) input matrix with (m, ...) inputs, adding
-    the columns ``Gx[:, k] * u[k]`` in index order from +0.0 as
-    ``_row_dot`` does; one state's inputs are numpy scalars."""
-    Gx = np.asarray(Gx, dtype=float)
-    u = np.asarray(u, dtype=float)
+def apply_input(Gx: np.ndarray, u) -> np.ndarray:
+    """Contract an (n, m, ...) float array with (m, ...) inputs, adding the
+    columns ``Gx[:, k] * u[k]`` in index order from +0.0 as ``_row_dot``
+    does, with no conversion; one state's inputs are numpy scalars."""
     s = Gx[:, 0] * u[0] + 0.0
     for k in range(1, len(u)):
         s += Gx[:, k] * u[k]
@@ -187,12 +185,12 @@ def pendulum_system(params: PendulumParams | None = None):
         return out
 
     def G(X):
-        out = np.zeros((2, 1) + np.shape(X)[1:])
+        out = np.zeros((2, 1) + np.asarray(X).shape[1:])
         out[1, 0] = -input_gain * np.cos(X[0])
         return out
 
     def f_jac(X):
-        J = np.zeros((2, 2) + np.shape(X)[1:])
+        J = np.zeros((2, 2) + np.asarray(X).shape[1:])
         J[0, 1] = 1.0
         J[1, 0] = drift_gain * np.cos(X[0])
         return J

@@ -6,25 +6,20 @@ zero-order hold freezes the input over each step instead. Costs are a
 left Riemann sum of the running quadratic cost over the step-start
 samples: under the default continuous feedback they are first order in
 h while the states are fourth order (ROADMAP item 10 replaces the sum
-with the RK4 stage quadrature). Along a Sontag law the running cost
-weighted by 1/lambda is exactly -2 Vdot, so the CLF-dependent cost
-(1/2) int (x'Qx + u'Ru)/lambda dt is -int Vdot dt, read off the
-closed-form rate that ``simulate`` records with the law.
+with the RK4 stage quadrature). The CLF-dependent cost of a Sontag law
+is -int Vdot dt, read off the closed-form rate that ``simulate`` records
+with the law (``distorted_cost``).
 
-One private kernel, ``_closed_loop``, evaluates f and G once at given
-states and hands (X, f, G) to the law, which answers from them. The
-step-start evaluation also supplies RK4's first stage, so a step
-evaluates the model four times, with or without a zero-order hold. One
-stepping loop on that kernel serves both ``simulate`` (a batch of one,
-recorded step by step) and ``rollout_costs`` (many rows, costs only),
-so both share one halt policy. Stacked states are coordinates-first,
-(n, N); on the batch of one, an (n,) state, every row quantity (the
-Lie terms, the Sontag factor, the state norm and the row masks) is a
-numpy scalar, not a 0-d array. All pathologies become per-step flags
-rather than exceptions: a state beyond the divergence guard, a non-
-finite state, or a control evaluation that comes back non-finite halts
-the run with the corresponding flag, and a halted run carries an
-infinite cost so sweep rows stay comparable.
+One stepping loop, ``_rollout``, serves ``simulate`` (a batch of one,
+recorded step by step) and ``rollout_costs`` (many rows, costs only), so
+both share one halt policy. Its stage function, built once per rollout
+by ``_closed_loop``, evaluates f and G once at given states for the law;
+the step-start evaluation is also RK4's first stage, so a step evaluates
+the model four times, with or without a zero-order hold. Stacked states
+are coordinates-first, (n, N); on the batch of one, an (n,) state, every
+row quantity (the Lie terms, the Sontag factor, the state norm and the
+row masks) is a numpy scalar, not a 0-d array. Pathologies halt a run
+with a flag, not an exception, and a halted run carries an infinite cost.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ import numpy as np
 from .control import _clf_violations, _Parts
 from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, _stack_matmul, as_square,
                      as_vector)
-from .model import SystemModel, _model_at, apply_input
+from .model import SystemModel, apply_input
 
 #: A run halts once the state norm passes this bound.
 DIVERGENCE_GUARD = 1e6
@@ -99,43 +94,38 @@ class Trajectory:
     h: float = 0.01
 
 
-def _closed_loop(sys: SystemModel, controller, X):
-    """(U, f, G, parts) at X from one model evaluation, which ``_law``
-    answers from; an object with only ``u(X)`` is called on X."""
-    X, fX, GX = _model_at(sys, X)
-    law = getattr(controller, "_law", None)
-    U, parts = law(X, fX, GX) if law else (np.asarray(controller.u(X), dtype=float), None)
-    return U, fX, GX, parts
+def _closed_loop(sys: SystemModel, controller):
+    """The stage function of a rollout, with the law (``_law``, or ``u``
+    on X) and the model's f and G resolved once: stage(X) -> (f + G U, U,
+    parts) from one f and G evaluation, stage(X, held) under a held input."""
+    f, G = sys.f, sys.G
+    law = getattr(controller, "_law", None) or (
+        lambda X, fX, GX, u=controller.u: (np.asarray(u(X), dtype=float), None))
+
+    def stage(X, held=None):
+        fX = np.asarray(f(X), dtype=float)
+        GX = np.asarray(G(X), dtype=float)
+        U, parts = law(X, fX, GX) if held is None else (held, None)
+        return fX + apply_input(GX, U), U, parts
+
+    return stage
 
 
-def _rk4(sys: SystemModel, controller, x, h: float, zoh: bool, U, fx, Gx) -> np.ndarray:
-    """The RK4 successor of x given its step-start evaluation (U, f, G):
-    k1 = f + G U, and the later stages evaluate the closed loop again,
-    or the model alone under the held input U when ``zoh``."""
-    if zoh:
-        def stage(xs):
-            return np.asarray(sys.f(xs), dtype=float) + apply_input(sys.G(xs), U)
-    else:
-        def stage(xs):
-            Us, fs, Gs, _ = _closed_loop(sys, controller, xs)
-            return fs + apply_input(Gs, Us)
-
-    k1 = fx + apply_input(Gx, U)
-    k2 = stage(x + (0.5 * h) * k1)
-    k3 = stage(x + (0.5 * h) * k2)
-    k4 = stage(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(stage, X, h: float, zoh: bool):
+    """(successor, U, parts) of one RK4 step; ``zoh`` holds the law's U."""
+    k1, U, parts = stage(X)
+    held = U if zoh else None
+    k2 = stage(X + (0.5 * h) * k1, held)[0]
+    k3 = stage(X + (0.5 * h) * k2, held)[0]
+    k4 = stage(X + h * k3, held)[0]
+    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), U, parts
 
 
 def rk4_step(sys: SystemModel, controller, x, h: float, *, zoh: bool = False):
-    """One classical Runge-Kutta step of xdot = f(x) + G(x) u(x).
-
-    The controller is re-evaluated at each stage state unless ``zoh``
-    holds the step-start input. Accepts stacked states.
-    """
-    x = np.asarray(x, dtype=float)
-    U, fx, Gx, _ = _closed_loop(sys, controller, x)
-    return _rk4(sys, controller, x, h, zoh, U, fx, Gx)
+    """One classical Runge-Kutta step of xdot = f(x) + G(x) u(x) on (n,)
+    or stacked states; the controller is re-evaluated at each stage state
+    unless ``zoh`` holds the step-start input."""
+    return _rk4(_closed_loop(sys, controller), np.asarray(x, dtype=float), h, zoh)[0]
 
 
 class _Step(NamedTuple):
@@ -155,7 +145,7 @@ def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool,
     ``rollout_costs``, on (n,) or stacked (n, ...) states.
 
     The closed loop is evaluated once per step start, and that
-    evaluation also supplies RK4's k1. ``on_step`` sees every step as a
+    evaluation is also RK4's k1. ``on_step`` sees every step as a
     ``_Step``. A row halts at the first step whose input or successor is
     not finite or whose successor passes the divergence guard; halted
     rows stay frozen, and the loop ends early once every row has halted.
@@ -163,13 +153,13 @@ def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool,
     """
     X = np.asarray(X, dtype=float)
     running = np.ones(X.shape[1:], dtype=bool)[()]
+    stage = _closed_loop(sys, controller)
     with np.errstate(**_HALT_ERRSTATE):
         for _ in range(n_steps):
-            U, fX, GX, parts = _closed_loop(sys, controller, X)
+            X_new, U, parts = _rk4(stage, X, h, zoh)
             u_ok = _row_all_finite(U)
             if not _all_rows(u_ok):
                 U = np.where(u_ok, U, 0.0)
-            X_new = _rk4(sys, controller, X, h, zoh, U, fX, GX)
             x_max = _row_max_abs(X_new)
             on_step(_Step(X, U, parts, running, u_ok, X_new, x_max))
             ok = running & u_ok & (x_max <= DIVERGENCE_GUARD)

@@ -13,10 +13,10 @@ from sontagctl.clf import (
     transform_P,
 )
 from sontagctl.control import SontagController
-from sontagctl.linalg import NotPositiveDefinite, SingularMatrix
+from sontagctl.linalg import NotPositiveDefinite, SingularMatrix, _row_dot
 from sontagctl.model import FeedbackLinearization, SystemModel
 from sontagctl.riccati import solve_care
-from conftest import stacked
+from conftest import random_spd, stacked
 
 
 def _const_input_system(n, G_mat, drift_scale=0.0):
@@ -170,6 +170,24 @@ class TestLieDerivatives:
             lt = lie_terms(clf, sys_m, np.array(x))
             for name, kind in (("a", np.float64), ("ok", np.bool_)):
                 assert type(getattr(lt, name)) is kind, (x, name)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_b_rows_assemble_the_whole_contraction(self, m):
+        # b is built one input row at a time; assembled it has shape
+        # (m, ...) and the bits of one contraction over the (n, m, ...) G
+        n = 4
+        rng = np.random.default_rng(4031 + m)
+        W = rng.normal(size=(n, m))
+        sys_m = SystemModel(
+            n=n, m=m, f=lambda X: np.sin(np.asarray(X, dtype=float)),
+            G=lambda X: np.cos(np.asarray(X, dtype=float))[:, None] * stacked(W, X))
+        clf = QuadraticClf(random_spd(rng, n))
+        for batch in ((), (25,), (40, 50)):
+            X = rng.normal(size=(n,) + batch)
+            b = lie_terms(clf, sys_m, X).b
+            want = _row_dot(np.asarray(clf.grad(X))[:, None], np.asarray(sys_m.G(X)))
+            assert b.shape == (m,) + batch
+            assert b.tobytes() == want.tobytes()
 
     def test_against_flow_differences(self, pendulum, pendulum_designs):
         # dV/dt along the drift approximates a; adding a unit input

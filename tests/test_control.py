@@ -124,6 +124,27 @@ class TestSontagControl:
             err = np.abs(U_sontag - U_lqr).max(axis=0)
             assert np.all(err <= 1e-9 * (1.0 + np.abs(U_lqr).max(axis=0)))
 
+    def test_lqr_recovery_two_inputs_single_states(self):
+        # a single state's R^{-1} b' rows are numpy scalars, summed in the
+        # stack's order; they match the stack's rows and give the LQR
+        rng = np.random.default_rng(5021)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            A, B = rng.normal(size=(n, n)), rng.normal(size=(n, 2))
+            Q, R = random_spd(rng, n), random_spd(rng, 2)
+            d = solve_care(A, B, Q, R)
+            ctrl = SontagController(build_lqr_clf(d), lti_system(A, B)[0], Q, R)
+            X = rng.normal(size=(n, 10))
+            stack = ctrl._parts(X)
+            for i, x in enumerate(X.T):
+                p = ctrl._parts(x)
+                assert p.U.shape == (2,) and type(p.beta) is np.float64
+                for name in ("U", "lam", "a", "beta", "q"):
+                    np.testing.assert_allclose(getattr(p, name), getattr(stack, name)[..., i],
+                                               rtol=1e-12, atol=0, err_msg=name)
+                u_lqr = -(d.K @ x)
+                assert np.abs(p.U - u_lqr).max() <= 1e-9 * (1.0 + np.abs(u_lqr).max())
+
     def test_lambda_one_on_lti(self, double_integrator, dbl_int_design, dbl_int_clf):
         sys_m, _ = double_integrator
         ctrl = SontagController(dbl_int_clf, sys_m, dbl_int_design.Q, dbl_int_design.R)

@@ -456,6 +456,23 @@ class TestRowKernels:
             if A.ndim == 1:
                 assert type(m) is np.float64
 
+    def test_max_abs_single_state_matches_stack(self):
+        # one state compares its numpy scalars in Python, a stack calls
+        # np.maximum; both keep the first NaN, payload included
+        nan1, nan2 = np.array([0x7FF8000000000001, 0x7FF8000000000002],
+                              dtype=np.uint64).view(np.float64)
+        cols = [[1.0, -2.0, 0.5], [nan1, 2.0, 1.0], [1.0, nan1, 5.0], [nan1, nan2, 0.0],
+                [1.0, nan2, nan1], [np.inf, 1.0, nan1], [-np.inf, 2.0, 1.0],
+                [-0.0, 0.0, -0.0], [5.0, -np.inf, np.inf], [3.0, -3.0, 3.0]]
+        cases = [np.array(cols).T] + [A.reshape(len(A), -1) for A, _ in self._cases(1106)
+                                      if A.ndim > 1]
+        for A in cases:
+            stack = _row_max_abs(A)
+            for i, x in enumerate(A.T):
+                m = _row_max_abs(np.ascontiguousarray(x))
+                assert type(m) is np.float64
+                assert np.array(m).tobytes() == stack[i:i + 1].tobytes(), (x, m, stack[i])
+
     def test_all_finite_bitwise(self):
         for A, _ in self._cases(1105):
             ok = _row_all_finite(A)

@@ -4,6 +4,7 @@ import pytest
 from sontagctl.model import (
     PendulumParams,
     SystemModel,
+    _whole_space,
     apply_input,
     fd_jacobian,
     linearize,
@@ -74,6 +75,16 @@ class TestPendulumDynamics:
             rows = np.moveaxis(rows, (0, 1), (-2, -1))
             assert stacked.shape == rows.shape and stacked.dtype == rows.dtype
             assert stacked.tobytes() == rows.tobytes()
+
+    def test_list_states(self, pendulum):
+        # f, G and f_jac read the batch shape off np.asarray(X), so a list
+        # state or stack evaluates as its array does
+        sys_m, _ = pendulum
+        for x in ([0.3, -0.2], [[0.3, 1.0, -0.5], [-0.2, 0.5, 2.0]]):
+            for fn in (sys_m.f, sys_m.G, sys_m.f_jac):
+                assert np.array_equal(fn(x), fn(np.array(x)))
+        assert _whole_space([0.3, -0.2]) is np.True_
+        np.testing.assert_array_equal(_whole_space([[0.3, 1.0], [-0.2, 0.5]]), [True, True])
 
     def test_domain_predicate(self, pendulum):
         _, fbl = pendulum
