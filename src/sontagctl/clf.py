@@ -86,14 +86,16 @@ def lie_terms(clf, sys: SystemModel, X) -> LieTerms:
     return LieTerms(grad, a, np.array(b), ok)  # positional: keywords cost ~0.8 us more
 
 
-def _lie_rows(clf, X: np.ndarray, fX: np.ndarray, GX: np.ndarray, R_inv=None, Q=None):
+def _lie_rows(clf, X: np.ndarray, fX, GX, R_inv=None, Q=None):
     """(grad, a, b, ok) at X from f(X) and G(X), plus (Rb, beta, q = x'Qx)
     given R_inv as nested lists, one input at a time: b_j = grad V . G[:, j],
     Rb_j = (R^{-1} b')_j and beta = sum_j b_j Rb_j, sums in index order from
-    +0.0, with b and Rb lists of m rows (numpy scalars on one state)."""
+    +0.0, with b and Rb lists of m rows (Python floats on one state)."""
     grad = np.asarray(clf.grad(X), dtype=float)
-    b = [_row_dot(grad, GX[:, j]) for j in range(GX.shape[1])]
-    out = grad, _row_dot(grad, fX), b, _row_all_finite(grad)
+    one = type(fX) is list
+    g, x = (grad.tolist(), X.tolist()) if one else (grad, X)
+    b = [_row_dot(g, G_j) for G_j in (zip(*GX) if one else GX.swapaxes(0, 1))]
+    out = grad, _row_dot(g, fX), b, _row_all_finite(g)
     if R_inv is None:
         return out
     Rb, beta = [], 0.0
@@ -103,7 +105,8 @@ def _lie_rows(clf, X: np.ndarray, fX: np.ndarray, GX: np.ndarray, R_inv=None, Q=
             s = s + r_k * b_k
         Rb.append(s)
         beta = beta + b_j * s
-    return (*out, Rb, beta, _row_dot(_stack_matmul(X, Q), X))
+    QX = _stack_matmul(X, Q)
+    return (*out, Rb, beta, _row_dot(QX.tolist() if one else QX, x))
 
 
 def transform_P(P, J_T0) -> np.ndarray:

@@ -22,6 +22,7 @@ or linearization domain, or with singular gamma, get NaN inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,9 +38,9 @@ from .riccati import LqrDesign, solve_care
 
 
 def _lambda_array(a, q, beta):
-    """Scaling factor of the Sontag-type law, elementwise, on numpy
-    scalars or arrays, with no array conversion (``beta`` may also be a
-    Python float); callers guard beta > 0 on used lanes.
+    """Scaling factor of the Sontag-type law, elementwise, on one state's
+    Python floats or on arrays (``beta`` may be a Python float beside
+    them), with no array conversion; callers guard beta > 0 on used lanes.
 
     With q >= 0 the result is nonnegative, strictly positive when q > 0,
     and equals 1 exactly when a = (beta - q) / 2, the relation the
@@ -48,7 +49,8 @@ def _lambda_array(a, q, beta):
     branch and keeps every denominator positive, so no masked division
     is needed.
     """
-    s = np.sqrt(a * a + q * beta)
+    v = a * a + q * beta
+    s = math.sqrt(v) if type(v) is float and v >= 0.0 else np.sqrt(v)  # numpy's NaN below 0
     neg = a < 0.0
     num = _select(neg, q, a + s)
     denom = _select(neg, s - a, beta)
@@ -56,9 +58,9 @@ def _lambda_array(a, q, beta):
 
 
 class _Parts(NamedTuple):
-    """One Sontag-type evaluation at (n,) or stacked states, with the
-    terms it was built from. ``nonzero`` is beta > 0, and ``lam`` is
-    meaningful only there."""
+    """One Sontag-type evaluation at (n,) or stacked states (on one state
+    U a list of floats, the rest floats and bools), with the terms it was
+    built from. ``nonzero`` is beta > 0, and ``lam`` is meaningful only there."""
 
     U: np.ndarray
     lam: np.ndarray
@@ -71,8 +73,8 @@ class _Parts(NamedTuple):
 
 def _clf_violations(p: _Parts) -> np.ndarray:
     """Nonzero zero-branch states (q > 0) where the drift does not decay
-    V: the CLF decrease condition failed there."""
-    return p.ok & ~p.nonzero & (p.a >= 0.0) & (p.q > 0.0)
+    V: the CLF condition failed there (``^ True`` negates a bool, ``~`` not)."""
+    return p.ok & (p.nonzero ^ True) & (p.a >= 0.0) & (p.q > 0.0)
 
 
 class SontagController:
@@ -97,22 +99,23 @@ class SontagController:
 
     def _law(self, X, fX, GX) -> tuple[np.ndarray, _Parts]:
         """(U, parts) at states X from the model's f(X) and G(X), with U
-        assembled once from its rows u_j = Rb_j * -lam."""
+        built from its rows u_j = Rb_j * -lam: a list on one state."""
         _, a, _, ok, Rb, beta, q = _lie_rows(self.clf, X, fX, GX, self._R_inv_rows, self.Q)
         nonzero = beta > 0.0
         all_nonzero = _all_rows(nonzero)
         lam = _lambda_array(a, q, beta if all_nonzero else _select(nonzero, beta, 1.0))
-        U = np.array([r * -lam for r in Rb])
+        U = [r * -lam for r in Rb]
         if not all_nonzero:
-            U = np.where(nonzero, U, 0.0)
+            U = [_select(nonzero, u, 0.0) for u in U]
         if not _all_rows(ok):
-            U = np.where(ok, U, np.nan)
+            U = [_select(ok, u, np.nan) for u in U]
+        U = np.array(U) if X.ndim > 1 else U
         # positional, as in lie_terms
         return U, _Parts(U, lam, nonzero, ok, a, beta, q)
 
     def u(self, X) -> np.ndarray:
         """Control input for stacked states; NaN outside the CLF domain."""
-        return self._parts(X).U
+        return np.asarray(self._parts(X).U, dtype=float)
 
 
 class LqrController:
@@ -122,15 +125,18 @@ class LqrController:
         self.K = as_matrix(K, "K")
 
     def u(self, X) -> np.ndarray:
-        return self._law(np.asarray(X, dtype=float), None, None)[0]
+        return np.asarray(self._law(np.asarray(X, dtype=float), None, None)[0], dtype=float)
 
     def _law(self, X, fX, GX) -> tuple[np.ndarray, None]:
-        return -_stack_matmul(X, self.K.T), None
+        U = _stack_matmul(X, self.K.T)
+        return ([-u for u in U.tolist()] if X.ndim == 1 else -U), None
 
 
 def _in_z(fbl: FeedbackLinearization, X, v, GX, rows=slice(None)):
-    """Rows ``rows`` of J_T v and J_T G(X) at states X, with no Jacobian
-    (``T_jac``, or finite differences) under ``identity_coordinates``."""
+    """Rows ``rows`` of J_T v and J_T G(X) at states X (lists on one state),
+    with no Jacobian (``T_jac``, or finite differences) under ``identity_coordinates``."""
+    if type(v) is list and (type(rows) is not slice or fbl.T is not identity_coordinates):
+        return tuple(a.tolist() for a in _in_z(fbl, X, np.array(v), np.array(GX), rows))
     if fbl.T is identity_coordinates:
         return v[rows], GX[rows]
     J = np.asarray(fd_jacobian(fbl.T, X) if fbl.T_jac is None else fbl.T_jac(X), dtype=float)[rows]
@@ -165,18 +171,22 @@ class FblController:
         self.K_fbl = as_matrix(K_fbl, "K_fbl")
         self._idx, gamma0 = _input_rows(fbl, np.asarray(sys.G(np.zeros(sys.n)), dtype=float))
         self._K_eff = self.K_fbl - np.asarray(fbl.A_tilde, dtype=float)[self._idx]
-        self._pivot = PIVOT_RTOL * abs(np.linalg.det(gamma0))
+        self._pivot = float(PIVOT_RTOL * abs(np.linalg.det(gamma0)))
 
     def u(self, X) -> np.ndarray:
         """Control input; NaN where gamma is singular or outside the domain."""
-        return self._law(*_model_at(self.sys, X))[0]
+        return np.asarray(self._law(*_model_at(self.sys, X))[0], dtype=float)
 
     def _law(self, X, fX, GX) -> tuple[np.ndarray, None]:
         Z = X if self.fbl.T is identity_coordinates else np.asarray(self.fbl.T(X), dtype=float)
         Jf, gam = _in_z(self.fbl, X, fX, GX, self._idx)
-        rhs = -(Jf + _stack_matmul(Z, self._K_eff.T))
+        ZK = _stack_matmul(Z, self._K_eff.T)
         ok = self.fbl.domain(Z)
         m = self.K_fbl.shape[0]
+        if type(fX) is list and m == 1:  # one state: Python floats
+            g = gam[0][0]
+            return [-(Jf[0] + ZK.tolist()[0]) / g if ok and abs(g) > self._pivot else np.nan], None
+        rhs = -(Jf + ZK)
         if m == 1:
             g = gam[0, 0]
             ok = ok & (np.abs(g) > self._pivot)
@@ -187,7 +197,8 @@ class FblController:
             safe = np.where(ok[..., None, None], gam, np.eye(m))
             U = np.linalg.solve(safe, np.moveaxis(rhs, 0, -1)[..., None])[..., 0]
             U = np.moveaxis(U, -1, 0)
-        return (U if _all_rows(ok) else np.where(ok, U, np.nan)), None
+        U = U if _all_rows(ok) else np.where(ok, U, np.nan)
+        return (U.tolist() if type(fX) is list else U), None
 
 
 def fbl_gain_design(fbl: FeedbackLinearization, design: LqrDesign) -> np.ndarray:

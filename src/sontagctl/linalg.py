@@ -12,6 +12,9 @@ n-by-n blocks (Roberts' form) so that only A is ever inverted.
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 
@@ -74,13 +77,17 @@ def max_abs(a) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def _row_dot(A: np.ndarray, B: np.ndarray):
+def _row_dot(A, B):
     """sum_k A[k] * B[k] over the leading (coordinate) axis of (n, ...)
-    float arrays. Adds the contiguous rows in index order from +0.0,
-    numpy's order for sums of fewer than 8 terms, so the result is
-    bitwise ``(A * B).sum(axis=0)`` there, without numpy's reduction
-    loop over a short axis; on one (n,) state the rows are numpy
-    scalars, not 0-d arrays."""
+    float arrays, or over one state's n Python floats (A a list), which
+    give a float. Adds in index order from +0.0, numpy's order for sums of
+    fewer than 8 terms, so the result is bitwise ``(A * B).sum(axis=0)``
+    there, without numpy's reduction loop over a short axis."""
+    if type(A) is list:
+        s = 0.0
+        for r in map(operator.mul, A, B):
+            s += r
+        return s
     rows = A * B
     s = rows[0] + 0.0
     for k in range(1, len(rows)):
@@ -110,10 +117,10 @@ def _stack_matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _select(mask, a, b):
-    """``np.where(mask, a, b)`` for a row mask. A row scalar (the 0-d
-    mask of a single state) picks ``a`` or ``b`` in Python instead, so
-    numpy scalars stay scalars rather than becoming 0-d arrays."""
-    if mask.ndim == 0:
+    """``np.where(mask, a, b)`` for a row mask. A row scalar (one state's
+    ``bool``, or a 0-d mask) picks ``a`` or ``b`` in Python instead, so
+    scalars stay scalars rather than becoming 0-d arrays."""
+    if type(mask) is bool or mask.ndim == 0:
         return a if mask else b
     return np.where(mask, a, b)
 
@@ -121,25 +128,32 @@ def _select(mask, a, b):
 def _all_rows(mask) -> bool:
     """Whether a row mask holds on every row: ``bool`` on a row scalar,
     and on a stack a count, which takes half as long as ``.all()``."""
-    return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) == mask.size
+    if type(mask) is bool or mask.ndim == 0:
+        return bool(mask)
+    return np.count_nonzero(mask) == mask.size
 
 
-def _row_max_abs(A: np.ndarray):
-    """``np.abs(A).max(axis=0)`` by row arithmetic, the first NaN kept as
-    ``np.maximum`` does, which one state's scalars skip (~1 us on them)."""
+def _row_max_abs(A):
+    """``np.abs(A).max(axis=0)``, the first NaN kept as ``np.maximum``
+    does, which one state's Python floats (a list) compare in Python."""
+    if type(A) is list:
+        m = 0.0
+        for r in map(abs, A):
+            if not (m >= r or m != m):
+                m = r
+        return m
     rows = np.abs(A)
     m = rows[0]
     for r in rows[1:]:
-        if m.ndim:
-            m = np.maximum(m, r)
-        elif not (m >= r or m != m):
-            m = r
+        m = np.maximum(m, r)
     return m
 
 
-def _row_all_finite(A: np.ndarray):
+def _row_all_finite(A):
     """``np.isfinite(A).all(axis=0)``: one ``isfinite`` over A, its rows
-    combined as ``_row_dot``."""
+    combined as ``_row_dot``; ``math.isfinite`` on one state's floats."""
+    if type(A) is list:
+        return all(map(math.isfinite, A))
     rows = np.isfinite(A)
     ok = rows[0]
     for k in range(1, len(rows)):

@@ -5,8 +5,9 @@ state is (n,), and a stack (n, ...) carries its batch axes after the
 coordinates. ``f`` maps (n, ...) -> (n, ...) and ``G`` maps (n, ...) ->
 (n, m, ...), so simulation and grid code evaluate a model on many states
 at once without special cases. Coordinate k is ``X[k]``: a contiguous
-row of a stack, a numpy scalar (not a 0-d array) of one state. All
-models are immutable after construction and safe to share across workers.
+row of a stack, a numpy scalar of one state; the closed loop takes one
+state's f and G as Python floats (``_model_at``). All models are
+immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import SingularMatrix, _certified_inverse, _stack_matmul, as_matrix, as_square, max_abs
+from .linalg import (SingularMatrix, _certified_inverse, _row_dot, _stack_matmul, as_matrix,
+                     as_square, max_abs)
 
 EQUILIBRIUM_TOL = 1e-12
 #: Default relative step for central finite differences.
@@ -85,10 +87,11 @@ class FeedbackLinearization:
             raise ValueError("T must map the origin to the origin")
 
 
-def _model_at(sys: SystemModel, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(X, f(X), G(X)) as float arrays: one model evaluation."""
+def _model_at(sys: SystemModel, X) -> tuple[np.ndarray, list | np.ndarray, list | np.ndarray]:
+    """(X, f(X), G(X)): one model evaluation, f and G lists on one state."""
     X = np.asarray(X, dtype=float)
-    return X, np.asarray(sys.f(X), dtype=float), np.asarray(sys.G(X), dtype=float)
+    fX, GX = np.asarray(sys.f(X), dtype=float), np.asarray(sys.G(X), dtype=float)
+    return (X, fX.tolist(), GX.tolist()) if X.ndim == 1 else (X, fX, GX)
 
 
 @dataclass(frozen=True)
@@ -126,10 +129,13 @@ def fd_jacobian(fn, x, step_scale: float = FD_STEP_SCALE) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def apply_input(Gx: np.ndarray, u) -> np.ndarray:
+def apply_input(Gx, u):
     """Contract an (n, m, ...) float array with (m, ...) inputs, adding the
     columns ``Gx[:, k] * u[k]`` in index order from +0.0 as ``_row_dot``
-    does, with no conversion; one state's inputs are numpy scalars."""
+    does, with no conversion. One state's G as nested Python lists (rows
+    of m floats) gives a list of n floats."""
+    if type(Gx) is list:
+        return [_row_dot(row, u) for row in Gx]
     s = Gx[:, 0] * u[0] + 0.0
     for k in range(1, len(u)):
         s += Gx[:, k] * u[k]

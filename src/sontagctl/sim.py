@@ -16,10 +16,10 @@ both share one halt policy. Its stage function, built once per rollout
 by ``_closed_loop``, evaluates f and G once at given states for the law;
 the step-start evaluation is also RK4's first stage, so a step evaluates
 the model four times, with or without a zero-order hold. Stacked states
-are coordinates-first, (n, N); on the batch of one, an (n,) state, every
-row quantity (the Lie terms, the Sontag factor, the state norm and the
-row masks) is a numpy scalar, not a 0-d array. Pathologies halt a run
-with a flag, not an exception, and a halted run carries an infinite cost.
+are coordinates-first, (n, N); the batch of one, an (n,) state, runs on
+Python floats (lists for its state, f, G and input; floats and bools for
+its Lie terms, Sontag factor, state norm and row masks). Pathologies halt
+a run with a flag, not an exception, and a halted run costs +inf.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .control import _clf_violations, _Parts
 from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, _stack_matmul, as_square,
                      as_vector)
-from .model import SystemModel, apply_input
+from .model import SystemModel, _model_at, apply_input
 
 #: A run halts once the state norm passes this bound.
 DIVERGENCE_GUARD = 1e6
@@ -96,16 +96,16 @@ class Trajectory:
 
 def _closed_loop(sys: SystemModel, controller):
     """The stage function of a rollout, with the law (``_law``, or ``u``
-    on X) and the model's f and G resolved once: stage(X) -> (f + G U, U,
-    parts) from one f and G evaluation, stage(X, held) under a held input."""
-    f, G = sys.f, sys.G
+    on X) resolved once: stage(X) -> (f + G U, U, parts) from one
+    ``_model_at``, stage(X, held) under a held input."""
     law = getattr(controller, "_law", None) or (
         lambda X, fX, GX, u=controller.u: (np.asarray(u(X), dtype=float), None))
 
     def stage(X, held=None):
-        fX = np.asarray(f(X), dtype=float)
-        GX = np.asarray(G(X), dtype=float)
+        X, fX, GX = _model_at(sys, X)
         U, parts = law(X, fX, GX) if held is None else (held, None)
+        if type(fX) is list:
+            return [a + b for a, b in zip(fX, apply_input(GX, U))], U, parts
         return fX + apply_input(GX, U), U, parts
 
     return stage
@@ -115,6 +115,12 @@ def _rk4(stage, X, h: float, zoh: bool):
     """(successor, U, parts) of one RK4 step; ``zoh`` holds the law's U."""
     k1, U, parts = stage(X)
     held = U if zoh else None
+    if type(X) is list:  # one state: the same combinations on Python floats
+        k2 = stage([x + 0.5 * h * k for x, k in zip(X, k1)], held)[0]
+        k3 = stage([x + 0.5 * h * k for x, k in zip(X, k2)], held)[0]
+        k4 = stage([x + h * k for x, k in zip(X, k3)], held)[0]
+        return [x + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                for x, a, b, c, d in zip(X, k1, k2, k3, k4)], U, parts
     k2 = stage(X + (0.5 * h) * k1, held)[0]
     k3 = stage(X + (0.5 * h) * k2, held)[0]
     k4 = stage(X + h * k3, held)[0]
@@ -125,7 +131,9 @@ def rk4_step(sys: SystemModel, controller, x, h: float, *, zoh: bool = False):
     """One classical Runge-Kutta step of xdot = f(x) + G(x) u(x) on (n,)
     or stacked states; the controller is re-evaluated at each stage state
     unless ``zoh`` holds the step-start input."""
-    return _rk4(_closed_loop(sys, controller), np.asarray(x, dtype=float), h, zoh)[0]
+    X = np.asarray(x, dtype=float)
+    X = _rk4(_closed_loop(sys, controller), X.tolist() if X.ndim == 1 else X, h, zoh)[0]
+    return np.asarray(X, dtype=float)
 
 
 class _Step(NamedTuple):
@@ -152,7 +160,7 @@ def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool,
     Returns the (stabilized, halted) row masks.
     """
     X = np.asarray(X, dtype=float)
-    running = np.ones(X.shape[1:], dtype=bool)[()]
+    X, running = (X.tolist(), True) if X.ndim == 1 else (X, np.ones(X.shape[1:], dtype=bool))
     stage = _closed_loop(sys, controller)
     with np.errstate(**_HALT_ERRSTATE):
         for _ in range(n_steps):
@@ -167,11 +175,11 @@ def _rollout(sys: SystemModel, controller, X, h: float, n_steps: int, zoh: bool,
                 X = X_new
                 continue
             running = ok
-            X = np.where(ok, X_new, X)
-            if not ok.any():
+            if type(ok) is bool or not ok.any():
                 break
+            X = np.where(ok, X_new, X)
     stabilized = running & (_row_max_abs(X) < STABILIZATION_TOL)
-    return stabilized, ~running
+    return stabilized, np.logical_not(running)
 
 
 def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajectory:

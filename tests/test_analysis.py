@@ -508,6 +508,25 @@ class TestCsvOracle:
         assert path.read_text() == "\n".join(lines) + "\n"
         assert path.read_text() == csv_reference.roa_csv(cert)
 
+    def test_roa_repeated_values(self, tmp_path):
+        # each distinct bit pattern of a column is formatted once and
+        # reused: -0.0 beside 0.0, NaNs of other payloads and signs, and
+        # values repeated many times keep their own text in every row
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(float)
+        pool = np.concatenate([EXTREMES, nans, [0.0, 2.5]])
+        rng = np.random.default_rng(4035)
+        k = 400
+        points, values = rng.choice(pool, size=(k, 2)), rng.choice(pool, size=k)
+        grid = GridSpec(lower=[0.0, 0.0], upper=[1.0, 1.0], points_per_axis=(2, 2))
+        cert = RoaCertificate(C=1.0, C_lqr=1.0, C_sontag=1.0, grid=grid, points=points,
+                              values=values, members_lqr=rng.random(k) < 0.5,
+                              members_sontag=rng.random(k) < 0.5, subset_holds=False)
+        path = tmp_path / "roa.csv"
+        write_roa_csv(cert, path)
+        text = path.read_text()
+        assert text == csv_reference.roa_csv(cert)
+        assert "-0," in text and "nan," in text and text.count("\n") == 1 + k
+
     def test_roa_default_grid(self, tmp_path, pendulum, pendulum_designs, pendulum_grid):
         # the 101 x 101 grid of the default config, with extreme V values
         sys_m, _ = pendulum

@@ -161,15 +161,17 @@ class TestLieDerivatives:
         np.testing.assert_array_equal(ld.b, np.zeros(1))
 
     @pytest.mark.parametrize("selector", ["i", "ii"])
-    def test_single_state_row_quantities_are_numpy_scalars(self, pendulum, pendulum_designs,
-                                                             selector):
-        # not 0-d arrays, whose every later operation pays array dispatch
+    def test_single_state_row_quantities_are_python_scalars(self, pendulum, pendulum_designs,
+                                                              selector):
+        # not numpy scalars or 0-d arrays, whose every later operation
+        # pays numpy's dispatch; grad and b stay arrays
         sys_m, _ = pendulum
         clf = pendulum_designs[selector].clf
         for x in ([0.3, -0.2], [0.0, 0.0], [2.0, 0.5]):
             lt = lie_terms(clf, sys_m, np.array(x))
-            for name, kind in (("a", np.float64), ("ok", np.bool_)):
+            for name, kind in (("a", float), ("ok", bool)):
                 assert type(getattr(lt, name)) is kind, (x, name)
+            assert lt.grad.shape == (2,) and lt.b.shape == (1,) and lt.b.dtype == np.float64
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_b_rows_assemble_the_whole_contraction(self, m):

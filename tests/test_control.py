@@ -31,9 +31,9 @@ def lambda_reference(a, q, beta):
 
 
 def _lam(a, q, beta):
-    """``_lambda_array`` on numpy scalars, the form a single state's
+    """``_lambda_array`` on Python floats, the form a single state's
     Lie terms take."""
-    return _lambda_array(np.float64(a), np.float64(q), np.float64(beta))
+    return _lambda_array(float(a), float(q), float(beta))
 
 
 class TestLambdaFactor:
@@ -56,7 +56,7 @@ class TestLambdaFactor:
         np.testing.assert_array_equal(
             _lambda_array(np.array([0.0, -3.0, 3.0]), np.array([1.0, 0.0, 0.0]),
                           np.array([1.0, 1.0, 1.0])), [1.0, 0.0, 6.0])
-        assert type(_lam(3.0, 0.0, 1.0)) is np.float64
+        assert type(_lam(3.0, 0.0, 1.0)) is float
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -125,7 +125,7 @@ class TestSontagControl:
             assert np.all(err <= 1e-9 * (1.0 + np.abs(U_lqr).max(axis=0)))
 
     def test_lqr_recovery_two_inputs_single_states(self):
-        # a single state's R^{-1} b' rows are numpy scalars, summed in the
+        # a single state's R^{-1} b' rows are Python floats, summed in the
         # stack's order; they match the stack's rows and give the LQR
         rng = np.random.default_rng(5021)
         for _ in range(20):
@@ -138,12 +138,12 @@ class TestSontagControl:
             stack = ctrl._parts(X)
             for i, x in enumerate(X.T):
                 p = ctrl._parts(x)
-                assert p.U.shape == (2,) and type(p.beta) is np.float64
+                assert len(p.U) == 2 and type(p.beta) is float
                 for name in ("U", "lam", "a", "beta", "q"):
                     np.testing.assert_allclose(getattr(p, name), getattr(stack, name)[..., i],
                                                rtol=1e-12, atol=0, err_msg=name)
                 u_lqr = -(d.K @ x)
-                assert np.abs(p.U - u_lqr).max() <= 1e-9 * (1.0 + np.abs(u_lqr).max())
+                assert np.abs(np.asarray(p.U) - u_lqr).max() <= 1e-9 * (1.0 + np.abs(u_lqr).max())
 
     def test_lambda_one_on_lti(self, double_integrator, dbl_int_design, dbl_int_clf):
         sys_m, _ = double_integrator
@@ -171,7 +171,7 @@ class TestSontagControl:
             base = ctrl._parts(x)
             for c in (0.5, 2.0, 10.0):
                 scaled = ctrl._parts(c * x)
-                np.testing.assert_allclose(scaled.U, c * base.U, rtol=1e-12)
+                np.testing.assert_allclose(scaled.U, c * np.asarray(base.U), rtol=1e-12)
                 assert scaled.lam == pytest.approx(base.lam, rel=1e-12)
 
     def test_decay_identity(self, pendulum, pendulum_designs):
@@ -418,6 +418,53 @@ def _stack(rows) -> np.ndarray:
     return np.stack([np.asarray(r, dtype=float) for r in rows], axis=-1)
 
 
+def _two_double_integrators():
+    """Two decoupled double integrators: m = 2, with the inputs on the
+    non-consecutive rows 1 and 3 of B."""
+    A = np.zeros((4, 4))
+    A[0, 1] = A[2, 3] = 1.0
+    B = np.zeros((4, 2))
+    B[1, 0] = B[3, 1] = 1.0
+    return lti_system(A, B)
+
+
+class TestSingleStateReturnTypes:
+    """One state runs on Python floats inside the laws and the rollout;
+    the public calls still return float64 arrays of the shapes they had,
+    and agree with the stack's rows."""
+
+    def test_pendulum(self, pendulum, pendulum_designs):
+        sys_m, _ = pendulum
+        x = np.array([0.3, -0.2])
+        for selector in ("i", "ii", "iii", "iv"):
+            res = pendulum_designs[selector]
+            u = res.controller.u(x)
+            assert type(u) is np.ndarray and u.shape == (1,) and u.dtype == np.float64
+            for zoh in (False, True):
+                x_next = rk4_step(sys_m, res.controller, x, 0.01, zoh=zoh)
+                assert type(x_next) is np.ndarray
+                assert x_next.shape == (2,) and x_next.dtype == np.float64
+        for x_list in ([0.3, -0.2], x):
+            grad = pendulum_designs["i"].clf.grad(x_list)
+            assert type(grad) is np.ndarray and grad.shape == (2,) and grad.dtype == np.float64
+
+    def test_two_inputs(self):
+        sys_m, fbl = _two_double_integrators()
+        Q, R = np.eye(4), np.diag([1.0, 2.0])
+        X = np.random.default_rng(5022).normal(size=(4, 12))
+        for selector in ("i", "iii", "iv"):
+            ctrl = synthesize_design(selector, sys_m, fbl, Q, R).controller
+            stack = ctrl.u(X)
+            for i, x in enumerate(X.T):
+                u = ctrl.u(x)
+                assert type(u) is np.ndarray and u.shape == (2,) and u.dtype == np.float64
+                np.testing.assert_allclose(u, stack[:, i], rtol=1e-12, atol=1e-12)
+                x_next = rk4_step(sys_m, ctrl, x, 0.01)
+                assert type(x_next) is np.ndarray and x_next.shape == (4,)
+                np.testing.assert_allclose(x_next, rk4_step(sys_m, ctrl, X, 0.01)[:, i],
+                                           rtol=1e-12, atol=1e-12)
+
+
 class TestBatchOfOne:
     """A stacked evaluation equals the row-by-row one bit for bit, the
     property that lets the batched sweep and the batch-of-one simulate
@@ -483,7 +530,7 @@ class TestBatchOfOneEdges:
     origin, the zero-input line b = 0 and its edge, states so small that
     beta underflows to 0, drift that decays V and drift that does not,
     and states beyond the pendulum's linearization domain. A single
-    state runs on numpy scalars, a stack on arrays, so both sides of
+    state runs on Python floats, a stack on arrays, so both sides of
     every row mask are compared."""
 
     @pytest.fixture(scope="class")
@@ -523,6 +570,14 @@ class TestBatchOfOneEdges:
         outside = np.abs(states[0]) >= np.pi / 2
         assert outside.sum() >= 30
         np.testing.assert_array_equal(~ok, outside if selector == "ii" else False)
+
+    @pytest.mark.parametrize("selector", ["i", "ii"])
+    def test_clf_violations(self, pendulum_designs, states, selector):
+        # a bool per state, never the int that ~ gives on a Python bool
+        ctrl = pendulum_designs[selector].controller
+        rows = [_clf_violations(ctrl._parts(x)) for x in states.T]
+        assert all(type(r) is bool for r in rows)
+        np.testing.assert_array_equal(_clf_violations(ctrl._parts(states)), rows)
 
     @pytest.mark.parametrize("selector", ["i", "ii"])
     def test_zero_direction_from_lie_terms(self, pendulum, pendulum_designs, states, selector):

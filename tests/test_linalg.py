@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -424,12 +426,17 @@ class TestRowKernels:
             assert _same_bits(_row_dot(A, B), (A * B).sum(axis=0))
             # all products -0.0: numpy's sum is +0.0, and so is the kernel's
             assert _same_bits(_row_dot(A, np.abs(B) + 1.0), (A * (np.abs(B) + 1.0)).sum(axis=0))
+            if A.ndim == 1:  # one state's Python floats
+                s = _row_dot(A.tolist(), B.tolist())
+                assert type(s) is float and _same_bits(s, (A * B).sum(axis=0))
 
     def test_dot_negative_zero_products(self):
         for n in range(1, 8):
             for A, B in ((np.full(n, -0.0), np.ones(n)), (np.zeros((n, 4)), -np.ones((n, 4)))):
                 assert _same_bits(_row_dot(A, B), (A * B).sum(axis=0))
                 assert not np.signbit(_row_dot(A, B)).any()
+                if A.ndim == 1:
+                    assert math.copysign(1.0, _row_dot(A.tolist(), B.tolist())) == 1.0
 
     def test_dot_broadcasts(self):
         rng = np.random.default_rng(1102)
@@ -447,17 +454,19 @@ class TestRowKernels:
             A, B = rng.uniform(0.5, 2.0, size=(200, n)).T, rng.uniform(0.5, 2.0, size=(200, n)).T
             np.testing.assert_allclose(_row_dot(A, B), (A * B).sum(axis=0), rtol=1e-15, atol=0)
 
-    # One state (n,) gives a numpy scalar, not a 0-d array: the rollout
-    # of a single state stays on scalars from these kernels on.
+    # One state, its n Python floats as a list, gives a Python float or
+    # bool, not a numpy scalar: the rollout of a single state stays on
+    # Python scalars from these kernels on.
     def test_max_abs_bitwise(self):
         for A, _ in self._cases(1104):
             m = _row_max_abs(A)
             assert _same_bits(m, np.abs(A).max(axis=0))
             if A.ndim == 1:
-                assert type(m) is np.float64
+                m1 = _row_max_abs(A.tolist())
+                assert type(m1) is float and _same_bits(m1, m)
 
     def test_max_abs_single_state_matches_stack(self):
-        # one state compares its numpy scalars in Python, a stack calls
+        # one state compares its Python floats, a stack calls
         # np.maximum; both keep the first NaN, payload included
         nan1, nan2 = np.array([0x7FF8000000000001, 0x7FF8000000000002],
                               dtype=np.uint64).view(np.float64)
@@ -469,8 +478,8 @@ class TestRowKernels:
         for A in cases:
             stack = _row_max_abs(A)
             for i, x in enumerate(A.T):
-                m = _row_max_abs(np.ascontiguousarray(x))
-                assert type(m) is np.float64
+                m = _row_max_abs(x.tolist())
+                assert type(m) is float
                 assert np.array(m).tobytes() == stack[i:i + 1].tobytes(), (x, m, stack[i])
 
     def test_all_finite_bitwise(self):
@@ -478,7 +487,8 @@ class TestRowKernels:
             ok = _row_all_finite(A)
             assert _same_bits(ok, np.isfinite(A).all(axis=0))
             if A.ndim == 1:
-                assert type(ok) is np.bool_
+                ok1 = _row_all_finite(A.tolist())
+                assert type(ok1) is bool and ok1 == ok
 
     def test_stack_matmul_is_the_row_major_product(self):
         # A single-column product rounds differently as M' X or on a

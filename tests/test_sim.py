@@ -201,6 +201,38 @@ class TestSimulate:
         assert np.all(np.diff(traj.clf_values) < 1e-12)
 
 
+class TestHaltFlags:
+    """``diverged`` and ``stabilized`` are plain bools that say whether the
+    run halted. A single state's halt masks are Python bools, on which
+    ``~`` gives -2 or -1, both truthy, so every design is run both ways,
+    with and without a zero-order hold."""
+
+    @pytest.mark.parametrize("zoh", [False, True])
+    @pytest.mark.parametrize("selector", ["i", "ii", "iii", "iv"])
+    def test_stabilizing_run(self, pendulum, pendulum_designs, selector, zoh):
+        sys_m, _ = pendulum
+        cfg = SimConfig(x0=np.array([np.radians(30.0), 0.0]), zoh=zoh)
+        traj = simulate(sys_m, pendulum_designs[selector].controller, cfg)
+        assert traj.diverged is False and traj.stabilized is True
+        assert traj.states.shape == (cfg.n_steps + 1, 2) and not any(traj.flags)
+
+    @pytest.mark.parametrize("zoh", [False, True])
+    @pytest.mark.parametrize("selector", ["i", "ii", "iii", "iv"])
+    def test_diverging_run(self, pendulum, pendulum_designs, selector, zoh):
+        # one-second steps blow up every design's discretized loop; from
+        # 179 degrees designs ii and iii also leave their domain at once
+        sys_m, _ = pendulum
+        ctrl = pendulum_designs[selector].controller
+        for cfg in (SimConfig(h=1.0, n_steps=200, x0=np.array([np.radians(30.0), 0.0]), zoh=zoh),
+                    SimConfig(x0=np.array([np.radians(179.0), 0.0]), zoh=zoh)):
+            traj = simulate(sys_m, ctrl, cfg)
+            if cfg.h == 1.0 or selector in ("ii", "iii"):
+                assert traj.diverged is True and traj.stabilized is False
+                assert traj.states.shape[0] <= cfg.n_steps and traj.flags[-1]
+            else:  # designs i and iv swing up from 179 degrees
+                assert traj.diverged is False and traj.stabilized is True
+
+
 def _constant_trajectory(n_steps=1500, h=0.01):
     states = np.tile([1.0, 0.0], (n_steps + 1, 1))
     inputs = np.zeros((n_steps, 1))

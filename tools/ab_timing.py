@@ -6,8 +6,10 @@ Extracts REV's ``src`` (``git archive REV src``) into a temporary
 directory, renames its package to ``sontagctl_base`` and imports it in
 this process beside the working tree's ``sontagctl``. Each round times,
 for both packages in turn (the side that goes first alternates), one
-``simulate`` per design from 45 degrees and one ``rollout_costs`` per
-sweep design over the default sweep's rows, all at the default config.
+``simulate`` per design from 45 degrees, one ``rollout_costs`` per
+sweep design over the default sweep's rows, and one ``roa_certify``
+followed by ``write_roa_csv`` (into the temporary directory), all at
+the default config.
 Prints per item the median seconds of each side, the median of the
 per-round ratios (working tree over REV; below 1 is faster) and in how
 many rounds the working tree was faster. Runs on one BLAS thread.
@@ -37,10 +39,12 @@ SIMULATE = ("i", "ii", "iii", "iv")
 ROLLOUT = (("sontag", "i"), ("lqr", "iv"), ("fbl", "iii"))
 
 
-def _jobs(pkg: str) -> dict:
-    """Item name -> zero-argument callable, built from package ``pkg``."""
+def _jobs(pkg: str, tmp: str) -> dict:
+    """Item name -> zero-argument callable, built from package ``pkg``;
+    the ``roa`` item writes its CSV into directory ``tmp``."""
     import numpy as np
 
+    analysis = importlib.import_module(f"{pkg}.analysis")
     config = importlib.import_module(f"{pkg}.config")
     control = importlib.import_module(f"{pkg}.control")
     clf_mod = importlib.import_module(f"{pkg}.clf")
@@ -63,8 +67,14 @@ def _jobs(pkg: str) -> dict:
         return lambda: sim.rollout_costs(cfg.system, res.controller, X0, cfg.Q, cfg.R,
                                          cfg.sim.h, cfg.sim.n_steps, zoh=cfg.sim.zoh)
 
+    def roa():
+        cert = analysis.roa_certify(cfg.system, results["i"].clf, lqr=results["iv"].controller,
+                                    sontag=results["i"].controller, grid=cfg.grid, C=cfg.sublevel)
+        analysis.write_roa_csv(cert, Path(tmp) / f"roa-{pkg}.csv")
+
     jobs = {f"simulate-{d}": simulate(results[d]) for d in SIMULATE}
     jobs.update({f"rollout-{name}": rollout(results[d]) for name, d in ROLLOUT})
+    jobs["roa"] = roa
     return jobs
 
 
@@ -97,7 +107,8 @@ def main() -> int:
 
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"base": _jobs(_import_base(args.against, tmp)), "tree": _jobs("sontagctl")}
+        sides = {"base": _jobs(_import_base(args.against, tmp), tmp),
+                 "tree": _jobs("sontagctl", tmp)}
         times = {side: {item: [] for item in sides[side]} for side in sides}
         for r in range(args.rounds):
             for side in (("base", "tree") if r % 2 == 0 else ("tree", "base")):
