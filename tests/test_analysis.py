@@ -120,8 +120,9 @@ class TestRoaCertify:
                         sontag=res_s.controller, grid=grid, C=C)
 
     def test_one_evaluation_per_decision(self, pendulum, pendulum_designs, monkeypatch):
-        # the grid, V and each law's closed loop are evaluated once, on
-        # the whole grid, for both sublevel constants and the members
+        # the grid, V, its gradient and each law's closed loop are
+        # evaluated once, on the whole grid, for both sublevel constants
+        # and the members; the second gradient is the Sontag law's own
         sys_m, _ = pendulum
         res = pendulum_designs["i"]
         calls = {name: [] for name in ("points", "value", "grad", "f", "G")}
@@ -136,7 +137,7 @@ class TestRoaCertify:
         roa_certify(model, clf, lqr=pendulum_designs["iv"].controller,
                     sontag=SontagController(clf, model, res.lqr.Q, res.lqr.R), grid=grid)
         assert {name: len(log) for name, log in calls.items()} == {
-            "points": 1, "value": 1, "grad": 3, "f": 2, "G": 2}
+            "points": 1, "value": 1, "grad": 2, "f": 2, "G": 2}
         for name in ("value", "grad", "f", "G"):
             assert all(shape == (2, 121) for shape in calls[name]), name
 
@@ -152,7 +153,36 @@ class TestLargestSublevel:
         c = roa_certify(sys_m, dbl_int_clf, lqr=lqr, sontag=sontag, grid=grid).C_lqr
         pts = grid.points()
         v = dbl_int_clf.value(pts)
-        assert c == pytest.approx(float(v.max()), rel=1e-12)
+        assert c == float(v.max())
+
+    def test_sublevel_is_an_exact_order_statistic(self, pendulum, pendulum_designs,
+                                                  pendulum_grid):
+        # C is a sampled V, every nonzero sample with V <= C strictly
+        # decays and every nonzero sample that does not decay lies above C
+        sys_m, _ = pendulum
+        res_s, res_l = pendulum_designs["i"], pendulum_designs["iv"]
+        cert = roa_certify(sys_m, res_s.clf, lqr=res_l.controller, sontag=res_s.controller,
+                           grid=pendulum_grid)
+        pts = pendulum_grid.points()
+        V = res_s.clf.value(pts)
+        nonzero = np.abs(pts).max(axis=0) > 0.0
+        for C, law in ((cert.C_lqr, res_l.controller), (cert.C_sontag, res_s.controller)):
+            xdot = sys_m.f(pts) + np.einsum("ijk,jk->ik", sys_m.G(pts), law.u(pts))
+            decays = (res_s.clf.grad(pts) * xdot).sum(axis=0) < 0.0
+            assert C > 0.0 and C in V[nonzero]
+            assert np.all(decays[nonzero & (V <= C)])
+            assert np.all(V[nonzero & ~decays] > C)
+
+    def test_near_zero_node_keeps_both_constants(self, pendulum, pendulum_designs):
+        # linspace puts a node at x1 = 2.2e-16 on this grid; its Vdot of
+        # about -1e-30 is a decay, and no absolute margin zeroes C
+        sys_m, _ = pendulum
+        res_s = pendulum_designs["i"]
+        grid = GridSpec(lower=[-1.57, -8.0], upper=[1.57, 8.0], points_per_axis=(201, 201))
+        cert = roa_certify(sys_m, res_s.clf, lqr=pendulum_designs["iv"].controller,
+                           sontag=res_s.controller, grid=grid)
+        assert cert.C_lqr > 0.0
+        assert cert.C_sontag > 0.0
 
     def test_pendulum_ordering(self, pendulum, pendulum_designs, pendulum_grid):
         sys_m, _ = pendulum

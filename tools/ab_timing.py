@@ -10,9 +10,10 @@ for both packages in turn (the side that goes first alternates), one
 sweep design over the default sweep's rows, and one ``roa_certify``
 followed by ``write_roa_csv`` (into the temporary directory), all at
 the default config.
-Prints per item the median seconds of each side, the median of the
-per-round ratios (working tree over REV; below 1 is faster) and in how
-many rounds the working tree was faster. Runs on one BLAS thread.
+Prints per item the median seconds of each side, the median and the
+lower and upper quartiles of the per-round ratios (working tree over
+REV; below 1 is faster) and in how many rounds the working tree was
+faster. Runs on one BLAS thread.
 Timings on a shared host drift; the ratio of two alternating sides
 drifts much less than either side alone.
 """
@@ -116,13 +117,15 @@ def main() -> int:
                     times[side][item].append(_seconds(job))
 
     print(f"{args.rounds} rounds, 1 BLAS thread; seconds; ratio = working tree / {args.against}")
-    print(f"{'item':18s} {'base':>9s} {'tree':>9s} {'ratio':>7s} faster")
+    print(f"{'item':18s} {'base':>9s} {'tree':>9s} {'ratio':>7s} {'q1':>7s} {'q3':>7s} faster")
     for item in sides["base"]:
         base, tree = times["base"][item], times["tree"][item]
-        ratio = statistics.median(t / b for t, b in zip(tree, base))
+        ratios = [t / b for t, b in zip(tree, base)]
+        q1, ratio, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                         if len(ratios) > 1 else ratios * 3)
         faster = sum(t < b for t, b in zip(tree, base))
         print(f"{item:18s} {statistics.median(base):9.4f} {statistics.median(tree):9.4f}"
-              f" {ratio:7.3f} {faster}/{args.rounds}")
+              f" {ratio:7.3f} {q1:7.3f} {q3:7.3f} {faster}/{args.rounds}")
     return 0
 
 
