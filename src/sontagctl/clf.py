@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (NotPositiveDefinite, _all_rows, _row_all_finite, _row_dot, _row_max_abs,
-                     _stack_matmul, as_matrix, as_square, cholesky_pd, solve_many, symmetrize)
+                     _select, _stack_matmul, as_matrix, as_square, cholesky_pd, solve_many,
+                     symmetrize)
 from .model import FeedbackLinearization, SystemModel, _model_at, fd_jacobian, identity_coordinates
 
 
@@ -49,7 +50,7 @@ class TransformedClf:
         Z = np.asarray(self.fbl.T(X), dtype=float)
         ok = self.fbl.domain(Z)
         v = 0.5 * _row_dot(_stack_matmul(Z, self.P_tilde), Z)
-        return np.where(ok, v, np.nan)
+        return _select(ok, v, np.nan)
 
     def grad(self, X) -> np.ndarray:
         """T_jac(x)' P_tilde T(x), NaN outside the domain. Under declared
@@ -82,7 +83,7 @@ class LieTerms(NamedTuple):
 def lie_terms(clf, sys: SystemModel, X) -> LieTerms:
     """a = grad V . f(x) and b = grad V . G(x) at (n,) or (n, ...)
     states, with the gradient; NaN outside the CLF domain."""
-    grad, a, b, ok = _lie_rows(clf, *_model_at(sys, X))
+    grad, a, b, ok = _lie_rows(clf, *_model_at(sys, np.asarray(X, dtype=float)))
     return LieTerms(grad, a, np.array(b), ok)  # positional: keywords cost ~0.8 us more
 
 
@@ -93,7 +94,7 @@ def _lie_rows(clf, X: np.ndarray, fX, GX, R_inv=None, Q=None):
     +0.0, with b and Rb lists of m rows (Python floats on one state)."""
     grad = np.asarray(clf.grad(X), dtype=float)
     one = type(fX) is list
-    g, x = (grad.tolist(), X.tolist()) if one else (grad, X)
+    g = grad.tolist() if one else grad
     b = [_row_dot(g, G_j) for G_j in (zip(*GX) if one else GX.swapaxes(0, 1))]
     out = grad, _row_dot(g, fX), b, _row_all_finite(g)
     if R_inv is None:
@@ -105,8 +106,7 @@ def _lie_rows(clf, X: np.ndarray, fX, GX, R_inv=None, Q=None):
             s = s + r_k * b_k
         Rb.append(s)
         beta = beta + b_j * s
-    QX = _stack_matmul(X, Q)
-    return (*out, Rb, beta, _row_dot(QX.tolist() if one else QX, x))
+    return (*out, Rb, beta, _row_dot(_stack_matmul(X, Q), X))
 
 
 def transform_P(P, J_T0) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Command-line interface: synthesize, simulate, sweep, roa.
 
 Exit codes: 0 on completion (including non-stabilized runs, whose
-outcome is data), 2 on configuration errors, a design structure that
-the model does not have included, 3 when the stabilizability gate of
-the synthesis pipeline fails.
+outcome is data), 1 when standard output closes early (after the files
+are written), 2 on configuration errors, a design structure that the
+model does not have included, 3 when the stabilizability gate fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .riccati import BadWeights, NotStabilizable, _residual_and_scale
 from .sim import cost_index, distorted_cost, lyap_decay_check, simulate, write_trajectory_csv
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_NOT_STABILIZABLE = 3
 
@@ -204,7 +206,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load(args)
-        return _COMMANDS[args.command](cfg)
+        status = _COMMANDS[args.command](cfg)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:  # the rest goes nowhere, so exit flushes quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ConfigError, BadWeights) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -95,7 +95,7 @@ class SontagController:
         self._R_inv_rows = self.R_inv.tolist()
 
     def _parts(self, X) -> _Parts:
-        return self._law(*_model_at(self.sys, X))[1]
+        return self._law(*_model_at(self.sys, np.asarray(X, dtype=float)))[1]
 
     def _law(self, X, fX, GX) -> tuple[np.ndarray, _Parts]:
         """(U, parts) at states X from the model's f(X) and G(X), with U
@@ -175,7 +175,7 @@ class FblController:
 
     def u(self, X) -> np.ndarray:
         """Control input; NaN where gamma is singular or outside the domain."""
-        return np.asarray(self._law(*_model_at(self.sys, X))[0], dtype=float)
+        return np.asarray(self._law(*_model_at(self.sys, np.asarray(X, float)))[0], float)
 
     def _law(self, X, fX, GX) -> tuple[np.ndarray, None]:
         Z = X if self.fbl.T is identity_coordinates else np.asarray(self.fbl.T(X), dtype=float)

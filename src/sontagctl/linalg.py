@@ -79,8 +79,8 @@ def max_abs(a) -> float:
 
 def _row_dot(A, B):
     """sum_k A[k] * B[k] over the leading (coordinate) axis of (n, ...)
-    float arrays, or over one state's n Python floats (A a list), which
-    give a float. Adds in index order from +0.0, numpy's order for sums of
+    float arrays; a float over one state's n floats (lists, or (n,) arrays
+    read as them). Adds in index order from +0.0, numpy's order for sums of
     fewer than 8 terms, so the result is bitwise ``(A * B).sum(axis=0)``
     there, without numpy's reduction loop over a short axis."""
     if type(A) is list:
@@ -88,6 +88,8 @@ def _row_dot(A, B):
         for r in map(operator.mul, A, B):
             s += r
         return s
+    if A.ndim == 1:
+        return _row_dot(A.tolist(), B.tolist())
     rows = A * B
     s = rows[0] + 0.0
     for k in range(1, len(rows)):
@@ -135,13 +137,15 @@ def _all_rows(mask) -> bool:
 
 def _row_max_abs(A):
     """``np.abs(A).max(axis=0)``, the first NaN kept as ``np.maximum``
-    does, which one state's Python floats (a list) compare in Python."""
+    does; one state's floats (a list, or an (n,) array) compare in Python."""
     if type(A) is list:
         m = 0.0
         for r in map(abs, A):
             if not (m >= r or m != m):
                 m = r
         return m
+    if A.ndim == 1:
+        return _row_max_abs(A.tolist())
     rows = np.abs(A)
     m = rows[0]
     for r in rows[1:]:

@@ -4,15 +4,17 @@ Dynamics callables follow a coordinates-first stacked convention: a
 state is (n,), and a stack (n, ...) carries its batch axes after the
 coordinates. ``f`` maps (n, ...) -> (n, ...) and ``G`` maps (n, ...) ->
 (n, m, ...), so simulation and grid code evaluate a model on many states
-at once without special cases. Coordinate k is ``X[k]``: a contiguous
-row of a stack, a numpy scalar of one state; the closed loop takes one
-state's f and G as Python floats (``_model_at``). All models are
-immutable after construction and safe to share across workers.
+at once without special cases. Coordinate k is ``X[k]``, a contiguous
+row of a stack. One state reaches f and G as a list of n floats, and they
+may return coordinate rows (n floats; n rows of m floats) or arrays
+(``_model_at``). Models are immutable and safe to share across workers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -88,10 +90,14 @@ class FeedbackLinearization:
 
 
 def _model_at(sys: SystemModel, X) -> tuple[np.ndarray, list | np.ndarray, list | np.ndarray]:
-    """(X, f(X), G(X)): one model evaluation, f and G lists on one state."""
-    X = np.asarray(X, dtype=float)
-    fX, GX = np.asarray(sys.f(X), dtype=float), np.asarray(sys.G(X), dtype=float)
-    return (X, fX.tolist(), GX.tolist()) if X.ndim == 1 else (X, fX, GX)
+    """(X, f(X), G(X)) at a float stack or one state, a list of n floats or an
+    (n,) array that f and G get as the list and whose f and G are lists."""
+    if type(X) is not list and X.ndim > 1:
+        return X, np.asarray(sys.f(X), dtype=float), np.asarray(sys.G(X), dtype=float)
+    x, X = (X, np.array(X)) if type(X) is list else (X.tolist(), X)
+    fX, GX = sys.f(x), sys.G(x)
+    return (X, fX if type(fX) is list else np.asarray(fX, dtype=float).tolist(),
+            GX if type(GX) is list else np.asarray(GX, dtype=float).tolist())
 
 
 @dataclass(frozen=True)
@@ -161,6 +167,14 @@ def linearize(sys: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def _on_float(fn, ufunc, x: float) -> float:
+    """``math``'s ``fn(x)``; the ufunc's NaN where fn raises, at +-inf."""
+    try:
+        return fn(x)
+    except ValueError:
+        return float(ufunc(x))
+
+
 def identity_coordinates(X) -> np.ndarray:
     """z = T(x) = x. A model whose feedback-linearizing coordinates are
     its own states passes this function itself as ``T``; a transformed
@@ -184,6 +198,8 @@ def pendulum_system(params: PendulumParams | None = None):
     input_gain = p.mass * p.length / denom
 
     def f(X):
+        if type(X) is list and type(X[0]) is float:  # one state's coordinate rows
+            return [X[1], drift_gain * _on_float(math.sin, np.sin, X[0])]
         X = np.asarray(X, dtype=float)
         out = np.empty_like(X)
         out[0] = X[1]
@@ -191,6 +207,8 @@ def pendulum_system(params: PendulumParams | None = None):
         return out
 
     def G(X):
+        if type(X) is list and type(X[0]) is float:  # a constant +0.0 row, never 0.0 * x
+            return [[0.0], [-input_gain * _on_float(math.cos, np.cos, X[0])]]
         out = np.zeros((2, 1) + np.asarray(X).shape[1:])
         out[1, 0] = -input_gain * np.cos(X[0])
         return out
@@ -225,20 +243,15 @@ def lti_system(A, B, name: str = "lti"):
         raise ValueError("B must have as many rows as A")
 
     def stacked(M, X):
-        """The matrix M repeated over the batch axes of X."""
+        """M repeated over the batch axes of X; M's rows on one state's list."""
+        if type(X) is list and type(X[0]) is float:
+            return M.tolist()
         batch = np.shape(X)[1:]
         return np.broadcast_to(M.reshape(M.shape + (1,) * len(batch)), M.shape + batch)
 
-    def f(X):
-        return _stack_matmul(np.asarray(X, dtype=float), A.T)
-
-    def G(X):
-        return stacked(B, X)
-
-    def f_jac(X):
-        return stacked(A, X)
-
-    system = SystemModel(n=A.shape[0], m=B.shape[1], f=f, G=G, f_jac=f_jac, name=name)
+    system = SystemModel(n=A.shape[0], m=B.shape[1],
+                         f=lambda X: _stack_matmul(np.asarray(X, dtype=float), A.T),
+                         G=partial(stacked, B), f_jac=partial(stacked, A), name=name)
     fbl = FeedbackLinearization(
         T=identity_coordinates,
         A_tilde=A,

@@ -54,6 +54,25 @@ def stacked(M, X) -> np.ndarray:
     return np.broadcast_to(M.reshape(M.shape + (1,) * len(batch)), M.shape + batch)
 
 
+def frozen_pendulum(drift_gain=9.81, input_gain=1.0):
+    """The pendulum's f and G in their earlier array form, kept as the
+    reference for the coordinate-row form: f allocates with empty_like
+    and G with zeros, and both call numpy's sin and cos."""
+    def f(X):
+        X = np.asarray(X, dtype=float)
+        out = np.empty_like(X)
+        out[0] = X[1]
+        out[1] = drift_gain * np.sin(X[0])
+        return out
+
+    def G(X):
+        out = np.zeros((2, 1) + np.asarray(X).shape[1:])
+        out[1, 0] = -input_gain * np.cos(X[0])
+        return out
+
+    return f, G
+
+
 def counted(fn, calls: list):
     """``fn`` wrapped so that each call appends the shape of its first
     argument to ``calls``: ``len(calls)`` counts the calls, and one log

@@ -173,6 +173,28 @@ class TestLieDerivatives:
                 assert type(getattr(lt, name)) is kind, (x, name)
             assert lt.grad.shape == (2,) and lt.b.shape == (1,) and lt.b.dtype == np.float64
 
+    @pytest.mark.parametrize("selector", ["i", "ii"])
+    def test_single_state_value_and_condition_are_python_scalars(self, pendulum,
+                                                                 pendulum_designs, selector):
+        # a float and a bool on one (n,) state, V with the bits of the
+        # sum from +0.0 over x @ P (the gemv, which some BLAS kernels
+        # round apart from a stack's gemm); the stacks stay arrays.
+        # x1 = 2.0 is outside design ii's domain: V NaN, condition False.
+        sys_m, _ = pendulum
+        clf = pendulum_designs[selector].clf
+        P = clf.P if selector == "i" else clf.P_tilde
+        X = np.array([[0.3, 0.0, 2.0, -1.2, 0.0], [-0.2, 0.0, 0.5, 3.0, 1.0]])
+        V, ok = clf.value(X), clf_condition_at(clf, sys_m, X)
+        assert type(V) is np.ndarray and V.shape == (5,)
+        assert type(ok) is np.ndarray and ok.dtype == bool and ok.shape == (5,)
+        for k, x in enumerate(X.T):
+            v, c = clf.value(x), clf_condition_at(clf, sys_m, x)
+            assert type(v) is float and type(c) is bool, x
+            px = (x @ P).tolist()
+            want = 0.5 * (0.0 + px[0] * x[0] + px[1] * x[1])
+            want = np.nan if selector == "ii" and abs(x[0]) >= np.pi / 2 else float(want)
+            assert np.array(v).tobytes() == np.array(want).tobytes() and c == ok[k], x
+
     @pytest.mark.parametrize("m", [1, 3])
     def test_b_rows_assemble_the_whole_contraction(self, m):
         # b is built one input row at a time; assembled it has shape

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from conftest import cli_env
+from sontagctl.cli import EXIT_BROKEN_PIPE
 from sontagctl.riccati import RESIDUAL_RTOL
 
 SONTAGCTL = [sys.executable, "-m", "sontagctl"]
@@ -53,6 +54,25 @@ def test_runtime_does_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT], capture_output=True,
                           text=True, cwd=tmp_path, env=cli_env())
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_quietly(tmp_path, small_config, unbuffered):
+    # `sontagctl roa | head -1`: the reader has gone before roa prints.
+    # The pipe is closed before the child can print (reading a line
+    # first would race with the child's later writes), and both stdout
+    # modes are covered: unbuffered, print fails inside the command;
+    # block-buffered, the flush in main does.
+    env = {**cli_env(), "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(SONTAGCTL + ["roa", "--config", str(small_config),
+                                         "--out", str(tmp_path / "out")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert stderr == b""
+    assert (tmp_path / "out" / "roa.csv").stat().st_size > 0
 
 
 class TestSynthesize:

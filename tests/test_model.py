@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from sontagctl.clf import clf_condition_at, lie_terms
 from sontagctl.model import (
     PendulumParams,
     SystemModel,
+    _model_at,
     _whole_space,
     apply_input,
     fd_jacobian,
@@ -12,9 +14,9 @@ from sontagctl.model import (
     pendulum_system,
 )
 
-from sontagctl.control import _input_rows
+from sontagctl.control import FblController, _input_rows
 
-from conftest import stacked
+from conftest import frozen_pendulum, stacked
 
 
 class TestPendulumDynamics:
@@ -91,6 +93,107 @@ class TestPendulumDynamics:
         assert type(fbl.domain(np.array([0.3, 0.0]))) is np.bool_
         assert fbl.domain(np.array([1.5, 0.0]))
         assert not fbl.domain(np.array([np.pi / 2, 0.0]))
+
+
+def _int_bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+#: Angles and rates where math and numpy could part: signed zeros, +-pi,
+#: huge and subnormal values, NaN and both infinities.
+SPECIAL = [0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 1e300, -1e300, 5e-324,
+           np.nan, np.inf, -np.inf]
+
+
+def _pendulum_states(rng, n):
+    """(2, n) seeded states: wide and near-zero angles, then every pair of
+    SPECIAL values."""
+    X = rng.uniform(-10.0, 10.0, size=(2, n)) * 10.0 ** rng.integers(-20, 4, size=(2, n))
+    pairs = np.array([(a, b) for a in SPECIAL for b in SPECIAL]).T
+    return np.concatenate([X, pairs], axis=1)
+
+
+class TestCoordinateRows:
+    # one state reaches the pendulum's f and G as a list of floats and
+    # comes back as coordinate rows (math's sin and cos); a stack keeps
+    # the array code. Both must have the earlier array form's bits.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stack_bitwise_equals_frozen_form(self, pendulum):
+        sys_m, _ = pendulum
+        f0, G0 = frozen_pendulum()
+        X = _pendulum_states(np.random.default_rng(2701), 100_000)
+        for fn, ref in ((sys_m.f, f0), (sys_m.G, G0)):
+            out, want = np.asarray(fn(X)), ref(X)
+            assert out.shape == want.shape
+            assert np.array_equal(_int_bits(out), _int_bits(want))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_single_states_bitwise_equal_frozen_form(self, pendulum):
+        sys_m, _ = pendulum
+        f0, G0 = frozen_pendulum()
+        X = _pendulum_states(np.random.default_rng(2702), 10_000)
+        for x in X.T:
+            rows = x.tolist()
+            fx, Gx = sys_m.f(rows), sys_m.G(rows)
+            assert type(fx) is list and type(Gx) is list
+            assert all(type(v) is float for v in fx + [g for row in Gx for g in row])
+            assert np.array_equal(_int_bits(fx), _int_bits(f0(x))), rows
+            assert np.array_equal(_int_bits(Gx), _int_bits(G0(x))), rows
+            # _model_at passes the rows through, from a list or an (n,) array
+            for state in (rows, x):
+                X1, f1, G1 = _model_at(sys_m, state)
+                assert type(X1) is np.ndarray and _int_bits(X1).tolist() == _int_bits(x).tolist()
+                assert _int_bits(f1).tolist() == _int_bits(fx).tolist()
+                assert _int_bits(G1).tolist() == _int_bits(Gx).tolist()
+
+    def test_g_zero_row_stays_positive_zero(self, pendulum):
+        # a constant +0.0, never 0.0 * x1, which is -0.0 at negative angles
+        sys_m, _ = pendulum
+        for x1 in (-0.3, -0.0, -np.pi, -1e300):
+            assert np.signbit(sys_m.G([x1, 0.0])[0][0]) == False  # noqa: E712
+
+    def test_infinite_angle_gives_numpy_nan(self, pendulum):
+        # math.sin(inf) raises ValueError; one state keeps numpy's NaN
+        sys_m, _ = pendulum
+        for x1 in (np.inf, -np.inf):
+            with np.errstate(invalid="ignore"):
+                fx, Gx = sys_m.f([x1, 0.5]), sys_m.G([x1, 0.5])
+            assert fx[0] == 0.5 and np.isnan(fx[1]) and np.isnan(Gx[1][0])
+            assert type(fx[1]) is float and type(Gx[1][0]) is float
+
+    def test_lti_rows(self):
+        # one state: G and f_jac are B's and A's rows as new lists, f the
+        # gemv's result read through .tolist(); stacks keep their arrays
+        A, B = np.array([[0.3, -1.2], [2.0, 0.7]]), np.array([[1.0], [0.5]])
+        sys_m, _ = lti_system(A, B)
+        x = [0.4, -0.1]
+        G1, G2 = sys_m.G(x), sys_m.G(x)
+        assert G1 == B.tolist() and G1 is not G2 and G1[0] is not G2[0]
+        assert sys_m.f_jac(x) == A.tolist()
+        X1, f1, G = _model_at(sys_m, x)
+        assert f1 == (np.array(x) @ A.T).tolist() and G == B.tolist()
+        X = np.array([[0.4, 1.0], [-0.1, 2.0]])
+        assert np.asarray(sys_m.G(X)).shape == (2, 1, 2)
+        assert np.asarray(sys_m.G(X.tolist())).shape == (2, 1, 2)
+
+    def test_nested_list_stacks_match_arrays(self, pendulum, pendulum_designs):
+        # a nested-list stack is a list too, but not one state: the public
+        # entry points read it as its array does, bit for bit
+        sys_m, _ = pendulum
+        X = np.array([[0.3, 1.0, -0.5, 1.8], [-0.2, 0.5, 2.0, 0.0]])
+        rows = X.tolist()
+        for selector in ("i", "ii"):
+            clf = pendulum_designs[selector].clf
+            want, got = lie_terms(clf, sys_m, X), lie_terms(clf, sys_m, rows)
+            for name in ("grad", "a", "b", "ok"):
+                assert _int_bits(getattr(got, name)).tobytes() == \
+                    _int_bits(getattr(want, name)).tobytes(), (selector, name)
+            assert np.array_equal(clf_condition_at(clf, sys_m, rows),
+                                  clf_condition_at(clf, sys_m, X))
+        ctrl = pendulum_designs["iii"].controller
+        assert isinstance(ctrl, FblController)
+        assert ctrl.u(rows).tobytes() == ctrl.u(X).tobytes()
+        assert ctrl.u(X[:, 0].tolist()).tobytes() == ctrl.u(X[:, 0]).tobytes()
 
 
 class TestLinearize:

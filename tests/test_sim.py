@@ -24,7 +24,7 @@ from sontagctl.sim import (
 )
 
 import csv_reference
-from conftest import EXTREMES, counted, counting_drift, format_cell
+from conftest import EXTREMES, counted, counting_drift, format_cell, frozen_pendulum
 
 
 def _frozen_system():
@@ -160,6 +160,23 @@ class TestSimulate:
             traj = simulate(sys_m, res.controller, cfg, clf=clf)
         assert traj.diverged and not traj.stabilized
         assert traj.clf_values.shape == (traj.states.shape[0],)
+
+    @pytest.mark.parametrize("selector, flag", [("i", FLAG_DOMAIN), ("ii", FLAG_DOMAIN),
+                                                ("iii", FLAG_DIVERGENCE),
+                                                ("iv", FLAG_DIVERGENCE)])
+    def test_infinite_angle_in_a_stage_halts_with_a_flag(self, pendulum, pendulum_designs,
+                                                         selector, flag):
+        # a stage state reaches x1 = +-inf; math.sin would raise there,
+        # the model keeps numpy's NaN and the run halts with its flag
+        sys_m, _ = pendulum
+        res = pendulum_designs[selector]
+        clf = pendulum_designs["i"].clf if res.clf is None else res.clf
+        cfg = SimConfig(h=1e10, n_steps=5, x0=np.array([0.5, 1e300]))
+        traj = simulate(sys_m, res.controller, cfg, clf=clf)
+        assert isinstance(traj, Trajectory)
+        assert traj.flags == [flag] and traj.diverged and not traj.stabilized
+        n_inputs = 1 if flag == FLAG_DIVERGENCE else 0  # a domain violation records none
+        assert traj.states.shape == (1, 2) and traj.inputs.shape == (n_inputs, 1)
 
     def test_domain_violation_halts(self, pendulum, pendulum_designs):
         sys_m, _ = pendulum
@@ -405,6 +422,51 @@ class TestBatchRollout:
                                      0.1, 50)
         assert J[0] == 0.0 and stab[0] and not div[0]
         assert J[1] == np.inf and not stab[1] and div[1]
+
+
+class TestArrayModels:
+    # models that return arrays keep working: _model_at reads one state's
+    # f and G through .tolist() and a stack's as they are
+    @pytest.fixture(scope="class")
+    def array_pendulum(self, pendulum, pendulum_weights):
+        sys_m, fbl = pendulum
+        f, G = frozen_pendulum()
+        model = SystemModel(n=2, m=1, f=f, G=G, f_jac=sys_m.f_jac, name="array pendulum")
+        Q, R = pendulum_weights
+        return model, {d: synthesize_design(d, model, fbl, Q, R) for d in ("i", "ii", "iii", "iv")}
+
+    @pytest.mark.parametrize("selector", ["i", "ii", "iii", "iv"])
+    def test_same_single_state_run_as_the_row_model(self, pendulum, pendulum_designs,
+                                                    array_pendulum, selector):
+        model, designs = array_pendulum
+        for deg in (45.0, 100.0):
+            cfg = SimConfig(n_steps=300, x0=np.array([np.radians(deg), 0.5]))
+            want = simulate(pendulum[0], pendulum_designs[selector].controller, cfg)
+            got = simulate(model, designs[selector].controller, cfg)
+            for name in ("states", "inputs", "lambdas", "vdot"):
+                w, g = getattr(want, name), getattr(got, name)
+                assert (w is None and g is None) or w.tobytes() == g.tobytes(), name
+            assert got.flags == want.flags
+
+    @pytest.mark.parametrize("selector", ["i", "iii", "iv"])
+    def test_same_stacked_costs_as_the_row_model(self, pendulum, pendulum_designs,
+                                                 pendulum_weights, array_pendulum, selector):
+        model, designs = array_pendulum
+        Q, R = pendulum_weights
+        X0 = np.stack([np.radians(np.linspace(-80.0, 80.0, 9)), np.zeros(9)])
+        want = rollout_costs(pendulum[0], pendulum_designs[selector].controller, X0, Q, R,
+                             0.01, 200)
+        got = rollout_costs(model, designs[selector].controller, X0, Q, R, 0.01, 200)
+        for w, g in zip(want, got):
+            assert w.tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("zoh", [False, True])
+    def test_scalar_decay_state_matches_its_stack(self, zoh):
+        X = np.array([[1.0, -0.3, 0.0, 2.5e-7]])
+        stack = rk4_step(_scalar_decay(), _ZeroController(), X, 0.1, zoh=zoh)
+        for k in range(X.shape[1]):
+            one = rk4_step(_scalar_decay(), _ZeroController(), X[:, k], 0.1, zoh=zoh)
+            assert one.shape == (1,) and one.tobytes() == stack[:, k].tobytes()
 
 
 class TestModelCalls:

@@ -2,19 +2,24 @@
 
     python tools/ab_timing.py --against REV [--rounds N]
 
-Extracts REV's ``src`` (``git archive REV src``) into a temporary
-directory, renames its package to ``sontagctl_base`` and imports it in
-this process beside the working tree's ``sontagctl``. Each round times,
-for both packages in turn (the side that goes first alternates), one
-``simulate`` per design from 45 degrees, one ``rollout_costs`` per
-sweep design over the default sweep's rows, and one ``roa_certify``
-followed by ``write_roa_csv`` (into the temporary directory), all at
-the default config.
-Prints per item the median seconds of each side, the median and the
-lower and upper quartiles of the per-round ratios (working tree over
-REV; below 1 is faster) and in how many rounds the working tree was
-faster. Runs on one BLAS thread.
-Timings on a shared host drift; the ratio of two alternating sides
+Extracts REV's ``src`` (``git archive REV src``) twice into a temporary
+directory, as the packages ``sontagctl_base`` and ``sontagctl_ctrl``,
+and imports both in this process beside the working tree's
+``sontagctl``. The items are one ``simulate`` per design from 45
+degrees, one ``rollout_costs`` per sweep design over the default
+sweep's rows, and one ``roa_certify`` followed by ``write_roa_csv``
+(into the temporary directory), all at the default config. Each round
+runs the items in a shuffled order and each item on the three packages
+in a shuffled order, both drawn from a fixed seed, so that no side
+keeps the first or last place.
+Prints per item the median seconds of REV and of the working tree, the
+median and the lower and upper quartiles of the per-round ratios
+(working tree over REV; below 1 is faster), in how many rounds the
+working tree was faster, and the same median and quartiles for the
+control ratio, REV's second copy over REV: the same code on both sides,
+so how far its quartiles stray from 1 is the bias and noise of the
+host. Runs on one BLAS thread.
+Timings on a shared host drift; the ratio of two interleaved sides
 drifts much less than either side alone.
 """
 
@@ -24,6 +29,7 @@ import argparse
 import importlib
 import io
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -38,6 +44,8 @@ ROOT = Path(__file__).resolve().parents[1]
 DEGREES = 45.0
 SIMULATE = ("i", "ii", "iii", "iv")
 ROLLOUT = (("sontag", "i"), ("lqr", "iv"), ("fbl", "iii"))
+#: Seed of the run order; fixed, so that reruns shuffle alike.
+ORDER_SEED = 2027
 
 
 def _jobs(pkg: str, tmp: str) -> dict:
@@ -79,16 +87,24 @@ def _jobs(pkg: str, tmp: str) -> dict:
     return jobs
 
 
-def _import_base(rev: str, tmp: str) -> str:
-    """Extract REV's package into ``tmp`` as ``sontagctl_base``; its own
-    imports are relative, so it loads under the new name."""
+def _import_rev(rev: str, tmp: str, name: str) -> str:
+    """Extract REV's package into ``tmp`` as ``name``; its own imports are
+    relative, so it loads under the new name."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src/sontagctl"],
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(tmp, filter="data")
-    (Path(tmp) / "src" / "sontagctl").rename(Path(tmp) / "sontagctl_base")
-    sys.path.insert(0, tmp)
-    return "sontagctl_base"
+    (Path(tmp) / "src" / "sontagctl").rename(Path(tmp) / name)
+    if tmp not in sys.path:
+        sys.path.insert(0, tmp)
+    return name
+
+
+def _quartiles(values: list) -> list:
+    """[q1, median, q3] of ``values``."""
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def _seconds(job) -> float:
@@ -101,31 +117,38 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", required=True,
                         help="git revision whose src is the baseline")
-    parser.add_argument("--rounds", type=int, default=7, help="alternating rounds (default 7)")
+    parser.add_argument("--rounds", type=int, default=7, help="shuffled rounds (default 7)")
     args = parser.parse_args()
     if args.rounds < 1:
         parser.error("need at least one round")
 
     sys.path.insert(0, str(ROOT / "src"))
+    rng = random.Random(ORDER_SEED)
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"base": _jobs(_import_base(args.against, tmp), tmp),
-                 "tree": _jobs("sontagctl", tmp)}
+        sides = {side: _jobs(_import_rev(args.against, tmp, f"sontagctl_{side}"), tmp)
+                 for side in ("base", "ctrl")}
+        sides["tree"] = _jobs("sontagctl", tmp)
         times = {side: {item: [] for item in sides[side]} for side in sides}
-        for r in range(args.rounds):
-            for side in (("base", "tree") if r % 2 == 0 else ("tree", "base")):
-                for item, job in sides[side].items():
-                    times[side][item].append(_seconds(job))
+        items, order = list(sides["tree"]), list(sides)
+        for _ in range(args.rounds):
+            rng.shuffle(items)
+            for item in items:
+                rng.shuffle(order)
+                for side in order:
+                    times[side][item].append(_seconds(sides[side][item]))
 
-    print(f"{args.rounds} rounds, 1 BLAS thread; seconds; ratio = working tree / {args.against}")
-    print(f"{'item':18s} {'base':>9s} {'tree':>9s} {'ratio':>7s} {'q1':>7s} {'q3':>7s} faster")
+    print(f"{args.rounds} rounds, 1 BLAS thread; seconds; ratio = working tree / {args.against};"
+          f" control = {args.against} / {args.against}")
+    print(f"{'item':18s} {'base':>9s} {'tree':>9s} {'ratio':>7s} {'q1':>7s} {'q3':>7s} faster"
+          f" {'control':>7s} {'q1':>7s} {'q3':>7s}")
     for item in sides["base"]:
-        base, tree = times["base"][item], times["tree"][item]
-        ratios = [t / b for t, b in zip(tree, base)]
-        q1, ratio, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
-                         if len(ratios) > 1 else ratios * 3)
+        base, tree, ctrl = (times[side][item] for side in ("base", "tree", "ctrl"))
+        q1, ratio, q3 = _quartiles([t / b for t, b in zip(tree, base)])
+        c1, control, c3 = _quartiles([c / b for c, b in zip(ctrl, base)])
         faster = sum(t < b for t, b in zip(tree, base))
         print(f"{item:18s} {statistics.median(base):9.4f} {statistics.median(tree):9.4f}"
-              f" {ratio:7.3f} {q1:7.3f} {q3:7.3f} {faster}/{args.rounds}")
+              f" {ratio:7.3f} {q1:7.3f} {q3:7.3f} {faster:>2d}/{args.rounds:<3d}"
+              f" {control:7.3f} {c1:7.3f} {c3:7.3f}")
     return 0
 
 
