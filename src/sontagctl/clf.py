@@ -10,13 +10,14 @@ transformed CLF's domain evaluate to NaN, and so do their Lie terms.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (NotPositiveDefinite, _all_rows, _row_all_finite, _row_dot, _row_max_abs,
-                     _select, _stack_matmul, as_matrix, as_square, cholesky_pd, solve_many,
-                     symmetrize)
+from .linalg import (NotPositiveDefinite, _all_rows, _coefficients, _contract, _row_all_finite,
+                     _row_dot, _row_max_abs, _select, as_matrix, as_square, cholesky_pd,
+                     solve_many, symmetrize)
 from .model import FeedbackLinearization, SystemModel, _model_at, fd_jacobian, identity_coordinates
 
 
@@ -27,13 +28,14 @@ class QuadraticClf:
         P = as_square(P, "P")
         cholesky_pd(P)
         self.P = symmetrize(P)
+        self._grad = partial(_contract, _coefficients(self.P))   # P x
 
     def value(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return 0.5 * _row_dot(_stack_matmul(X, self.P), X)
+        return 0.5 * _row_dot(self._grad(X), X)
 
     def grad(self, X) -> np.ndarray:
-        return _stack_matmul(np.asarray(X, dtype=float), self.P)
+        return self._grad(np.asarray(X, dtype=float))
 
 
 class TransformedClf:
@@ -43,32 +45,31 @@ class TransformedClf:
         P_tilde = as_square(P_tilde, "P_tilde")
         cholesky_pd(P_tilde)
         self.P_tilde = symmetrize(P_tilde)
+        self._Pz = partial(_contract, _coefficients(self.P_tilde))   # P_tilde z
         self.fbl = fbl
 
     def value(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        Z = np.asarray(self.fbl.T(X), dtype=float)
-        ok = self.fbl.domain(Z)
-        v = 0.5 * _row_dot(_stack_matmul(Z, self.P_tilde), Z)
-        return _select(ok, v, np.nan)
+        Z = np.asarray(self.fbl.T(np.asarray(X, dtype=float)), dtype=float)
+        return _select(self.fbl.domain(Z), 0.5 * _row_dot(self._Pz(Z), Z), np.nan)
 
     def grad(self, X) -> np.ndarray:
-        """T_jac(x)' P_tilde T(x), NaN outside the domain. Under declared
-        identity coordinates this is P_tilde x; adding +0.0 turns -0.0
-        into +0.0 as the contraction with an identity Jacobian does."""
-        X = np.asarray(X, dtype=float)
+        return self._grad(np.asarray(X, dtype=float))
+
+    def _grad(self, X):
+        """T_jac(x)' P_tilde T(x) (P_tilde x under identity coordinates), NaN off the domain."""
         if self.fbl.T is identity_coordinates:
-            ok = self.fbl.domain(X)
-            g = _stack_matmul(X, self.P_tilde) + 0.0
+            ok, g = self.fbl.domain(X), self._Pz(X)
+        elif type(X) is list:  # T and T_jac take one state as an (n,) array
+            return self._grad(np.array(X)).tolist()
         else:
             Z = np.asarray(self.fbl.T(X), dtype=float)
             ok = self.fbl.domain(Z)
             J = (fd_jacobian(self.fbl.T, X) if self.fbl.T_jac is None
                  else np.asarray(self.fbl.T_jac(X), dtype=float))
-            g = _row_dot(J, _stack_matmul(Z, self.P_tilde)[:, None])
+            g = _row_dot(J, self._Pz(Z)[:, None])
         if _all_rows(ok):
             return g
-        return np.where(ok, g, np.nan)
+        return [math.nan] * len(g) if type(g) is list else np.where(ok, g, np.nan)
 
 
 class LieTerms(NamedTuple):
@@ -84,29 +85,24 @@ def lie_terms(clf, sys: SystemModel, X) -> LieTerms:
     """a = grad V . f(x) and b = grad V . G(x) at (n,) or (n, ...)
     states, with the gradient; NaN outside the CLF domain."""
     grad, a, b, ok = _lie_rows(clf, *_model_at(sys, np.asarray(X, dtype=float)))
-    return LieTerms(grad, a, np.array(b), ok)  # positional: keywords cost ~0.8 us more
+    return LieTerms(np.asarray(grad, float), a, np.array(b), ok)  # positional: ~0.8 us faster
 
 
-def _lie_rows(clf, X: np.ndarray, fX, GX, R_inv=None, Q=None):
+def _lie_rows(clf, X, fX, GX, R_inv=None, Q=None):
     """(grad, a, b, ok) at X from f(X) and G(X), plus (Rb, beta, q = x'Qx)
-    given R_inv as nested lists, one input at a time: b_j = grad V . G[:, j],
-    Rb_j = (R^{-1} b')_j and beta = sum_j b_j Rb_j, sums in index order from
-    +0.0, with b and Rb lists of m rows (Python floats on one state)."""
-    grad = np.asarray(clf.grad(X), dtype=float)
+    given R_inv and Q as ``_coefficients``, one input at a time: b_j = grad
+    V . G[:, j], Rb_j = (R^{-1} b')_j and beta = sum_j b_j Rb_j, sums in index
+    order from +0.0, with b and Rb lists of m rows; floats on one state."""
     one = type(fX) is list
-    g = grad.tolist() if one else grad
+    own = getattr(clf, "_grad", None)  # the two CLF classes here; else a CLF's public grad
+    g = own(X) if own else np.asarray(clf.grad(X), dtype=float)
+    g = g.tolist() if one and not own else g
     b = [_row_dot(g, G_j) for G_j in (zip(*GX) if one else GX.swapaxes(0, 1))]
-    out = grad, _row_dot(g, fX), b, _row_all_finite(g)
+    out = g, _row_dot(g, fX), b, _row_all_finite(g)
     if R_inv is None:
         return out
-    Rb, beta = [], 0.0
-    for r, b_j in zip(R_inv, b):
-        s = 0.0
-        for r_k, b_k in zip(r, b):
-            s = s + r_k * b_k
-        Rb.append(s)
-        beta = beta + b_j * s
-    return (*out, Rb, beta, _row_dot(_stack_matmul(X, Q), X))
+    Rb = _contract(R_inv, b)   # b is a list of rows, one state's or a stack's
+    return (*out, Rb, _row_dot(b, Rb), _row_dot(_contract(Q, X), X))
 
 
 def transform_P(P, J_T0) -> np.ndarray:

@@ -15,9 +15,10 @@ by, the control is zero, the factor is undefined, and a flag records
 whether the CLF decrease condition broke down there.
 
 All controllers map (n,) states or (n, ...) stacks to (m,) or (m, ...)
-inputs, with state products by ``linalg._stack_matmul`` and R^{-1} b' a
-fixed-order sum over the inputs (``clf._lie_rows``); states outside a CLF
-or linearization domain, or with singular gamma, get NaN inputs.
+inputs, with state products by ``linalg._contract`` and R^{-1} b' a
+fixed-order sum over the inputs (``clf._lie_rows``), so a stack's column
+has one state's bits, which ``_law`` computes on Python floats; states
+outside a CLF or linearization domain, or with singular gamma, get NaN.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .clf import _lie_rows, build_global_clf, build_lqr_clf
-from .linalg import (PIVOT_RTOL, SingularMatrix, _all_rows, _certified_inverse, _select,
-                     _stack_matmul, as_matrix, as_square, cholesky_pd, max_abs, solve_many,
+from .linalg import (PIVOT_RTOL, SingularMatrix, _all_rows, _certified_inverse, _coefficients,
+                     _contract, _select, as_matrix, as_square, cholesky_pd, max_abs, solve_many,
                      symmetrize)
 from .model import (FeedbackLinearization, SystemModel, _model_at, apply_input, fd_jacobian,
                     identity_coordinates, linearize, lti_system)
@@ -92,7 +93,8 @@ class SontagController:
         self.Q = symmetrize(Q)
         self.R = symmetrize(R)
         self.R_inv = symmetrize(solve_many(self.R, np.eye(sys.m)))
-        self._R_inv_rows = self.R_inv.tolist()
+        self._Q = _coefficients(self.Q)
+        self._R_inv = _coefficients(self.R_inv)
 
     def _parts(self, X) -> _Parts:
         return self._law(*_model_at(self.sys, np.asarray(X, dtype=float)))[1]
@@ -100,7 +102,7 @@ class SontagController:
     def _law(self, X, fX, GX) -> tuple[np.ndarray, _Parts]:
         """(U, parts) at states X from the model's f(X) and G(X), with U
         built from its rows u_j = Rb_j * -lam: a list on one state."""
-        _, a, _, ok, Rb, beta, q = _lie_rows(self.clf, X, fX, GX, self._R_inv_rows, self.Q)
+        _, a, _, ok, Rb, beta, q = _lie_rows(self.clf, X, fX, GX, self._R_inv, self._Q)
         nonzero = beta > 0.0
         all_nonzero = _all_rows(nonzero)
         lam = _lambda_array(a, q, beta if all_nonzero else _select(nonzero, beta, 1.0))
@@ -109,7 +111,7 @@ class SontagController:
             U = [_select(nonzero, u, 0.0) for u in U]
         if not _all_rows(ok):
             U = [_select(ok, u, np.nan) for u in U]
-        U = np.array(U) if X.ndim > 1 else U
+        U = U if type(X) is list else np.array(U)
         # positional, as in lie_terms
         return U, _Parts(U, lam, nonzero, ok, a, beta, q)
 
@@ -123,20 +125,19 @@ class LqrController:
 
     def __init__(self, K):
         self.K = as_matrix(K, "K")
+        self._K = _coefficients(self.K)
 
     def u(self, X) -> np.ndarray:
-        return np.asarray(self._law(np.asarray(X, dtype=float), None, None)[0], dtype=float)
+        return self._law(np.asarray(X, dtype=float), None, None)[0]
 
     def _law(self, X, fX, GX) -> tuple[np.ndarray, None]:
-        U = _stack_matmul(X, self.K.T)
-        return ([-u for u in U.tolist()] if X.ndim == 1 else -U), None
+        U = _contract(self._K, X)
+        return ([-u for u in U] if type(X) is list else -U), None
 
 
 def _in_z(fbl: FeedbackLinearization, X, v, GX, rows=slice(None)):
-    """Rows ``rows`` of J_T v and J_T G(X) at states X (lists on one state),
-    with no Jacobian (``T_jac``, or finite differences) under ``identity_coordinates``."""
-    if type(v) is list and (type(rows) is not slice or fbl.T is not identity_coordinates):
-        return tuple(a.tolist() for a in _in_z(fbl, X, np.array(v), np.array(GX), rows))
+    """Rows ``rows`` of J_T v and J_T G(X) at states X; under ``identity_coordinates``
+    a slice, with no Jacobian (``T_jac``, or finite differences), and lists kept."""
     if fbl.T is identity_coordinates:
         return v[rows], GX[rows]
     J = np.asarray(fd_jacobian(fbl.T, X) if fbl.T_jac is None else fbl.T_jac(X), dtype=float)[rows]
@@ -170,7 +171,7 @@ class FblController:
         self.sys = sys
         self.K_fbl = as_matrix(K_fbl, "K_fbl")
         self._idx, gamma0 = _input_rows(fbl, np.asarray(sys.G(np.zeros(sys.n)), dtype=float))
-        self._K_eff = self.K_fbl - np.asarray(fbl.A_tilde, dtype=float)[self._idx]
+        self._K_eff = _coefficients(self.K_fbl - np.asarray(fbl.A_tilde, dtype=float)[self._idx])
         self._pivot = float(PIVOT_RTOL * abs(np.linalg.det(gamma0)))
 
     def u(self, X) -> np.ndarray:
@@ -178,14 +179,17 @@ class FblController:
         return np.asarray(self._law(*_model_at(self.sys, np.asarray(X, float)))[0], float)
 
     def _law(self, X, fX, GX) -> tuple[np.ndarray, None]:
+        m = self.K_fbl.shape[0]
+        if type(fX) is list and (m > 1 or type(self._idx) is not slice
+                                 or self.fbl.T is not identity_coordinates):  # as an array
+            return self._law(np.array(X), np.array(fX), np.array(GX))[0].tolist(), None
         Z = X if self.fbl.T is identity_coordinates else np.asarray(self.fbl.T(X), dtype=float)
         Jf, gam = _in_z(self.fbl, X, fX, GX, self._idx)
-        ZK = _stack_matmul(Z, self._K_eff.T)
+        ZK = _contract(self._K_eff, Z)
         ok = self.fbl.domain(Z)
-        m = self.K_fbl.shape[0]
-        if type(fX) is list and m == 1:  # one state: Python floats
+        if type(fX) is list:  # one state, one input: Python floats
             g = gam[0][0]
-            return [-(Jf[0] + ZK.tolist()[0]) / g if ok and abs(g) > self._pivot else np.nan], None
+            return [-(Jf[0] + ZK[0]) / g if ok and abs(g) > self._pivot else np.nan], None
         rhs = -(Jf + ZK)
         if m == 1:
             g = gam[0, 0]
@@ -197,8 +201,7 @@ class FblController:
             safe = np.where(ok[..., None, None], gam, np.eye(m))
             U = np.linalg.solve(safe, np.moveaxis(rhs, 0, -1)[..., None])[..., 0]
             U = np.moveaxis(U, -1, 0)
-        U = U if _all_rows(ok) else np.where(ok, U, np.nan)
-        return (U.tolist() if type(fX) is list else U), None
+        return (U if _all_rows(ok) else np.where(ok, U, np.nan)), None
 
 
 def fbl_gain_design(fbl: FeedbackLinearization, design: LqrDesign) -> np.ndarray:
@@ -234,11 +237,11 @@ def _check_normal_form(sys: SystemModel, fbl: FeedbackLinearization) -> None:
     inside = np.asarray(fbl.domain(np.asarray(fbl.T(X), dtype=float)), dtype=bool)
     X, fX, GX = _model_at(sys, X[:, inside])
     zdot, JG = _in_z(fbl, X, fX + apply_input(GX, U[:, inside]), GX)
-    AT = _stack_matmul(np.asarray(fbl.T(X), dtype=float), np.asarray(fbl.A_tilde, dtype=float).T)
+    AT = _contract(_coefficients(fbl.A_tilde), np.asarray(fbl.T(X), dtype=float))
     Bt = as_matrix(fbl.B_tilde, "B_tilde")
-    off = np.eye(len(Bt)) - Bt @ solve_many(Bt.T @ Bt, Bt.T)   # projector off range(B_tilde)
-    if not (max_abs(_stack_matmul(zdot - AT, off)) <= 1e-6 * (max_abs(zdot) + max_abs(AT))
-            and max_abs(_stack_matmul(JG, off)) <= 1e-6 * max_abs(JG)):
+    off = _coefficients((np.eye(len(Bt)) - Bt @ solve_many(Bt.T @ Bt, Bt.T)).T)  # off range(B~)
+    if not (max_abs(_contract(off, zdot - AT)) <= 1e-6 * (max_abs(zdot) + max_abs(AT))
+            and max_abs(_contract(off, JG)) <= 1e-6 * max_abs(JG)):
         raise ValueError("the model does not have the declared normal form")
 
 

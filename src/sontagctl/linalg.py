@@ -7,7 +7,9 @@ certified by an actual Cholesky factorization. One matrix-sign kernel,
 a Newton iteration built on LU inversions alone, replaces eigensolvers:
 the Hurwitz test certifies sign(A) = -I, and Lyapunov equations are read
 off the sign of the block matrix [[A, 0], [-W, -A']], iterated on its
-n-by-n blocks (Roberts' form) so that only A is ever inverted.
+n-by-n blocks (Roberts' form) so that only A is ever inverted. Products
+with states (``_contract``, ``_row_dot``) are sums in index order from
++0.0 with no BLAS call, on one state's Python floats as on stacks.
 """
 
 from __future__ import annotations
@@ -81,8 +83,7 @@ def _row_dot(A, B):
     """sum_k A[k] * B[k] over the leading (coordinate) axis of (n, ...)
     float arrays; a float over one state's n floats (lists, or (n,) arrays
     read as them). Adds in index order from +0.0, numpy's order for sums of
-    fewer than 8 terms, so the result is bitwise ``(A * B).sum(axis=0)``
-    there, without numpy's reduction loop over a short axis."""
+    fewer than 8 terms, so the result is bitwise ``(A * B).sum(axis=0)``."""
     if type(A) is list:
         s = 0.0
         for r in map(operator.mul, A, B):
@@ -97,25 +98,37 @@ def _row_dot(A, B):
     return s
 
 
-def _stack_matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x' M for each state of an (n,) or (n, ...) stack, as (k,) or
-    (k, ...), with the bits of ``X_rows @ M`` on the (N, n) row-major
-    array of the states. For k > 1 that is a gemm, whose entries sum in
-    one order in any layout, so ``M' X`` has them; a gemv (k = 1) rounds
-    differently as ``M' X`` for some N, so it runs on the rows copied out."""
+def _coefficients(M) -> tuple[list | np.ndarray, list]:
+    """A (k, n) matrix as ``_contract`` takes it: for one state its rows as
+    Python floats, or the array itself past 8 columns, where one numpy pass
+    beats the Python loop; for stacks its n columns, as (k, 1) views, or as
+    floats where k = 1 (faster than a broadcast against a (1, 1) array)."""
+    M = np.asarray(M, dtype=float)
+    rows = M.tolist() if M.shape[1] <= 8 else M
+    return rows, M[0].tolist() if len(M) == 1 else list(M.T[:, :, None])
+
+
+def _contract(M, X):
+    """M x at each state, M as ``_coefficients(M)``: entry j is sum_i
+    X[i] * M[j, i] added in index order from +0.0, as ``_row_dot`` adds,
+    with no BLAS call and so no fused multiply-add; its bits depend on no
+    BLAS kernel, batch width or layout. A list of n rows (one state's floats,
+    or a stack's rows) gives a list, an (n,) or (n, ...) array a (k, ...) one."""
+    rows, cols = M
+    if type(X) is list:
+        if type(rows) is list or type(X[0]) is not float:
+            return [_row_dot(X, r) for r in rows]
+        # each row's running sums in one numpy pass: the same order, so the same bits
+        return (np.add.accumulate(np.multiply(X, rows), axis=1)[:, -1] + 0.0).tolist()
     if X.ndim == 1:
-        return X @ M
+        return np.array(_contract(M, X.tolist()))
     if X.ndim > 2:
-        return _stack_matmul(X.reshape(len(X), -1), M).reshape(M.shape[1:] + X.shape[1:])
-    if M.shape[1] > 1:
-        return M.T @ X
-    rows = X.T
-    if not rows.flags.c_contiguous:
-        # strided row copies take half as long as one transposing copy
-        rows = np.empty(rows.shape)
-        for k, x in enumerate(X):
-            rows[:, k] = x
-    return (rows @ M).T
+        return _contract(M, X.reshape(len(X), -1)).reshape((len(rows),) + X.shape[1:])
+    s = X[0] * cols[0]
+    for i in range(1, len(cols)):
+        s += X[i] * cols[i]
+    s += 0.0  # from +0.0: a sum of -0.0 products is +0.0
+    return s if len(rows) > 1 else s[None]
 
 
 def _select(mask, a, b):

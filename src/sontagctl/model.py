@@ -5,9 +5,10 @@ state is (n,), and a stack (n, ...) carries its batch axes after the
 coordinates. ``f`` maps (n, ...) -> (n, ...) and ``G`` maps (n, ...) ->
 (n, m, ...), so simulation and grid code evaluate a model on many states
 at once without special cases. Coordinate k is ``X[k]``, a contiguous
-row of a stack. One state reaches f and G as a list of n floats, and they
-may return coordinate rows (n floats; n rows of m floats) or arrays
-(``_model_at``). Models are immutable and safe to share across workers.
+row of a stack. One state reaches f, G and ``domain`` as a list of n
+floats, and f and G may return coordinate rows (n floats; n rows of m
+floats) or arrays (``_model_at``). Models are immutable and safe to share
+across workers.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import (SingularMatrix, _certified_inverse, _row_dot, _stack_matmul, as_matrix,
-                     as_square, max_abs)
+from .linalg import (SingularMatrix, _certified_inverse, _coefficients, _contract, _row_dot,
+                     as_matrix, as_square, max_abs)
 
 EQUILIBRIUM_TOL = 1e-12
 #: Default relative step for central finite differences.
@@ -48,15 +49,14 @@ class SystemModel:
     name: str = ""
 
     def __post_init__(self):
-        zero = np.zeros(self.n)
-        f0 = np.asarray(self.f(zero), dtype=float)
-        if f0.shape != (self.n,):
-            raise ValueError("f must map (n,) states to (n,) derivatives")
-        if max_abs(f0) > EQUILIBRIUM_TOL:
-            raise ValueError("the origin must be an equilibrium of the drift")
-        G0 = np.asarray(self.G(zero), dtype=float)
-        if G0.shape != (self.n, self.m):
-            raise ValueError("G must map (n,) states to (n, m) input matrices")
+        for zero in (np.zeros(self.n), [0.0] * self.n):
+            f0 = np.asarray(self.f(zero), dtype=float)
+            if f0.shape != (self.n,):
+                raise ValueError("f must map (n,) states and lists to n derivatives")
+            if max_abs(f0) > EQUILIBRIUM_TOL:
+                raise ValueError("the origin must be an equilibrium of the drift")
+            if np.shape(self.G(zero)) != (self.n, self.m):
+                raise ValueError("G must map (n,) states and lists to n rows of m inputs")
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,13 @@ class FeedbackLinearization:
             raise ValueError("T must map the origin to the origin")
 
 
-def _model_at(sys: SystemModel, X) -> tuple[np.ndarray, list | np.ndarray, list | np.ndarray]:
-    """(X, f(X), G(X)) at a float stack or one state, a list of n floats or an
-    (n,) array that f and G get as the list and whose f and G are lists."""
+def _model_at(sys: SystemModel, X) -> tuple:
+    """(X, f(X), G(X)) at a float stack or one state, a list of n floats or
+    an (n,) array read as one, which comes back as lists."""
     if type(X) is not list and X.ndim > 1:
         return X, np.asarray(sys.f(X), dtype=float), np.asarray(sys.G(X), dtype=float)
-    x, X = (X, np.array(X)) if type(X) is list else (X.tolist(), X)
-    fX, GX = sys.f(x), sys.G(x)
+    X = X if type(X) is list else X.tolist()
+    fX, GX = sys.f(X), sys.G(X)
     return (X, fX if type(fX) is list else np.asarray(fX, dtype=float).tolist(),
             GX if type(GX) is list else np.asarray(GX, dtype=float).tolist())
 
@@ -219,8 +219,8 @@ def pendulum_system(params: PendulumParams | None = None):
         J[1, 0] = drift_gain * np.cos(X[0])
         return J
 
-    def domain(Z):
-        return np.abs(Z[0]) < np.pi / 2
+    def domain(Z):  # abs: a Python bool on one state's float, a mask on a stack
+        return abs(Z[0]) < np.pi / 2
 
     system = SystemModel(n=2, m=1, f=f, G=G, f_jac=f_jac, name="pendulum")
     fbl = FeedbackLinearization(
@@ -249,9 +249,11 @@ def lti_system(A, B, name: str = "lti"):
         batch = np.shape(X)[1:]
         return np.broadcast_to(M.reshape(M.shape + (1,) * len(batch)), M.shape + batch)
 
-    system = SystemModel(n=A.shape[0], m=B.shape[1],
-                         f=lambda X: _stack_matmul(np.asarray(X, dtype=float), A.T),
-                         G=partial(stacked, B), f_jac=partial(stacked, A), name=name)
+    def f(X, A=_coefficients(A)):   # A x: a list on one state's list
+        return _contract(A, X if type(X) is list and type(X[0]) is float else np.asarray(X, float))
+
+    system = SystemModel(n=A.shape[0], m=B.shape[1], f=f, G=partial(stacked, B),
+                         f_jac=partial(stacked, A), name=name)
     fbl = FeedbackLinearization(
         T=identity_coordinates,
         A_tilde=A,

@@ -17,9 +17,11 @@ by ``_closed_loop``, evaluates f and G once at given states for the law;
 the step-start evaluation is also RK4's first stage, so a step evaluates
 the model four times, with or without a zero-order hold. Stacked states
 are coordinates-first, (n, N); the batch of one, an (n,) state, runs on
-Python floats (lists for its state, f, G and input; floats and bools for
-its Lie terms, Sontag factor, state norm and row masks). Pathologies halt
-a run with a flag, not an exception, and a halted run costs +inf.
+Python floats with no numpy call in a stage (lists for its state, f, G
+and input; floats and bools for its Lie terms, Sontag factor, state norm
+and row masks), and every product with the state is the fixed-order sum
+``linalg._contract``, so it has the bits of a stack's column. Pathologies
+halt a run with a flag, not an exception, and a halted run costs +inf.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .control import _clf_violations, _Parts
-from .linalg import (_all_rows, _row_all_finite, _row_dot, _row_max_abs, _stack_matmul, as_square,
-                     as_vector)
+from .control import SontagController, _clf_violations, _Parts
+from .linalg import (_all_rows, _coefficients, _contract, _row_all_finite, _row_dot, _row_max_abs,
+                     as_square, as_vector)
 from .model import SystemModel, _model_at, apply_input
 
 #: A run halts once the state norm passes this bound.
@@ -240,17 +242,17 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
     )
 
 
-def _running_cost(X, U, Q, R) -> np.ndarray:
-    """The quadratic running cost x'Qx + u'Ru per row."""
-    return _row_dot(_stack_matmul(X, Q), X) + _row_dot(_stack_matmul(U, R), U)
+def _running_cost(X, U, Q, R, xQx=None) -> np.ndarray:
+    """x'Qx + u'Ru per row, Q and R as ``_coefficients``; x'Qx is ``xQx`` if given."""
+    return (_row_dot(_contract(Q, X), X) if xQx is None else xQx) + _row_dot(_contract(R, U), U)
 
 
 def cost_index(traj: Trajectory, Q, R) -> float:
     """Discrete quadratic performance index (h/2) sum x'Qx + u'Ru over
     the step-start samples, with the trajectory's step h. Diverged runs
     cost +inf."""
-    Q = as_square(Q, "Q")
-    R = as_square(R, "R")
+    Q = _coefficients(as_square(Q, "Q"))
+    R = _coefficients(as_square(R, "R"))
     if traj.diverged:
         return float("inf")
     return float(0.5 * traj.h * np.sum(_running_cost(traj.states[:-1].T, traj.inputs.T, Q, R)))
@@ -299,14 +301,17 @@ def rollout_costs(sys: SystemModel, controller, X0, Q, R, h: float, n_steps: int
     diverged) arrays over rows.
     """
     Q = as_square(Q, "Q")
-    R = as_square(R, "R")
+    # a Sontag law's q at the step start is this x'Qx, bit for bit, where its Q is this Q
+    law_q = (isinstance(controller, SontagController) and Q.shape == controller.Q.shape
+             and Q.tobytes() == controller.Q.tobytes())
+    Q, R = _coefficients(Q), _coefficients(as_square(R, "R"))
     X0 = np.asarray(X0, dtype=float)
     costs = np.zeros(X0.shape[1:])
 
     def add_cost(s: _Step) -> None:
         nonlocal costs
         live = s.running & s.u_ok
-        cost = 0.5 * h * _running_cost(s.X, s.U, Q, R)
+        cost = 0.5 * h * _running_cost(s.X, s.U, Q, R, s.parts.q if law_q else None)
         costs += cost if _all_rows(live) else np.where(live, cost, 0.0)
 
     stabilized, diverged = _rollout(sys, controller, X0, h, n_steps, zoh, add_cost)

@@ -177,8 +177,8 @@ class TestLieDerivatives:
     def test_single_state_value_and_condition_are_python_scalars(self, pendulum,
                                                                  pendulum_designs, selector):
         # a float and a bool on one (n,) state, V with the bits of the
-        # sum from +0.0 over x @ P (the gemv, which some BLAS kernels
-        # round apart from a stack's gemm); the stacks stay arrays.
+        # sums in index order from +0.0 over Python floats, P x and then
+        # x'(P x), on every BLAS kernel; the stacks stay arrays.
         # x1 = 2.0 is outside design ii's domain: V NaN, condition False.
         sys_m, _ = pendulum
         clf = pendulum_designs[selector].clf
@@ -190,8 +190,9 @@ class TestLieDerivatives:
         for k, x in enumerate(X.T):
             v, c = clf.value(x), clf_condition_at(clf, sys_m, x)
             assert type(v) is float and type(c) is bool, x
-            px = (x @ P).tolist()
-            want = 0.5 * (0.0 + px[0] * x[0] + px[1] * x[1])
+            x0, x1 = x.tolist()
+            px = [0.0 + x0 * row[0] + x1 * row[1] for row in P.tolist()]
+            want = 0.5 * (0.0 + x0 * px[0] + x1 * px[1])
             want = np.nan if selector == "ii" and abs(x[0]) >= np.pi / 2 else float(want)
             assert np.array(v).tobytes() == np.array(want).tobytes() and c == ok[k], x
 

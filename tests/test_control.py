@@ -15,7 +15,7 @@ from sontagctl.control import (
     hjb_residual,
     synthesize_design,
 )
-from sontagctl.linalg import _stack_matmul
+from sontagctl.linalg import _coefficients, _contract
 from sontagctl.model import FeedbackLinearization, SystemModel, apply_input, lti_system
 from sontagctl.riccati import solve_care
 from sontagctl.sim import rk4_step
@@ -126,7 +126,8 @@ class TestSontagControl:
 
     def test_lqr_recovery_two_inputs_single_states(self):
         # a single state's R^{-1} b' rows are Python floats, summed in the
-        # stack's order; they match the stack's rows and give the LQR
+        # stack's order; they match the stack's rows bit for bit (every
+        # product with the state a fixed-order sum) and give the LQR
         rng = np.random.default_rng(5021)
         for _ in range(20):
             n = int(rng.integers(2, 6))
@@ -140,8 +141,7 @@ class TestSontagControl:
                 p = ctrl._parts(x)
                 assert len(p.U) == 2 and type(p.beta) is float
                 for name in ("U", "lam", "a", "beta", "q"):
-                    np.testing.assert_allclose(getattr(p, name), getattr(stack, name)[..., i],
-                                               rtol=1e-12, atol=0, err_msg=name)
+                    assert _bits(getattr(p, name)) == _bits(getattr(stack, name)[..., i]), name
                 u_lqr = -(d.K @ x)
                 assert np.abs(np.asarray(p.U) - u_lqr).max() <= 1e-9 * (1.0 + np.abs(u_lqr).max())
 
@@ -339,7 +339,7 @@ class TestFblControl:
         ctrl = pendulum_designs["iii"].controller
 
         def closed_form(X):
-            return (-(9.81 * np.sin(X[:1]) + _stack_matmul(X, ctrl.K_fbl.T))
+            return (-(9.81 * np.sin(X[:1]) + _contract(_coefficients(ctrl.K_fbl), X))
                     / (-1.0 * np.cos(X[0])))
 
         rng = np.random.default_rng(5022)
@@ -406,7 +406,7 @@ class TestHjbResidual:
         batch = hjb_residual(res.clf, sys_m, res.lqr.Q, res.lqr.R, X)
         rows = [hjb_residual(res.clf, sys_m, res.lqr.Q, res.lqr.R, x) for x in X.T]
         assert batch.shape == (200,) and np.isnan(batch[0])
-        np.testing.assert_allclose(batch, rows, rtol=1e-12)
+        assert _nan_bits(batch) == _nan_bits(rows)
 
 
 def _bits(x) -> bytes:
@@ -458,11 +458,10 @@ class TestSingleStateReturnTypes:
             for i, x in enumerate(X.T):
                 u = ctrl.u(x)
                 assert type(u) is np.ndarray and u.shape == (2,) and u.dtype == np.float64
-                np.testing.assert_allclose(u, stack[:, i], rtol=1e-12, atol=1e-12)
+                assert _bits(u) == _bits(stack[:, i])
                 x_next = rk4_step(sys_m, ctrl, x, 0.01)
                 assert type(x_next) is np.ndarray and x_next.shape == (4,)
-                np.testing.assert_allclose(x_next, rk4_step(sys_m, ctrl, X, 0.01)[:, i],
-                                           rtol=1e-12, atol=1e-12)
+                assert _bits(x_next) == _bits(rk4_step(sys_m, ctrl, X, 0.01)[:, i])
 
 
 class TestBatchOfOne:
@@ -595,15 +594,12 @@ class TestBatchOfOneEdges:
         np.testing.assert_array_equal(p.nonzero, p.beta > 0.0)
         assert p.nonzero.any() and (b_nonzero & ~p.nonzero).any()
 
-    # The linear part Z @ K' of the FBL and LQR laws is a matrix product
-    # on a stack and a vector product on one state, whose last bits can
-    # differ, so those inputs agree to rounding; their NaN masks exactly.
     def test_fbl_input(self, pendulum_designs, states):
         ctrl = pendulum_designs["iii"].controller
         stacked = ctrl.u(states)
         rows = _stack(ctrl.u(x) for x in states.T)
         assert np.isnan(stacked[:, np.abs(states[0]) >= np.pi / 2]).all()
-        np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=1e-12)   # NaNs by position
+        assert _nan_bits(stacked) == _nan_bits(rows)
 
     @pytest.mark.parametrize("selector", ["i", "ii"])
     def test_rk4_step(self, pendulum, pendulum_designs, states, selector):
@@ -619,7 +615,7 @@ class TestBatchOfOneEdges:
         ctrl = pendulum_designs[selector].controller
         stacked = rk4_step(sys_m, ctrl, states, 0.01)
         rows = _stack(rk4_step(sys_m, ctrl, x, 0.01) for x in states.T)
-        np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=1e-12)
+        assert _nan_bits(stacked) == _nan_bits(rows)
 
 
 class TestSynthesizeDesign:

@@ -15,7 +15,8 @@ from sontagctl.linalg import (
     _replay_lyapunov,
     _norm1,
     _row_max_abs,
-    _stack_matmul,
+    _coefficients,
+    _contract,
     cholesky_pd,
     is_hurwitz,
     matrix_sign,
@@ -490,25 +491,40 @@ class TestRowKernels:
                 ok1 = _row_all_finite(A.tolist())
                 assert type(ok1) is bool and ok1 == ok
 
-    def test_stack_matmul_is_the_row_major_product(self):
-        # A single-column product rounds differently as M' X or on a
-        # strided view for some row counts (N = 2, 3, 13, ... on the
-        # default kernel); the helper has the bits of the row-major call
-        # at every N, for one and two columns and either stack layout.
-        rng = np.random.default_rng(1106)
-        for n in (2, 3):
-            for k in (1, 2):
-                M = rng.normal(size=(n, k))
-                for N in range(1, 65):
-                    rows = rng.normal(size=(N, n)) * 3.0
-                    want = rows @ M
-                    for X in (np.ascontiguousarray(rows.T), rows.T):
-                        got = _stack_matmul(X, M)
-                        assert got.shape == (k, N)
-                        assert _same_bits(got, (np.ascontiguousarray(X.T) @ M).T), (n, k, N)
-                        assert _same_bits(got, want.T), (n, k, N)
-                    assert _same_bits(_stack_matmul(rows[0], M), rows[0] @ M)
-                # a 3-d stack is the product of its states in row-major order
-                rows = rng.normal(size=(4, 5, n))
-                assert _same_bits(_stack_matmul(np.moveaxis(rows, -1, 0), M),
-                                  np.moveaxis((rows.reshape(-1, n) @ M).reshape(4, 5, k), -1, 0))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_contract_is_the_fixed_order_sum(self):
+        # M x is, per entry, the sum of X[i] * M[j, i] in index order
+        # from +0.0 on Python floats, whatever the BLAS kernel: on (n, N)
+        # and (n, a, b) stacks, on one state's list and on one (n,) array,
+        # with -0.0, NaN and +-inf products among the terms
+        rng = np.random.default_rng(1107)
+
+        def fixed_order(M, x):
+            out = []
+            for row in M.tolist():
+                s = 0.0
+                for x_i, m_i in zip(x, row):
+                    s += x_i * m_i
+                out.append(s)
+            return out
+
+        for n in (1, 2, 3, 4, 5, 9, 12):   # past 8 columns one state takes one numpy pass
+            for k in (1, 2, 3):
+                M = np.moveaxis(self._draw(rng, (k, n)), 0, -1)
+                C = _coefficients(M)
+                for shape in ((40, n), (3, 5, n)):
+                    X = self._draw(rng, shape)
+                    got = _contract(C, X)
+                    assert got.shape == (k,) + X.shape[1:]
+                    cols = X.reshape(n, -1).T
+                    want = np.array([fixed_order(M, x) for x in cols.tolist()]).T
+                    assert _same_bits(got.reshape(k, -1), want), (n, k, shape)
+                    for i, x in enumerate(cols[:6]):
+                        one = _contract(C, x.tolist())
+                        assert type(one) is list and all(type(v) is float for v in one)
+                        assert _same_bits(np.array(one), got.reshape(k, -1)[:, i]), (n, k, x)
+                        assert _same_bits(_contract(C, x), np.array(one))
+        # all products -0.0: the sum is +0.0, on a stack as on one state
+        C = _coefficients(np.ones((2, 3)))
+        for X in (np.full((3, 4), -0.0), [-0.0, -0.0, -0.0]):
+            assert not np.signbit(_contract(C, X)).any()

@@ -139,10 +139,11 @@ class TestCoordinateRows:
             assert all(type(v) is float for v in fx + [g for row in Gx for g in row])
             assert np.array_equal(_int_bits(fx), _int_bits(f0(x))), rows
             assert np.array_equal(_int_bits(Gx), _int_bits(G0(x))), rows
-            # _model_at passes the rows through, from a list or an (n,) array
+            # _model_at passes the rows through, from a list or an (n,) array,
+            # and hands the state back as its list, with no array built
             for state in (rows, x):
                 X1, f1, G1 = _model_at(sys_m, state)
-                assert type(X1) is np.ndarray and _int_bits(X1).tolist() == _int_bits(x).tolist()
+                assert type(X1) is list and _int_bits(X1).tolist() == _int_bits(x).tolist()
                 assert _int_bits(f1).tolist() == _int_bits(fx).tolist()
                 assert _int_bits(G1).tolist() == _int_bits(Gx).tolist()
 
@@ -163,7 +164,7 @@ class TestCoordinateRows:
 
     def test_lti_rows(self):
         # one state: G and f_jac are B's and A's rows as new lists, f the
-        # gemv's result read through .tolist(); stacks keep their arrays
+        # sums A x in index order from +0.0 as a list; stacks keep arrays
         A, B = np.array([[0.3, -1.2], [2.0, 0.7]]), np.array([[1.0], [0.5]])
         sys_m, _ = lti_system(A, B)
         x = [0.4, -0.1]
@@ -171,7 +172,9 @@ class TestCoordinateRows:
         assert G1 == B.tolist() and G1 is not G2 and G1[0] is not G2[0]
         assert sys_m.f_jac(x) == A.tolist()
         X1, f1, G = _model_at(sys_m, x)
-        assert f1 == (np.array(x) @ A.T).tolist() and G == B.tolist()
+        assert f1 == [0.0 + x[0] * row[0] + x[1] * row[1] for row in A.tolist()]
+        assert type(f1) is list and G == B.tolist()
+        assert sys_m.f(np.array([x, x]).T).tolist() == [[v, v] for v in f1]
         X = np.array([[0.4, 1.0], [-0.1, 2.0]])
         assert np.asarray(sys_m.G(X)).shape == (2, 1, 2)
         assert np.asarray(sys_m.G(X.tolist())).shape == (2, 1, 2)
@@ -255,6 +258,33 @@ class TestValidation:
             SystemModel(n=1, m=1,
                         f=lambda X: np.asarray(X) + 1.0,
                         G=lambda X: np.ones(np.asarray(X).shape + (1,)))
+
+    def test_list_form_is_checked(self):
+        # one state reaches f and G as a list of floats inside a rollout, so
+        # a list branch is checked at construction as the array form is: a
+        # drift that drops a coordinate there fails here, not at RK4's
+        # second stage with an IndexError
+        def model(f_row, G_rows):
+            def f(X):
+                if type(X) is list:
+                    return f_row(X)
+                X = np.asarray(X, dtype=float)
+                return np.stack([X[1], -X[0]])
+
+            def G(X):
+                return G_rows(X) if type(X) is list else stacked([[0.0], [1.0]], X)
+
+            return SystemModel(n=2, m=1, f=f, G=G)
+
+        model(lambda X: [X[1], -X[0]], lambda X: [[0.0], [1.0]])
+        with pytest.raises(ValueError, match="f must map"):
+            model(lambda X: [X[1]], lambda X: [[0.0], [1.0]])
+        with pytest.raises(ValueError, match="equilibrium"):
+            model(lambda X: [X[1], 1.0], lambda X: [[0.0], [1.0]])
+        with pytest.raises(ValueError, match="G must map"):
+            model(lambda X: [X[1], -X[0]], lambda X: [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="G must map"):
+            model(lambda X: [X[1], -X[0]], lambda X: [[0.0], [1.0], [2.0]])
 
     def test_parameterized_pendulum(self):
         # heavier, shorter pendulum with hub inertia
