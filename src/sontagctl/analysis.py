@@ -25,11 +25,10 @@ from .model import SystemModel
 from .sim import SimConfig, _closed_loop, rollout_costs
 
 #: The designs an angle sweep compares, in the order their rollouts
-#: start. At the default config the Sontag law's rollout (~0.60 s) runs
-#: alone on one of two workers, and the LQR's (~0.27 s) then the FBL
-#: law's (~0.33 s) run on the other; the two workers finish within a few
-#: percent of each other. No other split of three whole rollouts over two
-#: workers finishes sooner.
+#: start. At the default config the Sontag law's rollout (~0.59 s) runs
+#: alone on one of two workers, and the LQR's (~0.27 s) then the FBL law's
+#: (~0.32 s) run on the other, so both finish together. No other split of
+#: three whole rollouts over two workers finishes sooner.
 _SWEEP_DESIGNS = ("sontag", "lqr", "fbl")
 
 

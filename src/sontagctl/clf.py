@@ -31,7 +31,6 @@ class QuadraticClf:
         self._grad = partial(_contract, _coefficients(self.P))   # P x
 
     def value(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         return 0.5 * _row_dot(self._grad(X), X)
 
     def grad(self, X) -> np.ndarray:
@@ -93,11 +92,9 @@ def _lie_rows(clf, X, fX, GX, R_inv=None, Q=None):
     given R_inv and Q as ``_coefficients``, one input at a time: b_j = grad
     V . G[:, j], Rb_j = (R^{-1} b')_j and beta = sum_j b_j Rb_j, sums in index
     order from +0.0, with b and Rb lists of m rows; floats on one state."""
-    one = type(fX) is list
-    own = getattr(clf, "_grad", None)  # the two CLF classes here; else a CLF's public grad
-    g = own(X) if own else np.asarray(clf.grad(X), dtype=float)
-    g = g.tolist() if one and not own else g
-    b = [_row_dot(g, G_j) for G_j in (zip(*GX) if one else GX.swapaxes(0, 1))]
+    g = clf._grad(X) if hasattr(clf, "_grad") else np.asarray(clf.grad(X), dtype=float)
+    g = g.tolist() if type(fX) is list and type(g) is not list else g  # a public grad's array
+    b = [_row_dot(g, G_j) for G_j in (zip(*GX) if type(fX) is list else GX.swapaxes(0, 1))]
     out = g, _row_dot(g, fX), b, _row_all_finite(g)
     if R_inv is None:
         return out

@@ -15,10 +15,9 @@ by, the control is zero, the factor is undefined, and a flag records
 whether the CLF decrease condition broke down there.
 
 All controllers map (n,) states or (n, ...) stacks to (m,) or (m, ...)
-inputs, with state products by ``linalg._contract`` and R^{-1} b' a
-fixed-order sum over the inputs (``clf._lie_rows``), so a stack's column
-has one state's bits, which ``_law`` computes on Python floats; states
-outside a CLF or linearization domain, or with singular gamma, get NaN.
+inputs, NaN outside a CLF or linearization domain or at singular gamma.
+Every product with a matrix (M x, R^{-1} b') is the fixed-order sum
+``linalg._contract``: one state, run on Python floats, has a stack column's bits.
 """
 
 from __future__ import annotations
@@ -93,8 +92,7 @@ class SontagController:
         self.Q = symmetrize(Q)
         self.R = symmetrize(R)
         self.R_inv = symmetrize(solve_many(self.R, np.eye(sys.m)))
-        self._Q = _coefficients(self.Q)
-        self._R_inv = _coefficients(self.R_inv)
+        self._Q, self._R_inv = _coefficients(self.Q), _coefficients(self.R_inv)
 
     def _parts(self, X) -> _Parts:
         return self._law(*_model_at(self.sys, np.asarray(X, dtype=float)))[1]
@@ -180,8 +178,7 @@ class FblController:
 
     def _law(self, X, fX, GX) -> tuple[np.ndarray, None]:
         m = self.K_fbl.shape[0]
-        if type(fX) is list and (m > 1 or type(self._idx) is not slice
-                                 or self.fbl.T is not identity_coordinates):  # as an array
+        if type(fX) is list and (m > 1 or self.fbl.T is not identity_coordinates):  # as arrays
             return self._law(np.array(X), np.array(fX), np.array(GX))[0].tolist(), None
         Z = X if self.fbl.T is identity_coordinates else np.asarray(self.fbl.T(X), dtype=float)
         Jf, gam = _in_z(self.fbl, X, fX, GX, self._idx)

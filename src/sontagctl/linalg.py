@@ -8,8 +8,7 @@ a Newton iteration built on LU inversions alone, replaces eigensolvers:
 the Hurwitz test certifies sign(A) = -I, and Lyapunov equations are read
 off the sign of the block matrix [[A, 0], [-W, -A']], iterated on its
 n-by-n blocks (Roberts' form) so that only A is ever inverted. Products
-with states (``_contract``, ``_row_dot``) are sums in index order from
-+0.0 with no BLAS call, on one state's Python floats as on stacks.
+with states are sums in index order from +0.0 with no BLAS call (``_contract``).
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     M = np.asarray(value, dtype=float)
     if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
         raise ValueError(f"{name} must be 2-d with at least one row and column")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} has non-finite entries")
     return M
 
@@ -68,7 +67,7 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError(f"{name} must be 1-d with at least one entry")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
     return v
 
@@ -98,37 +97,31 @@ def _row_dot(A, B):
     return s
 
 
-def _coefficients(M) -> tuple[list | np.ndarray, list]:
-    """A (k, n) matrix as ``_contract`` takes it: for one state its rows as
-    Python floats, or the array itself past 8 columns, where one numpy pass
-    beats the Python loop; for stacks its n columns, as (k, 1) views, or as
-    floats where k = 1 (faster than a broadcast against a (1, 1) array)."""
+def _coefficients(M) -> tuple[int, list, list]:
+    """(n, rows as floats, columns as (k, 1) views) of a (k, n) matrix, for ``_contract``."""
     M = np.asarray(M, dtype=float)
-    rows = M.tolist() if M.shape[1] <= 8 else M
-    return rows, M[0].tolist() if len(M) == 1 else list(M.T[:, :, None])
+    return M.shape[1], M.tolist(), list(M.T[:, :, None])
 
 
 def _contract(M, X):
-    """M x at each state, M as ``_coefficients(M)``: entry j is sum_i
-    X[i] * M[j, i] added in index order from +0.0, as ``_row_dot`` adds,
-    with no BLAS call and so no fused multiply-add; its bits depend on no
-    BLAS kernel, batch width or layout. A list of n rows (one state's floats,
-    or a stack's rows) gives a list, an (n,) or (n, ...) array a (k, ...) one."""
-    rows, cols = M
-    if type(X) is list:
-        if type(rows) is list or type(X[0]) is not float:
-            return [_row_dot(X, r) for r in rows]
-        # each row's running sums in one numpy pass: the same order, so the same bits
-        return (np.add.accumulate(np.multiply(X, rows), axis=1)[:, -1] + 0.0).tolist()
-    if X.ndim == 1:
-        return np.array(_contract(M, X.tolist()))
-    if X.ndim > 2:
-        return _contract(M, X.reshape(len(X), -1)).reshape((len(rows),) + X.shape[1:])
+    """M x at each state, M as ``_coefficients(M)``: entry j is sum_i X[i] *
+    M[j, i] added in index order from +0.0, as ``_row_dot`` adds, with no BLAS
+    call (so no fused multiply-add) and bits that no kernel, batch width or
+    layout changes. A list of n floats or n stack rows gives a list, any other
+    (n,) or (n, ...) stack a (k, ...) array; ValueError unless X has n rows."""
+    n, rows, cols = M
+    if len(X) != n:
+        raise ValueError(f"a state of {len(X)} coordinates does not conform with {n} columns")
+    if type(X) is list and type(X[0]) is not list:
+        return [_row_dot(X, r) for r in rows]
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        return _contract(M, X.reshape(n, -1)).reshape((len(rows),) + X.shape[1:])
     s = X[0] * cols[0]
-    for i in range(1, len(cols)):
+    for i in range(1, n):
         s += X[i] * cols[i]
     s += 0.0  # from +0.0: a sum of -0.0 products is +0.0
-    return s if len(rows) > 1 else s[None]
+    return s
 
 
 def _select(mask, a, b):

@@ -6,9 +6,8 @@ coordinates. ``f`` maps (n, ...) -> (n, ...) and ``G`` maps (n, ...) ->
 (n, m, ...), so simulation and grid code evaluate a model on many states
 at once without special cases. Coordinate k is ``X[k]``, a contiguous
 row of a stack. One state reaches f, G and ``domain`` as a list of n
-floats, and f and G may return coordinate rows (n floats; n rows of m
-floats) or arrays (``_model_at``). Models are immutable and safe to share
-across workers.
+floats; f and G may return rows (n floats; n rows of m floats) or arrays
+(``_model_at``). Models are immutable and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -62,10 +61,9 @@ class SystemModel:
 @dataclass(frozen=True)
 class FeedbackLinearization:
     """Coordinates z = T(x) in which the model takes the normal form
-    J_T(f + G u) = A_tilde T + B_tilde (psi + gamma u) on ``domain``, a
-    predicate from stacked (n, ...) z to a (...) mask (all of state space
-    by default). ``T = identity_coordinates`` declares z = x; ``T_jac``
-    (finite differences when None) is then never used."""
+    J_T(f + G u) = A_tilde T + B_tilde (psi + gamma u) on ``domain``, a (...)
+    mask of (n, ...) z, true everywhere by default. ``T = identity_coordinates``
+    declares z = x: ``T_jac`` is then unused and ``domain`` also gets one state's list."""
 
     T: Callable[[np.ndarray], np.ndarray]
     A_tilde: np.ndarray
@@ -87,6 +85,8 @@ class FeedbackLinearization:
             raise ValueError("J_T0 must be invertible") from exc
         if max_abs(np.asarray(self.T(np.zeros(B.shape[0])), dtype=float)) > EQUILIBRIUM_TOL:
             raise ValueError("T must map the origin to the origin")
+        if self.T is identity_coordinates and not self.domain([0.0] * B.shape[0]):
+            raise ValueError("domain must hold at the origin, given as a list of n floats")
 
 
 def _model_at(sys: SystemModel, X) -> tuple:
@@ -160,7 +160,7 @@ def linearize(sys: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     else:
         A = fd_jacobian(sys.f, zero)
     B = np.asarray(sys.G(zero), dtype=float)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise NonFiniteJacobian("linearization produced non-finite entries")
     if A.shape != (sys.n, sys.n):
         raise NonFiniteJacobian("drift Jacobian has the wrong shape")
@@ -249,11 +249,8 @@ def lti_system(A, B, name: str = "lti"):
         batch = np.shape(X)[1:]
         return np.broadcast_to(M.reshape(M.shape + (1,) * len(batch)), M.shape + batch)
 
-    def f(X, A=_coefficients(A)):   # A x: a list on one state's list
-        return _contract(A, X if type(X) is list and type(X[0]) is float else np.asarray(X, float))
-
-    system = SystemModel(n=A.shape[0], m=B.shape[1], f=f, G=partial(stacked, B),
-                         f_jac=partial(stacked, A), name=name)
+    system = SystemModel(n=A.shape[0], m=B.shape[1], f=partial(_contract, _coefficients(A)),
+                         G=partial(stacked, B), f_jac=partial(stacked, A), name=name)
     fbl = FeedbackLinearization(
         T=identity_coordinates,
         A_tilde=A,

@@ -17,11 +17,9 @@ by ``_closed_loop``, evaluates f and G once at given states for the law;
 the step-start evaluation is also RK4's first stage, so a step evaluates
 the model four times, with or without a zero-order hold. Stacked states
 are coordinates-first, (n, N); the batch of one, an (n,) state, runs on
-Python floats with no numpy call in a stage (lists for its state, f, G
-and input; floats and bools for its Lie terms, Sontag factor, state norm
-and row masks), and every product with the state is the fixed-order sum
-``linalg._contract``, so it has the bits of a stack's column. Pathologies
-halt a run with a flag, not an exception, and a halted run costs +inf.
+Python floats with no numpy call in a stage, with a stack column's bits
+(``linalg._contract``). Pathologies halt a run with a flag, not an
+exception, and a halted run costs +inf.
 """
 
 from __future__ import annotations
@@ -243,7 +241,8 @@ def simulate(sys: SystemModel, controller, cfg: SimConfig, clf=None) -> Trajecto
 
 
 def _running_cost(X, U, Q, R, xQx=None) -> np.ndarray:
-    """x'Qx + u'Ru per row, Q and R as ``_coefficients``; x'Qx is ``xQx`` if given."""
+    """x'Qx + u'Ru per row, Q and R as ``_coefficients``; x'Qx is ``xQx`` if given
+    (a Sontag law's own q, bit for bit the same where the law's Q is this Q)."""
     return (_row_dot(_contract(Q, X), X) if xQx is None else xQx) + _row_dot(_contract(R, U), U)
 
 
@@ -301,9 +300,7 @@ def rollout_costs(sys: SystemModel, controller, X0, Q, R, h: float, n_steps: int
     diverged) arrays over rows.
     """
     Q = as_square(Q, "Q")
-    # a Sontag law's q at the step start is this x'Qx, bit for bit, where its Q is this Q
-    law_q = (isinstance(controller, SontagController) and Q.shape == controller.Q.shape
-             and Q.tobytes() == controller.Q.tobytes())
+    law_q = isinstance(controller, SontagController) and Q.tobytes() == controller.Q.tobytes()
     Q, R = _coefficients(Q), _coefficients(as_square(R, "R"))
     X0 = np.asarray(X0, dtype=float)
     costs = np.zeros(X0.shape[1:])

@@ -46,6 +46,13 @@ class TestQuadraticClf:
         with pytest.raises(NotPositiveDefinite):
             QuadraticClf([[1.0, 2.0], [2.0, 1.0]])
 
+    def test_nonconforming_state_raises(self, dbl_int_clf):
+        for X in ([1.0, 2.0, 3.0], np.ones(1), np.ones((3, 5))):
+            with pytest.raises(ValueError):
+                dbl_int_clf.value(X)
+            with pytest.raises(ValueError):
+                dbl_int_clf.grad(X)
+
     def test_positive_away_from_origin(self, dbl_int_clf):
         rng = np.random.default_rng(4001)
         X = rng.normal(size=(100, 2)).T

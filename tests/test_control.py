@@ -1,3 +1,5 @@
+import types
+
 import mpmath
 import numpy as np
 import pytest
@@ -241,6 +243,13 @@ class TestLqrControl:
         X = np.array([[1.0, 0.0], [0.0, 2.0]])
         np.testing.assert_allclose(ctrl.u(X), [[-1.0, -1.0]])
 
+    def test_nonconforming_state_raises(self):
+        # a 1x2 gain on a 3-state input is an error, not -(k0 x0 + k1 x1)
+        ctrl = LqrController([[1.0, 0.5]])
+        for X in ([1.0, 2.0, 3.0], np.ones((3, 4))):
+            with pytest.raises(ValueError):
+                ctrl.u(X)
+
 
 class TestFblDesign:
     def test_pendulum_gain_closed_form(self, pendulum, pendulum_designs):
@@ -481,6 +490,20 @@ class TestBatchOfOne:
         for name in ("U", "lam", "a", "beta", "q"):
             want = _stack(getattr(r, name) for r in rows)
             assert _bits(getattr(stacked, name)) == _bits(want), name
+
+    @pytest.mark.parametrize("selector", ["i", "ii"])
+    def test_sontag_parts_public_clf(self, pendulum, pendulum_designs, states, selector):
+        # a CLF object with only value and grad (the package's CLFs also
+        # keep one state's list a list): the same bits, on a stack and on
+        # one state, as the package's CLF gives
+        sys_m, _ = pendulum
+        res = pendulum_designs[selector]
+        plain = types.SimpleNamespace(value=res.clf.value, grad=res.clf.grad)
+        ctrl = SontagController(plain, sys_m, res.lqr.Q, res.lqr.R)
+        for X in (states, states[:, 0], states[:, 1]):
+            got, want = ctrl._parts(X), res.controller._parts(X)
+            for name in ("U", "lam", "a", "beta", "q"):
+                assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
 
     def test_apply_input(self, pendulum, states):
         sys_m, _ = pendulum

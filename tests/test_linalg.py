@@ -508,7 +508,7 @@ class TestRowKernels:
                 out.append(s)
             return out
 
-        for n in (1, 2, 3, 4, 5, 9, 12):   # past 8 columns one state takes one numpy pass
+        for n in (1, 2, 3, 4, 5, 9, 12):
             for k in (1, 2, 3):
                 M = np.moveaxis(self._draw(rng, (k, n)), 0, -1)
                 C = _coefficients(M)
@@ -528,3 +528,12 @@ class TestRowKernels:
         C = _coefficients(np.ones((2, 3)))
         for X in (np.full((3, 4), -0.0), [-0.0, -0.0, -0.0]):
             assert not np.signbit(_contract(C, X)).any()
+
+    def test_contract_rejects_a_nonconforming_state(self):
+        # a state must have one coordinate per column: neither one state's
+        # floats nor a stack's rows are cut to the matrix, or padded
+        C = _coefficients(np.ones((2, 3)))
+        for X in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], np.ones(2), np.ones((4, 5)),
+                  np.ones((2, 3, 3))):
+            with pytest.raises(ValueError, match="conform"):
+                _contract(C, X)

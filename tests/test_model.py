@@ -3,12 +3,14 @@ import pytest
 
 from sontagctl.clf import clf_condition_at, lie_terms
 from sontagctl.model import (
+    FeedbackLinearization,
     PendulumParams,
     SystemModel,
     _model_at,
     _whole_space,
     apply_input,
     fd_jacobian,
+    identity_coordinates,
     linearize,
     lti_system,
     pendulum_system,
@@ -285,6 +287,26 @@ class TestValidation:
             model(lambda X: [X[1], -X[0]], lambda X: [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="G must map"):
             model(lambda X: [X[1], -X[0]], lambda X: [[0.0], [1.0], [2.0]])
+
+    def test_domain_list_form_is_checked(self):
+        # under identity coordinates one state reaches domain as a list of
+        # floats, so an array-only predicate fails at construction, not
+        # partway through a rollout; so does one that excludes the origin
+        def fbl(domain):
+            return FeedbackLinearization(T=identity_coordinates, A_tilde=np.zeros((2, 2)),
+                                         B_tilde=[[0.0], [1.0]], J_T0=np.eye(2), domain=domain)
+
+        fbl(lambda Z: abs(Z[0]) < 1.0)
+        with pytest.raises(TypeError):
+            fbl(lambda Z: (Z**2).sum(0) < 1.0)
+        with pytest.raises(ValueError, match="domain"):
+            fbl(lambda Z: abs(Z[0]) > 1.0)
+        with pytest.raises(ValueError):   # a mask of the coordinates, not one truth value
+            fbl(lambda Z: np.array(Z) > -1.0)
+        # other coordinates hand domain arrays only, which is all it is checked on
+        FeedbackLinearization(T=lambda X: np.asarray(X, dtype=float), A_tilde=np.zeros((2, 2)),
+                              B_tilde=[[0.0], [1.0]], J_T0=np.eye(2),
+                              domain=lambda Z: (Z**2).sum(0) < 1.0)
 
     def test_parameterized_pendulum(self):
         # heavier, shorter pendulum with hub inertia
