@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (NotPositiveDefinite, _all_rows, _coefficients, _contract, _row_all_finite,
-                     _row_dot, _row_max_abs, _select, as_matrix, as_square, cholesky_pd,
-                     solve_many, symmetrize)
+                     _row_dot, _row_max_abs, as_matrix, as_square, cholesky_pd, solve_many,
+                     symmetrize)
 from .model import FeedbackLinearization, SystemModel, _model_at, fd_jacobian, identity_coordinates
 
 
@@ -49,7 +49,10 @@ class TransformedClf:
 
     def value(self, X) -> np.ndarray:
         Z = np.asarray(self.fbl.T(np.asarray(X, dtype=float)), dtype=float)
-        return _select(self.fbl.domain(Z), 0.5 * _row_dot(self._Pz(Z), Z), np.nan)
+        ok, V = self.fbl.domain(Z), 0.5 * _row_dot(self._Pz(Z), Z)
+        if np.ndim(ok):
+            return np.where(ok, V, np.nan)
+        return V if ok else np.nan  # one state: a float, not a 0-d array
 
     def grad(self, X) -> np.ndarray:
         return self._grad(np.asarray(X, dtype=float))
@@ -93,9 +96,18 @@ def _lie_rows(clf, X, fX, GX, R_inv=None, Q=None):
     V . G[:, j], Rb_j = (R^{-1} b')_j and beta = sum_j b_j Rb_j, sums in index
     order from +0.0, with b and Rb lists of m rows; floats on one state."""
     g = clf._grad(X) if hasattr(clf, "_grad") else np.asarray(clf.grad(X), dtype=float)
-    g = g.tolist() if type(fX) is list and type(g) is not list else g  # a public grad's array
-    b = [_row_dot(g, G_j) for G_j in (zip(*GX) if type(fX) is list else GX.swapaxes(0, 1))]
-    out = g, _row_dot(g, fX), b, _row_all_finite(g)
+    if type(fX) is list:  # one state: a, b_j and the finite test inline on its floats
+        g = g if type(g) is list else g.tolist()  # a public grad's array
+        a, b = 0.0, [0.0] * len(GX[0])
+        for g_k, f_k, G_k in zip(g, fX, GX):  # each sum in index order from +0.0
+            a += g_k * f_k
+            for j, G_kj in enumerate(G_k):
+                b[j] += g_k * G_kj
+        ok = all(map(math.isfinite, g))
+    else:
+        a, b = _row_dot(g, fX), [_row_dot(g, G_j) for G_j in GX.swapaxes(0, 1)]
+        ok = _row_all_finite(g)
+    out = g, a, b, ok
     if R_inv is None:
         return out
     Rb = _contract(R_inv, b)   # b is a list of rows, one state's or a stack's

@@ -9,6 +9,7 @@ model does not have included, 3 when the stabilizability gate fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -161,6 +162,7 @@ def cmd_roa(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on first use, once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sontagctl",

@@ -30,8 +30,7 @@ import numpy as np
 
 from .clf import _lie_rows, build_global_clf, build_lqr_clf
 from .linalg import (PIVOT_RTOL, SingularMatrix, _all_rows, _certified_inverse, _coefficients,
-                     _contract, _select, as_matrix, as_square, cholesky_pd, max_abs, solve_many,
-                     symmetrize)
+                     _contract, as_matrix, as_square, cholesky_pd, max_abs, solve_many, symmetrize)
 from .model import (FeedbackLinearization, SystemModel, _model_at, apply_input, fd_jacobian,
                     identity_coordinates, linearize, lti_system)
 from .riccati import LqrDesign, solve_care
@@ -50,11 +49,12 @@ def _lambda_array(a, q, beta):
     is needed.
     """
     v = a * a + q * beta
-    s = math.sqrt(v) if type(v) is float and v >= 0.0 else np.sqrt(v)  # numpy's NaN below 0
+    if isinstance(v, float):  # one state: the branch a's sign picks, in Python
+        s = math.sqrt(v) if v >= 0.0 else np.sqrt(v)  # numpy's NaN below 0
+        return q / (s - a) if a < 0.0 else (a + s) / beta
+    s = np.sqrt(v)
     neg = a < 0.0
-    num = _select(neg, q, a + s)
-    denom = _select(neg, s - a, beta)
-    return num / denom
+    return np.where(neg, q, a + s) / np.where(neg, s - a, beta)
 
 
 class _Parts(NamedTuple):
@@ -102,16 +102,19 @@ class SontagController:
         built from its rows u_j = Rb_j * -lam: a list on one state."""
         _, a, _, ok, Rb, beta, q = _lie_rows(self.clf, X, fX, GX, self._R_inv, self._Q)
         nonzero = beta > 0.0
+        if type(X) is list:  # one state: the branches its bools pick, in Python
+            lam = _lambda_array(a, q, beta if nonzero else 1.0)
+            U = [r * -lam if nonzero else 0.0 for r in Rb] if ok else [np.nan] * len(Rb)
+            return U, _Parts(U, lam, nonzero, ok, a, beta, q)
         all_nonzero = _all_rows(nonzero)
-        lam = _lambda_array(a, q, beta if all_nonzero else _select(nonzero, beta, 1.0))
+        lam = _lambda_array(a, q, beta if all_nonzero else np.where(nonzero, beta, 1.0))
         U = [r * -lam for r in Rb]
         if not all_nonzero:
-            U = [_select(nonzero, u, 0.0) for u in U]
+            U = [np.where(nonzero, u, 0.0) for u in U]
         if not _all_rows(ok):
-            U = [_select(ok, u, np.nan) for u in U]
-        U = U if type(X) is list else np.array(U)
-        # positional, as in lie_terms
-        return U, _Parts(U, lam, nonzero, ok, a, beta, q)
+            U = [np.where(ok, u, np.nan) for u in U]
+        U = np.array(U)
+        return U, _Parts(U, lam, nonzero, ok, a, beta, q)  # positional, as in lie_terms
 
     def u(self, X) -> np.ndarray:
         """Control input for stacked states; NaN outside the CLF domain."""

@@ -8,7 +8,8 @@ a Newton iteration built on LU inversions alone, replaces eigensolvers:
 the Hurwitz test certifies sign(A) = -I, and Lyapunov equations are read
 off the sign of the block matrix [[A, 0], [-W, -A']], iterated on its
 n-by-n blocks (Roberts' form) so that only A is ever inverted. Products
-with states are sums in index order from +0.0 with no BLAS call (``_contract``).
+with states are sums in index order from +0.0 with no BLAS call (``_contract``):
+one state's, a list or an (n,) array, as a Python float loop per matrix row.
 """
 
 from __future__ import annotations
@@ -107,14 +108,23 @@ def _contract(M, X):
     """M x at each state, M as ``_coefficients(M)``: entry j is sum_i X[i] *
     M[j, i] added in index order from +0.0, as ``_row_dot`` adds, with no BLAS
     call (so no fused multiply-add) and bits that no kernel, batch width or
-    layout changes. A list of n floats or n stack rows gives a list, any other
-    (n,) or (n, ...) stack a (k, ...) array; ValueError unless X has n rows."""
+    layout changes. One state's list of n floats gives a list, and an (n,) array
+    the same floats as an array; an (n, ...) stack, or a list of n stack rows,
+    gives a (k, ...) array. ValueError unless X has n rows."""
     n, rows, cols = M
     if len(X) != n:
         raise ValueError(f"a state of {len(X)} coordinates does not conform with {n} columns")
     if type(X) is list and type(X[0]) is not list:
-        return [_row_dot(X, r) for r in rows]
+        out = []
+        for r in rows:  # each row's sum in its own loop: no call per row
+            s = 0.0
+            for p in map(operator.mul, X, r):
+                s += p
+            out.append(s)
+        return out
     X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        return np.array(_contract(M, X.tolist()))
     if X.ndim != 2:
         return _contract(M, X.reshape(n, -1)).reshape((len(rows),) + X.shape[1:])
     s = X[0] * cols[0]
@@ -122,15 +132,6 @@ def _contract(M, X):
         s += X[i] * cols[i]
     s += 0.0  # from +0.0: a sum of -0.0 products is +0.0
     return s
-
-
-def _select(mask, a, b):
-    """``np.where(mask, a, b)`` for a row mask. A row scalar (one state's
-    ``bool``, or a 0-d mask) picks ``a`` or ``b`` in Python instead, so
-    scalars stay scalars rather than becoming 0-d arrays."""
-    if type(mask) is bool or mask.ndim == 0:
-        return a if mask else b
-    return np.where(mask, a, b)
 
 
 def _all_rows(mask) -> bool:

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import (SingularMatrix, _certified_inverse, _coefficients, _contract, _row_dot,
-                     as_matrix, as_square, max_abs)
+from .linalg import (SingularMatrix, _certified_inverse, _coefficients, _contract, as_matrix,
+                     as_square, max_abs)
 
 EQUILIBRIUM_TOL = 1e-12
 #: Default relative step for central finite differences.
@@ -138,10 +138,7 @@ def fd_jacobian(fn, x, step_scale: float = FD_STEP_SCALE) -> np.ndarray:
 def apply_input(Gx, u):
     """Contract an (n, m, ...) float array with (m, ...) inputs, adding the
     columns ``Gx[:, k] * u[k]`` in index order from +0.0 as ``_row_dot``
-    does, with no conversion. One state's G as nested Python lists (rows
-    of m floats) gives a list of n floats."""
-    if type(Gx) is list:
-        return [_row_dot(row, u) for row in Gx]
+    does, with no conversion. (One state's stage adds its G u into f itself.)"""
     s = Gx[:, 0] * u[0] + 0.0
     for k in range(1, len(u)):
         s += Gx[:, k] * u[k]

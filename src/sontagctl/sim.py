@@ -17,8 +17,10 @@ by ``_closed_loop``, evaluates f and G once at given states for the law;
 the step-start evaluation is also RK4's first stage, so a step evaluates
 the model four times, with or without a zero-order hold. Stacked states
 are coordinates-first, (n, N); the batch of one, an (n,) state, runs on
-Python floats with no numpy call in a stage, with a stack column's bits
-(``linalg._contract``). Pathologies halt a run with a flag, not an
+Python floats with no numpy call in a stage, with a stack column's bits:
+its stage adds G u into f in one loop, ``clf._lie_rows`` and the
+contractions (``linalg._contract``) sum its floats in loops, and the laws
+pick their branches in Python. Pathologies halt a run with a flag, not an
 exception, and a halted run costs +inf.
 """
 
@@ -104,8 +106,14 @@ def _closed_loop(sys: SystemModel, controller):
     def stage(X, held=None):
         X, fX, GX = _model_at(sys, X)
         U, parts = law(X, fX, GX) if held is None else (held, None)
-        if type(fX) is list:
-            return [a + b for a, b in zip(fX, apply_input(GX, U))], U, parts
+        if type(fX) is list:  # f_k + (G U)_k, (G U)_k summed from +0.0 as apply_input does
+            xdot = []
+            for f_k, G_k in zip(fX, GX):
+                s = 0.0
+                for p in map(operator.mul, G_k, U):
+                    s += p
+                xdot.append(f_k + s)
+            return xdot, U, parts
         return fX + apply_input(GX, U), U, parts
 
     return stage

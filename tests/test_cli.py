@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from conftest import cli_env
+from sontagctl import cli
 from sontagctl.cli import EXIT_BROKEN_PIPE
 from sontagctl.riccati import RESIDUAL_RTOL
 
@@ -316,6 +317,23 @@ def test_rejected_structure_is_a_config_error(tmp_path, argv):
     proc = run_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+
+
+def test_second_call_in_one_process_sees_only_its_own_flags(tmp_path, capsys):
+    # main() builds its parser once per process: a call without --zoh,
+    # --theta0-deg or --design writes what it writes in a fresh process
+    cfg = tmp_path / "x0.yaml"
+    cfg.write_text(yaml.safe_dump({"sim": {"x0": [0.5, -0.25], "n_steps": 300}}))
+    assert cli.main(["simulate", "--design", "iii", "--zoh", "--theta0-deg", "30",
+                     "--config", str(cfg), "--out", str(tmp_path / "first")]) == 0
+    capsys.readouterr()
+    second, alone = tmp_path / "second", tmp_path / "alone"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(second)]) == 0
+    stdout = capsys.readouterr().out
+    proc = run_cli("simulate", "--config", str(cfg), "--out", str(alone))
+    assert proc.returncode == 0
+    assert stdout.replace(str(second), str(alone)) == proc.stdout
+    assert filecmp.cmp(second / "trajectory.csv", alone / "trajectory.csv", shallow=False)
 
 
 class TestSweep:

@@ -14,6 +14,7 @@ from sontagctl.sim import (
     FLAG_DOMAIN,
     SimConfig,
     Trajectory,
+    _rollout,
     cost_index,
     distorted_cost,
     lyap_decay_check,
@@ -412,6 +413,30 @@ class TestBatchRollout:
                 traj = simulate(sys_m, ctrl, cfg)
                 assert J[row] == pytest.approx(cost_index(traj, Q, R), rel=1e-9)
                 assert bool(stab[row]) == traj.stabilized
+
+    @pytest.mark.parametrize("zoh", [False, True], ids=["continuous", "zoh"])
+    @pytest.mark.parametrize("selector", ["i", "ii", "iii", "iv"])
+    def test_whole_runs_are_stack_columns(self, pendulum, pendulum_designs, selector, zoh):
+        # one state's run on Python floats records, bit for bit, the states
+        # and inputs of its column in one stacked rollout, up to the same
+        # halt: starts at rest from 5 to 89 degrees, and one at (1.4, 3.0)
+        # that halts mid-run under design ii (divergence, or the domain
+        # with zoh) and design iii with zoh (the domain)
+        sys_m, _ = pendulum
+        ctrl = pendulum_designs[selector].controller
+        thetas = np.radians([5.0, 25.0, 45.0, 60.0, 80.0, 89.0])
+        X0 = np.stack([np.append(thetas, 1.4), np.append(np.zeros_like(thetas), 3.0)])
+        steps = []
+        stab, halted = _rollout(sys_m, ctrl, X0, 0.01, 1500, zoh, steps.append)
+        for row, x0 in enumerate(X0.T):
+            traj = simulate(sys_m, ctrl, SimConfig(x0=x0, zoh=zoh))
+            live = [s for s in steps if s.running[row]]
+            inputs = [s.U[:, row] for s in live if s.u_ok[row]]
+            states = [X0[:, row]] + [s.X_new[:, row] for s in live
+                                     if s.u_ok[row] and np.isfinite(s.x_max[row])]
+            assert traj.inputs.tobytes() == np.array(inputs).reshape(-1, 1).tobytes(), x0
+            assert traj.states.tobytes() == np.array(states).tobytes(), x0
+            assert (traj.stabilized, traj.diverged) == (stab[row], halted[row])
 
     def test_diverged_rows_frozen(self):
         sys_m = SystemModel(n=1, m=1,

@@ -8,7 +8,10 @@ and imports both in this process beside the working tree's
 ``sontagctl``. The items are one ``simulate`` per design from 45
 degrees, one ``rollout_costs`` per sweep design over the default
 sweep's rows, and one ``roa_certify`` followed by ``write_roa_csv``
-(into the temporary directory), all at the default config. Each round
+(into the temporary directory), all at the default config, and ``care``,
+one ``synthesize_design("iv", *lti_system(A, B), I, I)`` on a seeded
+n = 32, m = 8 system drawn as the benchmark's ``care-lti`` draws them
+(the LTI model's construction and check, the CARE solve). Each round
 runs the items in a shuffled order and each item on the three packages
 in a shuffled order, both drawn from a fixed seed, so that no side
 keeps the first or last place.
@@ -46,6 +49,8 @@ SIMULATE = ("i", "ii", "iii", "iv")
 ROLLOUT = (("sontag", "i"), ("lqr", "iv"), ("fbl", "iii"))
 #: Seed of the run order; fixed, so that reruns shuffle alike.
 ORDER_SEED = 2027
+#: Size and seed of the ``care`` item's system.
+CARE_N, CARE_SEED = 32, 2029
 
 
 def _jobs(pkg: str, tmp: str) -> dict:
@@ -56,6 +61,7 @@ def _jobs(pkg: str, tmp: str) -> dict:
     analysis = importlib.import_module(f"{pkg}.analysis")
     config = importlib.import_module(f"{pkg}.config")
     control = importlib.import_module(f"{pkg}.control")
+    model = importlib.import_module(f"{pkg}.model")
     clf_mod = importlib.import_module(f"{pkg}.clf")
     sim = importlib.import_module(f"{pkg}.sim")
 
@@ -83,7 +89,13 @@ def _jobs(pkg: str, tmp: str) -> dict:
 
     jobs = {f"simulate-{d}": simulate(results[d]) for d in SIMULATE}
     jobs.update({f"rollout-{name}": rollout(results[d]) for name, d in ROLLOUT})
+    rng = np.random.default_rng(CARE_SEED)
+    A = rng.normal(size=(CARE_N, CARE_N)) / np.sqrt(CARE_N)
+    B = rng.normal(size=(CARE_N, CARE_N // 4))
+    I_n, I_m = np.eye(CARE_N), np.eye(CARE_N // 4)
+
     jobs["roa"] = roa
+    jobs["care"] = lambda: control.synthesize_design("iv", *model.lti_system(A, B), I_n, I_m)
     return jobs
 
 
