@@ -17,7 +17,6 @@ from .clf import (
     QuadraticClf,
     TransformedClf,
     build_global_clf,
-    build_lqr_clf,
     clf_condition_at,
     global_clf_margin,
     lie_terms,

@@ -4,7 +4,8 @@ Grid checks here are sampling, not formal certificates: membership is
 exact at the sampled points and says nothing in between. A sublevel
 constant is an order statistic of the sampled CLF values, decided by the
 exact sign of each sample's CLF derivative, and sweep rows are produced
-in deterministic angle order.
+in deterministic angle order. The sweep and ROA writers assemble columns
+for ``sim._write_csv``, which holds the one CSV cell format.
 The sweep's three design rollouts run at the same time in forked worker
 processes, at most one per design; each rollout is computed whole by one
 process, so the results do not depend on the worker count.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .linalg import _row_dot, _row_max_abs, as_vector
 from .model import SystemModel
-from .sim import SimConfig, _closed_loop, rollout_costs
+from .sim import SimConfig, _closed_loop, _write_csv, rollout_costs
 
 #: The designs an angle sweep compares, in the order their rollouts
 #: start. At the default config the Sontag law's rollout (~0.59 s) runs
@@ -273,47 +274,32 @@ def sweep_initial_angles(sys: SystemModel, designs: Mapping[str, object], Q, R,
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    """Sweep rows as CSV; +inf costs print as 'inf' and unavailable
-    ratios as empty fields. The body is formatted in one pass and
-    written once."""
-    header = ("theta0_deg,J_sontag,J_lqr,J_fbl,ratio_lqr,ratio_fbl,"
-              "stab_sontag,stab_lqr,stab_fbl")
-    cells = np.column_stack([result.theta0_deg, result.j_sontag, result.j_lqr, result.j_fbl,
-                             result.ratio_lqr, result.ratio_fbl, result.stab_sontag,
-                             result.stab_lqr, result.stab_fbl]).ravel().tolist()
-    lqr_ok = (~np.isnan(result.ratio_lqr)).tolist()
-    fbl_ok = (~np.isnan(result.ratio_fbl)).tolist()
-    # One format per ratio availability; "%.0s" takes its value and
-    # prints nothing, leaving the field empty.
-    num, empty = "%.17g,", "%.0s,"
-    fmt = {(ok_l, ok_f): (num * 4 + (num if ok_l else empty) + (num if ok_f else empty)
-                          + "%d,%d,%d\n")
-           for ok_l in (True, False) for ok_f in (True, False)}
-    body = "".join(fmt[ok_l, ok_f] for ok_l, ok_f in zip(lqr_ok, fbl_ok))
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        fh.write(body % tuple(cells))
+    """Sweep rows as CSV; +inf costs print as 'inf', unavailable (NaN)
+    ratios as empty fields and the stabilization flags as 0/1."""
+    header = ["theta0_deg", "J_sontag", "J_lqr", "J_fbl", "ratio_lqr", "ratio_fbl",
+              "stab_sontag", "stab_lqr", "stab_fbl"]
+    _write_csv(path, header, [result.theta0_deg, result.j_sontag, result.j_lqr, result.j_fbl,
+                              result.ratio_lqr, result.ratio_fbl, result.stab_sontag,
+                              result.stab_lqr, result.stab_fbl],
+               {4: np.isnan(result.ratio_lqr), 5: np.isnan(result.ratio_fbl)})
 
 
 def write_roa_csv(cert: RoaCertificate, path) -> None:
-    """Grid membership as CSV: coordinates, CLF value, member flags. A
-    grid repeats each axis value once per row of the others, so each float
-    column formats each distinct bit pattern (-0.0 and NaN payloads apart)
-    once, found by a dict: ``np.unique`` raised peak RSS by ~0.5 MB."""
+    """Grid membership as CSV: coordinates, CLF value, member flags as 0/1.
+    A grid repeats each axis value once per row of the others, so each
+    coordinate column formats each distinct bit pattern (-0.0 and NaN
+    payloads apart) once, found by a dict (``np.unique`` raised peak RSS
+    by ~0.5 MB), and goes as text; V, all but distinct, goes as floats."""
     n = cert.points.shape[1]
     header = [f"x{i + 1}" for i in range(n)] + ["V", "member_lqr", "member_sontag"]
     columns = []
-    for column in (*cert.points.T, cert.values):
+    for column in cert.points.T:
         bits = np.asarray(column, dtype=float).view(np.int64).tolist()
         distinct = list(dict.fromkeys(bits))
         values = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
         texts = ("%.17g\n" * len(values) % tuple(values)).splitlines()
         columns.append(list(map(dict(zip(distinct, texts)).__getitem__, bits)))
-    columns.append(["1" if m else "0" for m in cert.members_lqr.tolist()])
-    columns.append(["1\n" if m else "0\n" for m in cert.members_sontag.tolist()])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(",".join, zip(*columns)))
+    _write_csv(path, header, [*columns, cert.values, cert.members_lqr, cert.members_sontag], {})
 
 
 __all__ = [

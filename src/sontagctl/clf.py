@@ -163,11 +163,6 @@ def global_clf_margin(fbl: FeedbackLinearization, P_tilde) -> float:
     return float(L.diagonal().min())
 
 
-def build_lqr_clf(design) -> QuadraticClf:
-    """Quadratic CLF from the value function of an LQR design."""
-    return QuadraticClf(design.P)
-
-
 def build_global_clf(design, fbl: FeedbackLinearization) -> TransformedClf:
     """CLF quadratic in the transformed coordinates whose quadratic
     Taylor part at the origin matches the LQR value function.
@@ -183,7 +178,6 @@ __all__ = [
     "QuadraticClf",
     "TransformedClf",
     "build_global_clf",
-    "build_lqr_clf",
     "clf_condition_at",
     "global_clf_margin",
     "lie_terms",

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import roa_certify, sweep_initial_angles, write_roa_csv, write_sweep_csv
-from .clf import build_lqr_clf
+from .clf import QuadraticClf
 from .config import ConfigError, RunConfig, dump_effective, load_config
 from .control import synthesize_design
 from .riccati import BadWeights, NotStabilizable, _residual_and_scale
@@ -101,7 +101,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     system = cfg.system
     result = _synthesize(cfg.design, cfg)
-    clf = result.clf if result.clf is not None else build_lqr_clf(result.lqr)
+    clf = result.clf if result.clf is not None else QuadraticClf(result.lqr.P)
     traj = simulate(system, result.controller, cfg.sim, clf=clf)
     out = _prepare_out(cfg)
     csv_path = out / "trajectory.csv"

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clf import _lie_rows, build_global_clf, build_lqr_clf
+from .clf import QuadraticClf, _lie_rows, build_global_clf
 from .linalg import (PIVOT_RTOL, SingularMatrix, _all_rows, _certified_inverse, _coefficients,
                      _contract, as_matrix, as_square, cholesky_pd, max_abs, solve_many, symmetrize)
 from .model import (FeedbackLinearization, SystemModel, _model_at, apply_input, fd_jacobian,
@@ -298,7 +298,7 @@ def synthesize_design(selector: str, sys: SystemModel,
     A, B = linearize(sys)
     design = solve_care(A, B, Q, R)
     if selector == "i":
-        clf = build_lqr_clf(design)
+        clf = QuadraticClf(design.P)
         controller = SontagController(clf, sys, design.Q, design.R)
     elif selector == "ii":
         clf = build_global_clf(design, fbl)

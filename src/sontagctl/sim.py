@@ -1,4 +1,4 @@
-"""Fixed-step closed-loop simulation and cost evaluation.
+"""Fixed-step closed-loop simulation, cost evaluation and CSV output.
 
 Integration is classical 4th-order Runge-Kutta with the controller
 re-evaluated at every stage state (continuous feedback); an optional
@@ -21,7 +21,8 @@ Python floats with no numpy call in a stage, with a stack column's bits:
 its stage adds G u into f in one loop, ``clf._lie_rows`` and the
 contractions (``linalg._contract``) sum its floats in loops, and the laws
 pick their branches in Python. Pathologies halt a run with a flag, not an
-exception, and a halted run costs +inf.
+exception, and a halted run costs +inf. ``_write_csv`` writes every output
+CSV in one cell format; the public writers only assemble its columns.
 """
 
 from __future__ import annotations
@@ -323,13 +324,34 @@ def rollout_costs(sys: SystemModel, controller, X0, Q, R, h: float, n_steps: int
     return np.where(diverged, np.inf, costs), stabilized, diverged
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write a run as CSV: t, states, inputs, V, lambda, flags.
+def _write_csv(path, header, columns, empty) -> None:
+    """Write ``header`` and the rows of ``columns`` as CSV, in the one cell
+    format of every output file: a float array prints with 17 significant
+    digits, a bool array as 0/1 and a list of str as given; ``empty`` maps
+    a column's index to the row mask of its fields left empty. Each pattern
+    of empty fields gets one row format, in which "%.0s" takes its cell and
+    prints nothing; the body is formatted in one ``%`` and written once."""
+    columns = [np.where(c, "1", "0").tolist() if type(c) is not list and c.dtype == bool else c
+               for c in columns]
+    cells = [c if type(c) is list else c.tolist() for c in columns]
+    specs = ["%s" if type(c) is list else "%.17g" for c in columns]
+    patterns = list(zip(*(m.tolist() for m in empty.values()))) or [()] * len(cells[0])
+    formats = {}
+    for pattern in set(patterns):
+        blank = {j for j, e in zip(empty, pattern) if e}
+        formats[pattern] = ",".join("%.0s" if j in blank else s for j, s in enumerate(specs)) + "\n"
+    body = ("".join(map(formats.__getitem__, patterns)) if len(formats) != 1
+            else formats.popitem()[1] * len(patterns))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write(body % tuple(chain.from_iterable(zip(*cells, strict=True))))
 
-    Floats carry 17 significant digits; the lambda field is empty where
-    the factor is undefined, and input/lambda fields are empty on the
-    final state row. The body is formatted in one pass and written once.
-    """
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write a run as CSV: t, states, inputs, V, lambda, flags. Input and
+    lambda fields are empty past the last input (on the final row of a
+    completed run), lambda also where the factor is not finite, and V on
+    every row of a run recorded without a CLF."""
     n_rows, n = traj.states.shape
     n_inputs, m = traj.inputs.shape
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
@@ -339,26 +361,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     lam = np.full(n_rows, np.nan)
     if traj.lambdas is not None:
         lam[:len(traj.lambdas)] = traj.lambdas[:n_rows]
-    columns = [traj.times, traj.states, U]
-    if traj.clf_values is not None:
-        columns.append(traj.clf_values)
-    rows = np.column_stack(columns + [lam]).tolist()
-    has_lam = np.isfinite(lam).tolist()
+    V = [""] * n_rows if traj.clf_values is None else traj.clf_values
     flags = traj.flags[:n_rows] + [""] * (n_rows - len(traj.flags))
-    for row, flag in zip(rows, flags):
-        row.append(flag)
-
-    # One format per (inputs, lambda) presence; "%.0s" takes its value
-    # and prints nothing, leaving the field empty.
-    num, empty = "%.17g,", "%.0s,"
-    v_field = num if traj.clf_values is not None else ","
-    fmt = {(with_u, with_lam): (num * (1 + n) + (num if with_u else empty) * m + v_field
-                                + (num if with_lam else empty) + "%s\n")
-           for with_u in (True, False) for with_lam in (True, False)}
-    body = "".join(fmt[k < n_inputs, has_lam[k]] for k in range(n_rows))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(body % tuple(chain.from_iterable(rows)))
+    empty = dict.fromkeys(range(1 + n, 1 + n + m), np.arange(n_rows) >= n_inputs)
+    empty[n + m + 2] = ~np.isfinite(lam)
+    _write_csv(path, header, [traj.times, *traj.states.T, *U.T, V, lam, flags], empty)
 
 
 __all__ = [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sontagctl
-from sontagctl.clf import build_lqr_clf
+from sontagctl.clf import QuadraticClf
 from sontagctl.control import synthesize_design
 from sontagctl.model import lti_system, pendulum_system
 from sontagctl.riccati import solve_care
@@ -121,4 +121,4 @@ def dbl_int_design():
 
 @pytest.fixture(scope="session")
 def dbl_int_clf(dbl_int_design):
-    return build_lqr_clf(dbl_int_design)
+    return QuadraticClf(dbl_int_design.P)

@@ -15,7 +15,7 @@ import scipy.linalg
 import yaml
 
 from sontagctl.analysis import GridSpec, roa_certify, sweep_initial_angles
-from sontagctl.clf import build_lqr_clf, global_clf_margin
+from sontagctl.clf import QuadraticClf, global_clf_margin
 from sontagctl.control import LqrController, SontagController, hjb_residual, synthesize_design
 from sontagctl.linalg import cholesky_pd, is_hurwitz, max_abs
 from sontagctl.model import lti_system, pendulum_system
@@ -53,7 +53,7 @@ def test_criterion_1_lqr_recovery():
             R = random_spd(rng, B.shape[1])
             design = solve_care(A, B, Q, R)
             sys_m, _ = lti_system(A, B)
-            ctrl = SontagController(build_lqr_clf(design), sys_m, Q, R)
+            ctrl = SontagController(QuadraticClf(design.P), sys_m, Q, R)
             X = rng.normal(size=(100, A.shape[0])).T
             parts = ctrl._parts(X)
             U_lqr = -(design.K @ X)
@@ -104,7 +104,7 @@ def test_criterion_4_hjb_identity():
             R = random_spd(rng, B.shape[1])
             design = solve_care(A, B, Q, R)
             sys_m, _ = lti_system(A, B)
-            clf = build_lqr_clf(design)
+            clf = QuadraticClf(design.P)
             X = rng.normal(size=(100, A.shape[0])).T
             res = hjb_residual(clf, sys_m, Q, R, X)
             assert np.all(np.abs(res) <= 1e-9 * (1.0 + np.sum(X * X, axis=0)))

@@ -14,7 +14,7 @@ PUBLIC_NAMES = {
     "GridSpec", "RoaCertificate", "SweepResult", "roa_certify",
     "sweep_initial_angles",
     # clf
-    "QuadraticClf", "TransformedClf", "build_global_clf", "build_lqr_clf",
+    "QuadraticClf", "TransformedClf", "build_global_clf",
     "clf_condition_at", "global_clf_margin", "lie_terms", "transform_P",
     # control
     "FblController", "LqrController", "SontagController", "SynthesisResult",

@@ -7,7 +7,6 @@ from sontagctl.clf import (
     QuadraticClf,
     TransformedClf,
     build_global_clf,
-    build_lqr_clf,
     clf_condition_at,
     lie_terms,
     transform_P,
@@ -317,7 +316,7 @@ def _quadratic_transform_fbl():
 
 class TestBuildClfs:
     def test_lqr_clf_carries_p(self, dbl_int_design):
-        clf = build_lqr_clf(dbl_int_design)
+        clf = QuadraticClf(dbl_int_design.P)
         np.testing.assert_array_equal(clf.P, dbl_int_design.P)
 
     def test_global_clf_identity_transform(self, pendulum, pendulum_weights):
@@ -328,7 +327,7 @@ class TestBuildClfs:
         design = solve_care(*linearize(sys_m), Q, R)
         gclf = build_global_clf(design, fbl)
         np.testing.assert_allclose(gclf.P_tilde, design.P, rtol=1e-14)
-        qclf = build_lqr_clf(design)
+        qclf = QuadraticClf(design.P)
         rng = np.random.default_rng(4007)
         X = np.stack([rng.uniform(-1.5, 1.5, 50), rng.uniform(-3, 3, 50)])
         np.testing.assert_allclose(gclf.value(X), qclf.value(X), rtol=1e-14)

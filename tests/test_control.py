@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sontagctl.clf import build_lqr_clf, clf_condition_at, lie_terms
+from sontagctl.clf import QuadraticClf, clf_condition_at, lie_terms
 from sontagctl.control import (
     FblController,
     LqrController,
@@ -119,7 +119,7 @@ class TestSontagControl:
             R = random_spd(rng, B.shape[1])
             d = solve_care(A, B, Q, R)
             sys_m, _ = lti_system(A, B)
-            ctrl = SontagController(build_lqr_clf(d), sys_m, Q, R)
+            ctrl = SontagController(QuadraticClf(d.P), sys_m, Q, R)
             X = rng.normal(size=(100, A.shape[0])).T
             U_sontag = ctrl.u(X)
             U_lqr = -(d.K @ X)
@@ -136,7 +136,7 @@ class TestSontagControl:
             A, B = rng.normal(size=(n, n)), rng.normal(size=(n, 2))
             Q, R = random_spd(rng, n), random_spd(rng, 2)
             d = solve_care(A, B, Q, R)
-            ctrl = SontagController(build_lqr_clf(d), lti_system(A, B)[0], Q, R)
+            ctrl = SontagController(QuadraticClf(d.P), lti_system(A, B)[0], Q, R)
             X = rng.normal(size=(n, 10))
             stack = ctrl._parts(X)
             for i, x in enumerate(X.T):

@@ -664,6 +664,7 @@ class TestTrajectoryCsvOracle:
 
     @pytest.mark.parametrize("n_states,n_inputs,m,clf_values,lambdas", [
         (12, 11, 1, True, "nan"),      # completed run
+        (12, 11, 1, True, None),       # completed run with V, no lambda (designs iii, iv)
         (12, 5, 1, True, "all"),       # halted: fewer inputs than states
         (9, 9, 2, True, "nan"),        # halted on a non-finite successor
         (10, 4, 2, False, None),       # no CLF, no lambda

@@ -7,8 +7,12 @@ directory, as the packages ``sontagctl_base`` and ``sontagctl_ctrl``,
 and imports both in this process beside the working tree's
 ``sontagctl``. The items are one ``simulate`` per design from 45
 degrees, one ``rollout_costs`` per sweep design over the default
-sweep's rows, and one ``roa_certify`` followed by ``write_roa_csv``
-(into the temporary directory), all at the default config, and ``care``,
+sweep's rows, one ``roa_certify`` followed by ``write_roa_csv``, and two
+writer-only items: ``trajectory-csv``, ``write_trajectory_csv`` of design
+i's 1,500-step run from 45 degrees, and ``sweep-csv``, ``write_sweep_csv``
+of the default sweep's result. Each package simulates that run and
+sweeps once, outside the timing. All of these run at the default config,
+and the writers write into the temporary directory. Last comes ``care``,
 one ``synthesize_design("iv", *lti_system(A, B), I, I)`` on a seeded
 n = 32, m = 8 system drawn as the benchmark's ``care-lti`` draws them
 (the LTI model's construction and check, the CARE solve). Each round
@@ -55,7 +59,7 @@ CARE_N, CARE_SEED = 32, 2029
 
 def _jobs(pkg: str, tmp: str) -> dict:
     """Item name -> zero-argument callable, built from package ``pkg``;
-    the ``roa`` item writes its CSV into directory ``tmp``."""
+    the ``roa`` and ``*-csv`` items write their CSV into directory ``tmp``."""
     import numpy as np
 
     analysis = importlib.import_module(f"{pkg}.analysis")
@@ -75,7 +79,7 @@ def _jobs(pkg: str, tmp: str) -> dict:
     X0 = np.stack([np.radians(thetas), np.zeros(cfg.n_angles)])
 
     def simulate(res):
-        clf = res.clf if res.clf is not None else clf_mod.build_lqr_clf(res.lqr)
+        clf = res.clf if res.clf is not None else clf_mod.QuadraticClf(res.lqr.P)
         return lambda: sim.simulate(cfg.system, res.controller, one, clf=clf)
 
     def rollout(res):
@@ -89,12 +93,20 @@ def _jobs(pkg: str, tmp: str) -> dict:
 
     jobs = {f"simulate-{d}": simulate(results[d]) for d in SIMULATE}
     jobs.update({f"rollout-{name}": rollout(results[d]) for name, d in ROLLOUT})
+    jobs["roa"] = roa
+
+    traj = jobs["simulate-i"]()
+    jobs["trajectory-csv"] = lambda: sim.write_trajectory_csv(
+        traj, Path(tmp) / f"trajectory-{pkg}.csv")
+    designs = {name: results[d].controller for name, d in ROLLOUT}
+    sweep = analysis.sweep_initial_angles(cfg.system, designs, cfg.Q, cfg.R, cfg.sim,
+                                          cfg.n_angles, cfg.theta_range_deg)
+    jobs["sweep-csv"] = lambda: analysis.write_sweep_csv(sweep, Path(tmp) / f"sweep-{pkg}.csv")
+
     rng = np.random.default_rng(CARE_SEED)
     A = rng.normal(size=(CARE_N, CARE_N)) / np.sqrt(CARE_N)
     B = rng.normal(size=(CARE_N, CARE_N // 4))
     I_n, I_m = np.eye(CARE_N), np.eye(CARE_N // 4)
-
-    jobs["roa"] = roa
     jobs["care"] = lambda: control.synthesize_design("iv", *model.lti_system(A, B), I_n, I_m)
     return jobs
 
