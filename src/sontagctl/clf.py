@@ -10,6 +10,7 @@ transformed CLF's domain evaluate to NaN, and so do their Lie terms.
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial
 from typing import NamedTuple
 
@@ -94,24 +95,37 @@ def _lie_rows(clf, X, fX, GX, R_inv=None, Q=None):
     """(grad, a, b, ok) at X from f(X) and G(X), plus (Rb, beta, q = x'Qx)
     given R_inv and Q as ``_coefficients``, one input at a time: b_j = grad
     V . G[:, j], Rb_j = (R^{-1} b')_j and beta = sum_j b_j Rb_j, sums in index
-    order from +0.0, with b and Rb lists of m rows; floats on one state."""
+    order from +0.0, with b and Rb lists of m rows. One state's floats form
+    all of them in Python loops, with the bits of ``_contract`` and ``_row_dot``."""
     g = clf._grad(X) if hasattr(clf, "_grad") else np.asarray(clf.grad(X), dtype=float)
-    if type(fX) is list:  # one state: a, b_j and the finite test inline on its floats
-        g = g if type(g) is list else g.tolist()  # a public grad's array
-        a, b = 0.0, [0.0] * len(GX[0])
-        for g_k, f_k, G_k in zip(g, fX, GX):  # each sum in index order from +0.0
-            a += g_k * f_k
-            for j, G_kj in enumerate(G_k):
-                b[j] += g_k * G_kj
-        ok = all(map(math.isfinite, g))
-    else:
+    if type(fX) is not list:
         a, b = _row_dot(g, fX), [_row_dot(g, G_j) for G_j in GX.swapaxes(0, 1)]
-        ok = _row_all_finite(g)
-    out = g, a, b, ok
+        out = g, a, b, _row_all_finite(g)
+        if R_inv is None:
+            return out
+        Rb = _contract(R_inv, b)   # a list of stack rows
+        return (*out, Rb, _row_dot(b, Rb), _row_dot(_contract(Q, X), X))
+    g = g if type(g) is list else g.tolist()  # a public grad's array
+    a, b, q = 0.0, [0.0] * len(GX[0]), 0.0
+    for g_k, f_k, G_k, x_k, Q_k in zip(g, fX, GX, X, Q[1] if Q else [()] * len(X)):
+        a += g_k * f_k  # each sum in index order from +0.0
+        for j, G_kj in enumerate(G_k):
+            b[j] += g_k * G_kj
+        s = 0.0  # (Qx)_k, then q += (Qx)_k x_k; without Q, q is not returned
+        for p in map(operator.mul, X, Q_k):
+            s += p
+        q += s * x_k
+    ok = all(map(math.isfinite, g))
     if R_inv is None:
-        return out
-    Rb = _contract(R_inv, b)   # b is a list of rows, one state's or a stack's
-    return (*out, Rb, _row_dot(b, Rb), _row_dot(_contract(Q, X), X))
+        return g, a, b, ok
+    Rb, beta = [], 0.0
+    for b_j, row in zip(b, R_inv[1]):  # Rb_j = sum_i b_i R_inv[j, i], then beta
+        s = 0.0
+        for p in map(operator.mul, b, row):
+            s += p
+        Rb.append(s)
+        beta += b_j * s
+    return g, a, b, ok, Rb, beta, q
 
 
 def transform_P(P, J_T0) -> np.ndarray:

@@ -204,8 +204,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 def dump_effective(cfg: RunConfig) -> str:
-    """Serialize the fully resolved configuration as YAML."""
-    return yaml.safe_dump(cfg.effective, sort_keys=False, default_flow_style=None)
+    """Serialize the fully resolved configuration as YAML, through libyaml's
+    safe emitter where PyYAML has it and its pure-Python one otherwise."""
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    return yaml.dump(cfg.effective, Dumper=dumper, sort_keys=False, default_flow_style=None)
 
 
 __all__ = ["ConfigError", "RunConfig", "dump_effective", "load_config", "parse_config"]

@@ -164,14 +164,6 @@ def linearize(sys: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def _on_float(fn, ufunc, x: float) -> float:
-    """``math``'s ``fn(x)``; the ufunc's NaN where fn raises, at +-inf."""
-    try:
-        return fn(x)
-    except ValueError:
-        return float(ufunc(x))
-
-
 def identity_coordinates(X) -> np.ndarray:
     """z = T(x) = x. A model whose feedback-linearizing coordinates are
     its own states passes this function itself as ``T``; a transformed
@@ -187,7 +179,9 @@ def pendulum_system(params: PendulumParams | None = None):
     Returns ``(SystemModel, FeedbackLinearization)``. The transformed
     coordinates are the original ones (T = ``identity_coordinates``);
     gamma, the rate row's input gain, is singular at an angle of +-pi/2,
-    which bounds the linearization domain.
+    which bounds the linearization domain. On one state's list of floats,
+    f and G return rows from ``math.sin`` and ``math.cos``, and numpy's NaN
+    at +-inf, where ``math`` raises ValueError.
     """
     p = params if params is not None else PendulumParams()
     denom = p.inertia + p.mass * p.length**2
@@ -196,7 +190,10 @@ def pendulum_system(params: PendulumParams | None = None):
 
     def f(X):
         if type(X) is list and type(X[0]) is float:  # one state's coordinate rows
-            return [X[1], drift_gain * _on_float(math.sin, np.sin, X[0])]
+            try:
+                return [X[1], drift_gain * math.sin(X[0])]
+            except ValueError:  # math raises at +-inf, where numpy gives its NaN
+                return [X[1], drift_gain * float(np.sin(X[0]))]
         X = np.asarray(X, dtype=float)
         out = np.empty_like(X)
         out[0] = X[1]
@@ -205,7 +202,10 @@ def pendulum_system(params: PendulumParams | None = None):
 
     def G(X):
         if type(X) is list and type(X[0]) is float:  # a constant +0.0 row, never 0.0 * x
-            return [[0.0], [-input_gain * _on_float(math.cos, np.cos, X[0])]]
+            try:
+                return [[0.0], [-input_gain * math.cos(X[0])]]
+            except ValueError:
+                return [[0.0], [-input_gain * float(np.cos(X[0]))]]
         out = np.zeros((2, 1) + np.asarray(X).shape[1:])
         out[1, 0] = -input_gain * np.cos(X[0])
         return out

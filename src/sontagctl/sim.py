@@ -18,11 +18,12 @@ the step-start evaluation is also RK4's first stage, so a step evaluates
 the model four times, with or without a zero-order hold. Stacked states
 are coordinates-first, (n, N); the batch of one, an (n,) state, runs on
 Python floats with no numpy call in a stage, with a stack column's bits:
-its stage adds G u into f in one loop, ``clf._lie_rows`` and the
-contractions (``linalg._contract``) sum its floats in loops, and the laws
-pick their branches in Python. Pathologies halt a run with a flag, not an
-exception, and a halted run costs +inf. ``_write_csv`` writes every output
-CSV in one cell format; the public writers only assemble its columns.
+its stage hands the state's list to f and G directly and adds G u into f
+in one loop, ``clf._lie_rows`` forms the Lie terms, R^{-1} b', beta and
+x'Qx in its own loops over the floats, and the laws pick their branches
+in Python. Pathologies halt a run with a flag, not an exception, and a
+halted run costs +inf. ``_write_csv`` writes every output CSV in one cell
+format; the public writers only assemble its columns.
 """
 
 from __future__ import annotations
@@ -99,13 +100,19 @@ class Trajectory:
 
 def _closed_loop(sys: SystemModel, controller):
     """The stage function of a rollout, with the law (``_law``, or ``u``
-    on X) resolved once: stage(X) -> (f + G U, U, parts) from one
-    ``_model_at``, stage(X, held) under a held input."""
+    on X) resolved once: stage(X) -> (f + G U, U, parts) from one f and G,
+    called directly on one state's list and through ``_model_at`` on a
+    stack, stage(X, held) under a held input."""
     law = getattr(controller, "_law", None) or (
         lambda X, fX, GX, u=controller.u: (np.asarray(u(X), dtype=float), None))
 
     def stage(X, held=None):
-        X, fX, GX = _model_at(sys, X)
+        if type(X) is list:
+            fX, GX = sys.f(X), sys.G(X)
+            if type(fX) is not list or type(GX) is not list:  # a model's arrays, as rows
+                fX, GX = np.asarray(fX, float).tolist(), np.asarray(GX, float).tolist()
+        else:
+            X, fX, GX = _model_at(sys, X)
         U, parts = law(X, fX, GX) if held is None else (held, None)
         if type(fX) is list:  # f_k + (G U)_k, (G U)_k summed from +0.0 as apply_input does
             xdot = []

@@ -10,6 +10,7 @@ import yaml
 from conftest import cli_env
 from sontagctl import cli
 from sontagctl.cli import EXIT_BROKEN_PIPE
+from sontagctl.config import dump_effective, parse_config
 from sontagctl.riccati import RESIDUAL_RTOL
 
 SONTAGCTL = [sys.executable, "-m", "sontagctl"]
@@ -229,6 +230,26 @@ def test_effective_config_bytes(tmp_path, system):
     assert run_cli(*args).returncode == 0
     text = (tmp_path / "out" / "config.yaml").read_text()
     assert re.sub(r"(?m)^out_dir: .*$", "out_dir: <out>", text) == expected
+
+
+@pytest.mark.parametrize("data", [
+    None,
+    {"system": {"name": "lti", "lti": {"A": [[0, 1], [0, 0]], "B": [[0], [1]]}}},
+    {"sim": {"x0": [0.3, -0.1], "zoh": True}, "seed": 7},
+    {"weights": {"Q": [[2.0, 0.5], [0.5, 1.0]], "R": [[0.3]]}, "sim": {"h": 0.005},
+     "roa": {"sublevel": 1.25}},
+], ids=["default", "lti", "x0-zoh-seed", "weights-h-sublevel"])
+def test_effective_config_dumpers_agree(monkeypatch, data):
+    # libyaml's safe emitter, which dump_effective takes where PyYAML has
+    # it, writes the pure-Python emitter's bytes; so does the fallback
+    cfg = parse_config(data)
+    pure = yaml.dump(cfg.effective, Dumper=yaml.SafeDumper, sort_keys=False,
+                     default_flow_style=None)
+    assert pure == yaml.safe_dump(cfg.effective, sort_keys=False, default_flow_style=None)
+    if hasattr(yaml, "CSafeDumper"):
+        assert dump_effective(cfg) == pure
+        monkeypatch.delattr(yaml, "CSafeDumper")
+    assert dump_effective(cfg) == pure
 
 
 class TestSimulate:

@@ -163,6 +163,12 @@ class TestCoordinateRows:
                 fx, Gx = sys_m.f([x1, 0.5]), sys_m.G([x1, 0.5])
             assert fx[0] == 0.5 and np.isnan(fx[1]) and np.isnan(Gx[1][0])
             assert type(fx[1]) is float and type(Gx[1][0]) is float
+            # the bits of the stacked f and G at the same state, not math.nan's
+            X = np.array([[x1], [0.5]])
+            with np.errstate(invalid="ignore"):
+                fX, GX = sys_m.f(X), sys_m.G(X)
+            assert np.float64(fx[1]).tobytes() == fX[1, 0].tobytes()
+            assert np.float64(Gx[1][0]).tobytes() == GX[1, 0, 0].tobytes()
 
     def test_lti_rows(self):
         # one state: G and f_jac are B's and A's rows as new lists, f the

@@ -25,7 +25,7 @@ from sontagctl.sim import (
 )
 
 import csv_reference
-from conftest import EXTREMES, counted, counting_drift, format_cell, frozen_pendulum
+from conftest import EXTREMES, counted, counting_drift, format_cell, frozen_pendulum, random_spd
 
 
 def _frozen_system():
@@ -415,17 +415,27 @@ class TestBatchRollout:
                 assert bool(stab[row]) == traj.stabilized
 
     @pytest.mark.parametrize("zoh", [False, True], ids=["continuous", "zoh"])
-    @pytest.mark.parametrize("selector", ["i", "ii", "iii", "iv"])
+    @pytest.mark.parametrize("selector", ["i", "ii", "iii", "iv", "lti2-i", "lti2-iv"])
     def test_whole_runs_are_stack_columns(self, pendulum, pendulum_designs, selector, zoh):
         # one state's run on Python floats records, bit for bit, the states
         # and inputs of its column in one stacked rollout, up to the same
         # halt: starts at rest from 5 to 89 degrees, and one at (1.4, 3.0)
         # that halts mid-run under design ii (divergence, or the domain
-        # with zoh) and design iii with zoh (the domain)
-        sys_m, _ = pendulum
-        ctrl = pendulum_designs[selector].controller
-        thetas = np.radians([5.0, 25.0, 45.0, 60.0, 80.0, 89.0])
-        X0 = np.stack([np.append(thetas, 1.4), np.append(np.zeros_like(thetas), 3.0)])
+        # with zoh) and design iii with zoh (the domain); "lti2-" runs a
+        # seeded n = 4, m = 2 LTI system with non-diagonal SPD Q and R, so
+        # one state's R^{-1} b' and beta sums run over two inputs
+        if selector.startswith("lti2-"):
+            rng = np.random.default_rng(3107)
+            A, B = rng.normal(size=(4, 4)), rng.normal(size=(4, 2))
+            sys_m, fbl = lti_system(A, B)
+            ctrl = synthesize_design(selector[5:], sys_m, fbl, random_spd(rng, 4),
+                                     random_spd(rng, 2)).controller
+            X0 = rng.normal(size=(4, 5))
+        else:
+            sys_m, _ = pendulum
+            ctrl = pendulum_designs[selector].controller
+            thetas = np.radians([5.0, 25.0, 45.0, 60.0, 80.0, 89.0])
+            X0 = np.stack([np.append(thetas, 1.4), np.append(np.zeros_like(thetas), 3.0)])
         steps = []
         stab, halted = _rollout(sys_m, ctrl, X0, 0.01, 1500, zoh, steps.append)
         for row, x0 in enumerate(X0.T):
@@ -434,7 +444,7 @@ class TestBatchRollout:
             inputs = [s.U[:, row] for s in live if s.u_ok[row]]
             states = [X0[:, row]] + [s.X_new[:, row] for s in live
                                      if s.u_ok[row] and np.isfinite(s.x_max[row])]
-            assert traj.inputs.tobytes() == np.array(inputs).reshape(-1, 1).tobytes(), x0
+            assert traj.inputs.tobytes() == np.array(inputs).reshape(-1, sys_m.m).tobytes(), x0
             assert traj.states.tobytes() == np.array(states).tobytes(), x0
             assert (traj.stabilized, traj.diverged) == (stab[row], halted[row])
 
